@@ -30,6 +30,7 @@ package decompose
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/coloring"
@@ -108,49 +109,62 @@ func (r *Result) HardViolations() []Violation {
 }
 
 // Decompose synthesizes masks for every routing layer of a solution
-// and runs the mask DRC.
+// and runs the mask DRC. Arm masks and cut shapes live in dense
+// per-layer arrays indexed like grid.PIdx, so no per-cell or per-cut
+// step looks up a map or scans the cut list.
 func Decompose(g *grid.Grid, routes []*grid.Route) *Result {
 	res := &Result{Scheme: g.Scheme}
 	arms := collectArms(g, routes)
+	// cuts[PIdx] is 1 + the index of the layer's cut shape at that
+	// cell, 0 when there is none. It is cleared between layers.
+	cuts := make([]int32, g.W*g.H)
 	for l := 0; l < g.NumLayers; l++ {
-		m := synthesizeLayer(g, l, arms[l])
+		m := synthesizeLayer(g, l, arms[l], cuts)
 		res.Layers = append(res.Layers, m)
-		res.Violations = append(res.Violations, drcLayer(g, l, m, arms[l])...)
+		res.Violations = append(res.Violations, drcLayer(g, l, m, arms[l], cuts)...)
+		for _, c := range m.CutShapes {
+			cuts[g.PIdx(c)] = 0
+		}
 	}
 	return res
 }
 
-// collectArms unions each layer's metal arm masks over all routes.
-func collectArms(g *grid.Grid, routes []*grid.Route) []map[geom.Pt]uint8 {
-	arms := make([]map[geom.Pt]uint8, g.NumLayers)
+// collectArms unions each layer's metal arm masks over all routes into
+// a dense array per layer. A planar step of a path sets the arm toward
+// the other end at both of its points, exactly as grid.Route.ArmMask
+// derives them.
+func collectArms(g *grid.Grid, routes []*grid.Route) [][]uint8 {
+	arms := make([][]uint8, g.NumLayers)
 	for l := range arms {
-		arms[l] = map[geom.Pt]uint8{}
+		arms[l] = make([]uint8, g.W*g.H)
 	}
 	for _, r := range routes {
-		if r == nil || r.Empty() {
+		if r == nil {
 			continue
 		}
-		for _, p := range r.PointList() {
-			arms[p.Layer][p.Pt2()] |= r.ArmMask(p)
+		for _, path := range r.Paths {
+			for i := 1; i < len(path); i++ {
+				a, b := path[i-1], path[i]
+				if d := a.DirTo(b); d.Planar() {
+					arms[a.Layer][g.PIdx(a.Pt2())] |= armBit(d)
+					arms[b.Layer][g.PIdx(b.Pt2())] |= armBit(d.Opposite())
+				}
+			}
 		}
 	}
 	return arms
 }
 
-// trackRun decomposes a layer's along-direction wire segments. For a
-// horizontal layer the track is y and the run spans x.
-func wireSegments(g *grid.Grid, l int, arms map[geom.Pt]uint8) []Segment {
+// wireSegments decomposes a layer's along-direction wire segments. For
+// a horizontal layer the track is y and the run spans x.
+func wireSegments(g *grid.Grid, l int, arms []uint8) []Segment {
 	horizontal := g.PrefHorizontal(l)
-	covered := func(p geom.Pt, q geom.Pt) bool {
-		// Segment between p and q exists when either endpoint has the
-		// arm toward the other.
-		d := geom.Pt3{X: p.X, Y: p.Y}.DirTo(geom.Pt3{X: q.X, Y: q.Y})
-		return arms[p]&armBit(d) != 0
-	}
-	var segs []Segment
-	tracks, span := g.H, g.W
+	// A segment continues to the next cell along its track when the
+	// current cell has the arm toward it: East on a horizontal layer,
+	// North on a vertical one.
+	tracks, span, fwd := g.H, g.W, armBit(geom.East)
 	if !horizontal {
-		tracks, span = g.W, g.H
+		tracks, span, fwd = g.W, g.H, armBit(geom.North)
 	}
 	at := func(track, along int) geom.Pt {
 		if horizontal {
@@ -158,36 +172,28 @@ func wireSegments(g *grid.Grid, l int, arms map[geom.Pt]uint8) []Segment {
 		}
 		return geom.XY(track, along)
 	}
+	occ := g.Metal[l]
+	var segs []Segment
 	for t := 0; t < tracks; t++ {
 		lo := -1
 		for a := 0; a < span; a++ {
 			p := at(t, a)
-			onWire := arms[p] != 0 || pointHasMetal(g, l, p)
-			if onWire && lo == -1 {
+			i := g.PIdx(p)
+			onWire := arms[i] != 0 || occ.Occupied(p)
+			if !onWire {
+				lo = -1
+				continue
+			}
+			if lo == -1 {
 				lo = a
 			}
-			endHere := false
-			if onWire {
-				if a == span-1 {
-					endHere = true
-				} else if !covered(p, at(t, a+1)) {
-					endHere = true
-				}
-			}
-			if endHere && lo != -1 {
+			if a == span-1 || arms[i]&fwd == 0 {
 				segs = append(segs, Segment{Track: t, Lo: lo, Hi: a})
-				lo = -1
-			}
-			if !onWire {
 				lo = -1
 			}
 		}
 	}
 	return segs
-}
-
-func pointHasMetal(g *grid.Grid, l int, p geom.Pt) bool {
-	return g.Metal[l].Occupied(p)
 }
 
 func armBit(d geom.Dir) uint8 {
@@ -209,8 +215,9 @@ func armBit(d geom.Dir) uint8 {
 // Collinear mandrel segments closer than the minimum core-mask
 // end-to-end gap (2 units) are merged into one mandrel and separated
 // with a cut/trim shape in the gap — the standard line-end treatment
-// of the cut approach.
-func synthesizeLayer(g *grid.Grid, l int, arms map[geom.Pt]uint8) Masks {
+// of the cut approach. cuts must be all zero on entry; it returns
+// holding the index of every cut shape added (see Decompose).
+func synthesizeLayer(g *grid.Grid, l int, arms []uint8, cuts []int32) Masks {
 	m := Masks{Layer: l, Horizontal: g.PrefHorizontal(l)}
 	scheme := g.Scheme
 	var mandrels []Segment
@@ -223,22 +230,28 @@ func synthesizeLayer(g *grid.Grid, l int, arms map[geom.Pt]uint8) Masks {
 			// end of a spacer wire: the cut removes the spacer loop
 			// there. Coincident shapes (two line ends sharing a 1-unit
 			// gap) merge into one cut.
-			for _, e := range [2]geom.Pt{cutCell(m.Horizontal, s, true), cutCell(m.Horizontal, s, false)} {
-				if g.InPlane(e) && !containsPt(m.CutShapes, e) {
-					m.CutShapes = append(m.CutShapes, e)
-				}
-			}
+			m.addCut(g, cuts, cutCell(m.Horizontal, s, true))
+			m.addCut(g, cuts, cutCell(m.Horizontal, s, false))
 		}
 	}
-	m.Mandrel = mergeCloseMandrels(&m, mandrels, g)
+	m.Mandrel = mergeCloseMandrels(&m, mandrels, g, cuts)
 	return m
+}
+
+// addCut appends an in-plane cut shape unless one already sits at p.
+func (m *Masks) addCut(g *grid.Grid, cuts []int32, p geom.Pt) {
+	if !g.InPlane(p) || cuts[g.PIdx(p)] != 0 {
+		return
+	}
+	m.CutShapes = append(m.CutShapes, p)
+	cuts[g.PIdx(p)] = int32(len(m.CutShapes))
 }
 
 // mergeCloseMandrels merges same-track mandrel segments whose
 // end-to-end gap is below 2, adding a cut shape per gap cell. Segments
 // arrive grouped by track in ascending along-axis order from
 // wireSegments.
-func mergeCloseMandrels(m *Masks, segs []Segment, g *grid.Grid) []Segment {
+func mergeCloseMandrels(m *Masks, segs []Segment, g *grid.Grid, cuts []int32) []Segment {
 	var out []Segment
 	for _, s := range segs {
 		if len(out) > 0 {
@@ -246,14 +259,10 @@ func mergeCloseMandrels(m *Masks, segs []Segment, g *grid.Grid) []Segment {
 			if last.Track == s.Track {
 				if gap := segGap(*last, s); gap >= 0 && gap < 2 {
 					for a := last.Hi + 1; a < s.Lo; a++ {
-						var cutAt geom.Pt
 						if m.Horizontal {
-							cutAt = geom.XY(a, s.Track)
+							m.addCut(g, cuts, geom.XY(a, s.Track))
 						} else {
-							cutAt = geom.XY(s.Track, a)
-						}
-						if g.InPlane(cutAt) && !containsPt(m.CutShapes, cutAt) {
-							m.CutShapes = append(m.CutShapes, cutAt)
+							m.addCut(g, cuts, geom.XY(s.Track, a))
 						}
 					}
 					last.Hi = s.Hi
@@ -264,15 +273,6 @@ func mergeCloseMandrels(m *Masks, segs []Segment, g *grid.Grid) []Segment {
 		out = append(out, s)
 	}
 	return out
-}
-
-func containsPt(pts []geom.Pt, p geom.Pt) bool {
-	for _, q := range pts {
-		if q == p {
-			return true
-		}
-	}
-	return false
 }
 
 // cutCell is the cell just beyond a segment's line end.
@@ -298,27 +298,18 @@ func segEnd(horizontal bool, s Segment, lo bool) geom.Pt {
 	return geom.XY(s.Track, a)
 }
 
-// drcLayer checks the synthesized masks of one layer.
-func drcLayer(g *grid.Grid, l int, m Masks, arms map[geom.Pt]uint8) []Violation {
+// drcLayer checks the synthesized masks of one layer. cuts indexes
+// m's cut shapes as synthesizeLayer left it.
+func drcLayer(g *grid.Grid, l int, m Masks, arms []uint8, cuts []int32) []Violation {
 	var out []Violation
 	// Rule 1 (hard): forbidden corners. Exactly-two perpendicular arms
 	// form an L; the coloring tables decide decomposability. Row-major
 	// order keeps the violation list reproducible.
-	armPts := make([]geom.Pt, 0, len(arms))
-	for p := range arms {
-		armPts = append(armPts, p)
-	}
-	sort.Slice(armPts, func(i, j int) bool {
-		if armPts[i].Y != armPts[j].Y {
-			return armPts[i].Y < armPts[j].Y
-		}
-		return armPts[i].X < armPts[j].X
-	})
-	for _, p := range armPts {
-		mask := arms[p]
+	for i, mask := range arms {
 		if bits.OnesCount8(mask) != 2 {
 			continue
 		}
+		p := geom.XY(i%g.W, i/g.W)
 		d1, d2 := twoArms(mask)
 		corner, ok := coloring.CornerOf(d1, d2)
 		if !ok {
@@ -357,16 +348,25 @@ func drcLayer(g *grid.Grid, l int, m Masks, arms map[geom.Pt]uint8) []Violation 
 		}
 	}
 	// Rule 3 (warning): crowded cut shapes. Distinct cuts within 2
-	// units are printable (via TPL of the cut mask) but tight.
-	for i := 0; i < len(m.CutShapes); i++ {
-		for j := i + 1; j < len(m.CutShapes); j++ {
-			a, b := m.CutShapes[i], m.CutShapes[j]
-			if a.ChebyshevDist(b) <= 2 {
-				out = append(out, Violation{
-					Severity: Warning, Layer: l, At: a,
-					Rule: fmt.Sprintf("cut shapes at %v and %v within 2 units", a, b),
-				})
+	// units are printable (via TPL of the cut mask) but tight. The
+	// partners of cut i are the later cuts in its 5×5 box; emitting
+	// them in index order reproduces the all-pairs (i, j) order.
+	var later []int32
+	for i, a := range m.CutShapes {
+		later = later[:0]
+		for y := max(a.Y-2, 0); y <= min(a.Y+2, g.H-1); y++ {
+			for x := max(a.X-2, 0); x <= min(a.X+2, g.W-1); x++ {
+				if j := cuts[g.PIdx(geom.XY(x, y))] - 1; int(j) > i {
+					later = append(later, j)
+				}
 			}
+		}
+		slices.Sort(later)
+		for _, j := range later {
+			out = append(out, Violation{
+				Severity: Warning, Layer: l, At: a,
+				Rule: fmt.Sprintf("cut shapes at %v and %v within 2 units", a, m.CutShapes[j]),
+			})
 		}
 	}
 	return out

@@ -75,16 +75,13 @@ func (rt *Router) reinit(nl *netlist.Netlist, cfg Config) {
 	rt.cfg = cfg
 	rt.nl = nl
 	rt.g.Clear(cfg.Scheme)
-	rt.noAStar = !cfg.GoalDirected
+	rt.noAStar = false
 	rt.routes = resizeRoutes(rt.routes, len(nl.Nets))
 	rt.ledgers = resizeLedgers(rt.ledgers, len(nl.Nets))
 	rt.feas = dvi.Feasibility{G: rt.g}
 	rt.rng.Seed(cfg.Seed + 1)
 	rt.presFac = cfg.Params.UsagePenalty * CostScale
-	rt.minViaCost = 0
-	if cfg.Params.ViaCost > 0 {
-		rt.minViaCost = cfg.Params.ViaCost * CostScale
-	}
+	rt.minViaCost = cfg.Params.ViaCost * CostScale
 	rt.turnTab = buildTurnTab(cfg.Scheme, cfg.Params.NonPrefTurnCost*CostScale)
 	clear(rt.pinOwner)
 	for _, n := range nl.Nets {

@@ -173,24 +173,44 @@ func TestBucketQueueResetReuses(t *testing.T) {
 }
 
 // TestQueueBackendsBitIdentical: full routing runs (DVI + TPL
-// considerations on) under both backends produce identical stats and
-// identical per-net geometry.
+// considerations on) under both backends end in the identical outcome
+// — the same Run error text (or none), the same stats and the same
+// per-net geometry. The comparison covers failed runs as well: seed 21
+// exhausts MaxRRIters, and both backends must fail it the same way.
 func TestQueueBackendsBitIdentical(t *testing.T) {
 	for _, seed := range []int64{3, 9, 21} {
 		nl := randomNetlist("qdiff", 28, 28, 40, seed)
-		mk := func(k QueueKind) *Router {
-			return route(t, nl, Config{
+		run := func(k QueueKind) (*Router, string) {
+			rt, err := New(nl, Config{
 				Scheme:      coloring.Scheme{Type: coloring.SIM},
 				ConsiderDVI: true, ConsiderTPL: true,
 				Seed: seed, Queue: k,
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Run(); err != nil {
+				return rt, err.Error()
+			}
+			return rt, ""
 		}
-		a, b := mk(BucketQueue), mk(HeapQueue)
+		a, errA := run(BucketQueue)
+		b, errB := run(HeapQueue)
+		if errA != errB {
+			t.Fatalf("seed %d: Run errors differ between backends:\nbucket: %q\nheap:   %q", seed, errA, errB)
+		}
 		if a.Stats() != b.Stats() {
 			t.Fatalf("seed %d: stats differ between backends:\nbucket: %+v\nheap:   %+v", seed, a.Stats(), b.Stats())
 		}
 		for id := range a.Routes() {
-			pa, pb := a.Routes()[id].PointList(), b.Routes()[id].PointList()
+			ra, rb := a.Routes()[id], b.Routes()[id]
+			if (ra == nil) != (rb == nil) {
+				t.Fatalf("seed %d net %d: routed under one backend only", seed, id)
+			}
+			if ra == nil {
+				continue
+			}
+			pa, pb := ra.PointList(), rb.PointList()
 			if len(pa) != len(pb) {
 				t.Fatalf("seed %d net %d: point counts differ: %d vs %d", seed, id, len(pa), len(pb))
 			}

@@ -427,7 +427,8 @@ func buildTurnTab(scheme coloring.Scheme, nonPrefTurnCost int64) (tab [coloring.
 
 // lowerBound is the admissible A* heuristic: every remaining planar
 // unit step costs at least CostScale (the preferred-direction wire
-// cost; non-preferred steps, turn penalties and node costs only add),
+// cost; non-preferred steps, turn penalties and node costs only add —
+// Params.Validate keeps NonPrefMul ≥ 1 and every other term ≥ 0),
 // and every remaining layer crossing costs at least the base via cost.
 // It is consistent — a planar step changes the Manhattan term by at
 // most CostScale and a via step changes the layer term by exactly the

@@ -2,6 +2,7 @@ package router
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -71,6 +72,38 @@ func ConferenceParams() Params {
 	p.Beta = 1
 	p.AMC = 0
 	return p
+}
+
+// ErrInvalidParams reports a routing parameter block the search cannot
+// use. Params.Validate wraps it with the offending field.
+var ErrInvalidParams = errors.New("router: invalid params")
+
+// Validate reports whether p is usable by the search. Every field must
+// be non-negative: a negative step cost breaks the bucket queue's
+// monotone keys. NonPrefMul must be at least 1, because the A* lower
+// bound charges CostScale for every remaining planar step, and a
+// cheaper non-preferred step would make that bound inadmissible. The
+// zero block is invalid too. Config applies the zero → DefaultParams
+// rule before New validates.
+func (p Params) Validate() error {
+	fields := [...]struct {
+		name string
+		v    int64
+	}{
+		{"alpha", p.Alpha}, {"amc", p.AMC}, {"beta", p.Beta}, {"gamma", p.Gamma},
+		{"via_cost", p.ViaCost}, {"non_pref_mul", p.NonPrefMul},
+		{"non_pref_turn_cost", p.NonPrefTurnCost},
+		{"usage_penalty", p.UsagePenalty}, {"hist_inc", p.HistInc},
+	}
+	for _, f := range fields {
+		if f.v < 0 {
+			return fmt.Errorf("%w: %s = %d, want >= 0", ErrInvalidParams, f.name, f.v)
+		}
+	}
+	if p.NonPrefMul < 1 {
+		return fmt.Errorf("%w: non_pref_mul = %d, want >= 1", ErrInvalidParams, p.NonPrefMul)
+	}
+	return nil
 }
 
 // QueueKind selects the priority-queue backend of the windowed
@@ -226,13 +259,6 @@ type Config struct {
 	Topology TopologyKind
 	// Seed drives deterministic tie-breaking choices.
 	Seed int64
-	// GoalDirected enables the admissible A* lower bound in the
-	// windowed search. Path costs stay optimal (the bound is
-	// consistent), but tie-breaking among equal-cost expansions shifts,
-	// so routed geometry — and downstream congestion negotiation — may
-	// differ from the default plain-Dijkstra order. Off by default to
-	// keep results reproducible against the reference tables.
-	GoalDirected bool
 	// Workers bounds the parallelism of the embarrassingly independent
 	// phases (the initial FVP window scan and blocked-via-site scan of
 	// the TPL violation removal). Results are merged deterministically,

@@ -125,12 +125,12 @@ type Router struct {
 	dvicBuf []geom.Pt
 
 	// minViaCost is the precomputed per-layer-crossing term of the A*
-	// lower bound: the base via cost, floored at zero so a pathological
-	// negative parameter degrades to plain Dijkstra instead of an
-	// inadmissible bound.
+	// lower bound: the base via cost (Params.Validate guarantees it is
+	// not negative).
 	minViaCost int64
-	// noAStar disables the goal-directed lower bound; the search then
-	// runs as plain Dijkstra. Used by the admissibility tests.
+	// noAStar disables the goal-directed lower bound so the search runs
+	// as plain Dijkstra. Only router tests set it, as the reference the
+	// A* costs are checked against.
 	noAStar bool
 	// turnTab[class][arms] is the precomputed turn cost (or
 	// forbiddenTurn) of the metal shape arms at a point of that color
@@ -210,12 +210,18 @@ func (rt *Router) checkCancel() error {
 	}
 }
 
-// New prepares a router for the netlist. The netlist must validate.
+// New prepares a router for the netlist. The netlist must validate,
+// and so must the parameters once a zero block has become
+// DefaultParams; out-of-range parameters fail with an error wrapping
+// ErrInvalidParams.
 func New(nl *netlist.Netlist, cfg Config) (*Router, error) {
 	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults(len(nl.Nets))
+	if err := cfg.Params.Validate(); err != nil {
+		return nil, err
+	}
 	if rt := cfg.Arena.take(nl); rt != nil {
 		rt.reinit(nl, cfg)
 		return rt, nil
@@ -225,16 +231,13 @@ func New(nl *netlist.Netlist, cfg Config) (*Router, error) {
 		cfg:     cfg,
 		nl:      nl,
 		g:       g,
-		noAStar: !cfg.GoalDirected,
 		routes:  make([]*grid.Route, len(nl.Nets)),
 		ledgers: make([]ledger, len(nl.Nets)),
 		feas:    dvi.Feasibility{G: g},
 		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
 	}
 	rt.presFac = cfg.Params.UsagePenalty * CostScale
-	if cfg.Params.ViaCost > 0 {
-		rt.minViaCost = cfg.Params.ViaCost * CostScale
-	}
+	rt.minViaCost = cfg.Params.ViaCost * CostScale
 	rt.turnTab = buildTurnTab(cfg.Scheme, cfg.Params.NonPrefTurnCost*CostScale)
 	np := nl.W * nl.H
 	rt.pinOwner = make([]int32, np)
@@ -272,9 +275,6 @@ func New(nl *netlist.Netlist, cfg Config) (*Router, error) {
 func initialBucketSpan(p Params) int64 {
 	sum := p.NonPrefMul + p.NonPrefTurnCost + p.ViaCost +
 		p.Alpha + p.Beta + p.Gamma + p.AMC + p.UsagePenalty
-	if sum < 1 {
-		sum = 1
-	}
 	span := int64(256)
 	for span < sum*CostScale {
 		span <<= 1

@@ -51,6 +51,7 @@ func FuzzSubmit(f *testing.F) {
 	f.Add(`{"netlist": "netlist t 8 8 2\nnet a 1 1 5 1\n", "spec": {"ilp_time_limit": -7}}`)
 	f.Add(`[1, 2, 3]`)
 	f.Add(`{"netlist": 42, "spec": "heur"}`)
+	f.Add(`{"netlist": "netlist t 8 8 2\nnet a 1 1 5 1\n", "spec": {"method": "heur", "params": {"alpha": -40, "via_cost": -50, "non_pref_mul": -3}}}`)
 
 	f.Fuzz(func(t *testing.T, body string) {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))

@@ -421,6 +421,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "netlist: %d nets exceed limit %d", len(nl.Nets), s.cfg.MaxNets)
 		return
 	}
+	// Routing parameters are checked as the router will see them: a
+	// zero block stands for the (valid) Table II defaults.
+	if p := req.Spec.Params; p != (router.Params{}) {
+		if err := p.Validate(); err != nil {
+			writeError(w, http.StatusUnprocessableEntity, "spec: %v", err)
+			return
+		}
+	}
 	s.applyDegradeDefaults(&req.Spec)
 	key, err := cacheKey(req.Netlist, req.Spec)
 	if err != nil {

@@ -363,6 +363,21 @@ func TestSubmitValidation(t *testing.T) {
 	if code := post(mustJSON(tinyNetlist, `{"method":"bogus"}`)); code != http.StatusBadRequest {
 		t.Fatalf("bogus method: status %d", code)
 	}
+	// Out-of-range routing parameters are refused before they take a
+	// queue slot, including a partial block that leaves non_pref_mul 0.
+	for _, params := range []string{
+		`{"alpha":-40,"amc":1,"beta":4,"gamma":4,"via_cost":4,"non_pref_mul":4,"non_pref_turn_cost":2,"usage_penalty":12,"hist_inc":3}`,
+		`{"alpha":8,"amc":1,"beta":4,"gamma":4,"via_cost":-50,"non_pref_mul":4,"non_pref_turn_cost":2,"usage_penalty":12,"hist_inc":3}`,
+		`{"alpha":8,"amc":1,"beta":4,"gamma":4,"via_cost":4,"non_pref_mul":-3,"non_pref_turn_cost":2,"usage_penalty":12,"hist_inc":3}`,
+		`{"via_cost":4}`,
+	} {
+		if code := post(mustJSON(tinyNetlist, `{"method":"heur","params":`+params+`}`)); code != http.StatusUnprocessableEntity {
+			t.Fatalf("params %s: status %d, want 422", params, code)
+		}
+	}
+	if got := s.metrics.Submitted.Load(); got != 0 {
+		t.Fatalf("rejected submissions were counted as submitted: %d", got)
+	}
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/nope")
 	if err != nil {
