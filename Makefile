@@ -80,4 +80,3 @@ bench-smoke:
 
 bench-full:
 	$(GO) run ./cmd/benchjson -suite full -iters 1 -label full -out BENCH_2.json
-	$(GO) run ./cmd/benchjson -suite full -iters 1 -workers $$(nproc) -label full-parallel -out BENCH_2.json

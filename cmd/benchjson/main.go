@@ -6,7 +6,7 @@
 // Usage:
 //
 //	benchjson [-suite tiny|scaled|full|multipin] [-scale 4] [-label after]
-//	          [-iters 3] [-workers 1] [-out BENCH_1.json]
+//	          [-iters 3] [-out BENCH_1.json]
 //	          [-baseline BENCH_1.json] [-tolerance 3]
 //
 // Without -out it writes the first free BENCH_<n>.json in the current
@@ -15,11 +15,11 @@
 //
 // With -baseline the command is a regression gate: after measuring it
 // compares against the baseline file's most recent run of the same
-// suite and worker count. Wirelength and via counts must match exactly
-// (routing is deterministic; a mismatch is a correctness regression,
-// not noise) and the suite's total routing time must stay within
-// -tolerance times the baseline, or the command exits non-zero. CI
-// runs the tiny suite this way on every push.
+// suite. Wirelength and via counts must match exactly (routing is
+// deterministic; a mismatch is a correctness regression, not noise)
+// and the suite's total routing time must stay within -tolerance times
+// the baseline, or the command exits non-zero. CI runs the tiny suite
+// this way on every push.
 package main
 
 import (
@@ -45,13 +45,15 @@ type File struct {
 
 // Run is one measured pass over the suite.
 type Run struct {
-	Label     string    `json:"label"`
-	Date      string    `json:"date"`
-	GoVersion string    `json:"go"`
-	Suite     string    `json:"suite"`
-	Workers   int       `json:"workers"`
-	Iters     int       `json:"iters"`
-	Circuits  []Circuit `json:"circuits"`
+	Label     string `json:"label"`
+	Date      string `json:"date"`
+	GoVersion string `json:"go"`
+	Suite     string `json:"suite"`
+	// Workers is the router parallelism of runs recorded before the
+	// router became serial-only; new runs leave it out.
+	Workers  int       `json:"workers,omitempty"`
+	Iters    int       `json:"iters"`
+	Circuits []Circuit `json:"circuits"`
 	// TotalNsPerRoute sums the per-circuit minima: the suite's
 	// routing-only ns/op.
 	TotalNsPerRoute int64 `json:"total_ns_per_route"`
@@ -71,7 +73,6 @@ func main() {
 	scale := flag.Int("scale", 4, "shrink factor for -suite scaled")
 	label := flag.String("label", "run", "label of this run (e.g. seed, after)")
 	iters := flag.Int("iters", 3, "routing repetitions per circuit (minimum time is recorded)")
-	workers := flag.Int("workers", 1, "router Workers setting")
 	out := flag.String("out", "", "output file (default: first free BENCH_<n>.json; in gate mode empty means no file)")
 	baseline := flag.String("baseline", "", "gate mode: compare against this file's latest same-suite run")
 	tolerance := flag.Float64("tolerance", 3, "gate mode: allowed slowdown factor vs the baseline")
@@ -86,7 +87,6 @@ func main() {
 		Date:      time.Now().UTC().Format("2006-01-02"),
 		GoVersion: runtime.Version(),
 		Suite:     suiteName,
-		Workers:   *workers,
 		Iters:     *iters,
 	}
 	for _, c := range suite {
@@ -97,7 +97,6 @@ func main() {
 			start := time.Now()
 			res, err := sadproute.Route(nl, sadproute.Config{
 				SADP: coloring.SIM, ConsiderDVI: true, ConsiderTPL: true,
-				Workers: *workers,
 			})
 			if err != nil {
 				fail(fmt.Errorf("routing %s: %w", c.Name, err))
@@ -180,11 +179,10 @@ func writeRun(path string, run Run) error {
 	return nil
 }
 
-// gate compares the measured run against the most recent same-suite,
-// same-worker-count run in the baseline file. Metrics must be
-// identical; time may drift up to the tolerance factor (CI machines
-// are noisy — the gate exists to catch order-of-magnitude regressions,
-// not percent-level ones).
+// gate compares the measured run against the most recent same-suite
+// run in the baseline file. Metrics must be identical; time may drift
+// up to the tolerance factor (CI machines are noisy — the gate exists
+// to catch order-of-magnitude regressions, not percent-level ones).
 func gate(path string, run Run, tolerance float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -196,13 +194,13 @@ func gate(path string, run Run, tolerance float64) error {
 	}
 	var base *Run
 	for i := len(doc.Runs) - 1; i >= 0; i-- {
-		if doc.Runs[i].Suite == run.Suite && doc.Runs[i].Workers == run.Workers {
+		if doc.Runs[i].Suite == run.Suite {
 			base = &doc.Runs[i]
 			break
 		}
 	}
 	if base == nil {
-		return fmt.Errorf("baseline %s has no run with suite=%s workers=%d", path, run.Suite, run.Workers)
+		return fmt.Errorf("baseline %s has no run with suite=%s", path, run.Suite)
 	}
 	if len(base.Circuits) != len(run.Circuits) {
 		return fmt.Errorf("baseline run has %d circuits, measured %d", len(base.Circuits), len(run.Circuits))

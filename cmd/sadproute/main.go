@@ -5,7 +5,7 @@
 //
 //	sadproute -in circuit.net [-sadp sim|sid] [-dvi] [-tpl]
 //	          [-method heur|ilp|none] [-ilptime 60s] [-check] [-verify]
-//	          [-json] [-workers N] [-cpuprofile f] [-memprofile f]
+//	          [-json] [-cpuprofile f] [-memprofile f]
 //
 // It prints the metrics the paper's tables report: wirelength, via
 // count, routing CPU, dead via count (#DV) and uncolorable via count
@@ -49,7 +49,6 @@ func run() (code int) {
 	doVerify := flag.Bool("verify", false, "re-check the result with the independent internal/verify checker; exit 1 on violations")
 	jsonOut := flag.Bool("json", false, "emit the service result schema (api.Result) as JSON instead of text")
 	seed := flag.Int64("seed", 0, "tie-breaking seed")
-	workers := flag.Int("workers", 1, "parallelism of independent router phases (identical output for any value)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -117,7 +116,6 @@ func run() (code int) {
 		Method:       meth,
 		ILPTimeLimit: *ilpTime,
 		Topology:     topo,
-		Workers:      *workers,
 		Seed:         *seed,
 		Verify:       *doVerify,
 	}

@@ -8,7 +8,6 @@
 //	           [-job-timeout 10m] [-drain-timeout 60s] [-addr-file f]
 //	           [-data-dir d] [-max-request-bytes n] [-max-attempts 2]
 //	           [-degrade] [-quiet] [-pprof-addr 127.0.0.1:6060]
-//	           [-no-arena]
 //	           [-coordinator-addr http://host:port] [-worker-id w1]
 //	           [-lease-ttl 15s] [-heartbeat-every 1s]
 //	           [-verify-uploads] [-reject-budget 3]
@@ -73,7 +72,6 @@ func run() int {
 	degrade := flag.Bool("degrade", false, "enable deadline-driven degraded modes for every job by default")
 	quiet := flag.Bool("quiet", false, "suppress per-job log lines")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off); bind to localhost, the profiles expose internals")
-	noArena := flag.Bool("no-arena", false, "disable per-worker router arenas (allocate each job's routing state fresh)")
 	coordAddr := flag.String("coordinator-addr", "", "worker mode: coordinator base URL (http://host:port)")
 	workerID := flag.String("worker-id", "", "worker mode: this worker's name (default hostname-pid)")
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "coordinator mode: job lease TTL; a worker silent this long loses its jobs")
@@ -102,7 +100,6 @@ func run() int {
 			SpoolDir:       *spoolDir,
 			UploadRetries:  *uploadRetries,
 			RetrySeed:      *chaosSeed,
-			NoArena:        *noArena,
 			Logf:           logf,
 		}
 		if err := armChaos(*chaos, *chaosSeed, &wcfg); err != nil {
@@ -126,7 +123,6 @@ func run() int {
 		DataDir:          *dataDir,
 		MaxAttempts:      *maxAttempts,
 		DegradeByDefault: *degrade,
-		NoArena:          *noArena,
 		ExternalExec:     *mode == "coordinator",
 		Logf:             logf,
 	})

@@ -3,12 +3,14 @@
 //
 // Usage:
 //
-//	tables [-table all|1|2|3|4|5|6|7] [-scale N] [-ilptime 60s]
+//	tables [-table all|1|2|3|4|5|6|7] [-scale N] [-circuits N] [-ilptime 60s]
 //
 // -scale shrinks the Table I circuits by the given factor (dimension
 // and net count); -scale 1 runs the full sizes, which takes hours
 // (dominated by the exact DVI ILP, exactly as the paper reports for
-// Gurobi).
+// Gurobi). -circuits keeps only the first N of the six circuits; the
+// EXPERIMENTS.md capture is `tables -table all -scale 8 -circuits 5
+// -ilptime 10s`.
 package main
 
 import (
@@ -25,10 +27,18 @@ import (
 func main() {
 	which := flag.String("table", "all", "table to regenerate: all, 1..7")
 	scale := flag.Int("scale", 8, "benchmark shrink factor (1 = full Table I sizes)")
+	ncirc := flag.Int("circuits", 6, "how many of the six circuits to run")
 	ilpTime := flag.Duration("ilptime", time.Minute, "ILP time limit per circuit")
 	flag.Parse()
 
 	circuits := bench.ScaledSuite(*scale)
+	if *ncirc < 1 {
+		fmt.Fprintf(os.Stderr, "tables: -circuits must be >= 1, got %d\n", *ncirc)
+		os.Exit(2)
+	}
+	if *ncirc < len(circuits) {
+		circuits = circuits[:*ncirc]
+	}
 	run := func(name string, fn func() (*bench.Table, error)) {
 		if *which != "all" && *which != name {
 			return

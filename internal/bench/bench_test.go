@@ -169,30 +169,3 @@ func TestEvaluationShapes(t *testing.T) {
 		t.Errorf("DVI+TPL dead via ratio %.2f, want < 1.0 (paper: ~0.38)", ratio)
 	}
 }
-
-// TestRunAllWorkerIndependence: RunAll must return the same rows (up to
-// CPU timings) in the same order for any worker count, both for the
-// outer per-circuit parallelism and the intra-router Workers knob.
-func TestRunAllWorkerIndependence(t *testing.T) {
-	circuits := TinySuite()[:2]
-	spec := RunSpec{
-		Scheme: coloring.SIM, ConsiderDVI: true, ConsiderTPL: true,
-		Method: HeurDVI, Verify: true,
-	}
-	serial, err := RunAll(circuits, spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Workers = 4
-	parallel, err := RunAll(circuits, spec, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range circuits {
-		a, b := serial[i], parallel[i]
-		a.RouteCPU, a.DVICPU, b.RouteCPU, b.DVICPU = 0, 0, 0, 0
-		if a != b {
-			t.Fatalf("circuit %s rows differ:\n%+v\n%+v", circuits[i].Name, a, b)
-		}
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/coloring"
@@ -116,21 +115,17 @@ type RunSpec struct {
 	// alternative to the exact ILP (~500–670× faster at a small DV/UV
 	// cost), so the fallback is semantically principled.
 	Degrade bool `json:"degrade,omitempty"`
-	// Queue selects the search's priority-queue backend
-	// (router.Config.Queue). Output is bit-identical between backends;
-	// the knob exists for differential testing. Zero/absent = the
-	// default Dial bucket queue.
-	Queue router.QueueKind `json:"queue,omitempty"`
+	// Deprecated: ignored; perfbench still names it.
+	Queue router.QueueKind `json:"-"`
 	// Topology selects the multi-pin net decomposition
 	// (router.Config.Topology). Zero/absent = the Steiner tree
-	// generator; "star" restores the legacy greedy order. Unlike Queue
-	// this changes routed geometry on nets with three or more pins.
+	// generator; "star" restores the legacy greedy order, which
+	// changes routed geometry on nets with three or more pins.
 	Topology router.TopologyKind `json:"topology,omitempty"`
-	// Workers bounds the intra-router parallelism (router.Config
-	// Workers); routing output is identical for any value.
-	Workers int `json:"workers,omitempty"`
-	// Seed drives deterministic tie-breaking; unlike Workers it
-	// changes routing output.
+	// Deprecated: ignored; perfbench still names it.
+	Workers int `json:"-"`
+	// Seed drives deterministic tie-breaking; it changes routing
+	// output.
 	Seed int64 `json:"seed,omitempty"`
 	// Verify re-checks the finished flow with the independent
 	// internal/verify checker; the report lands in Artifacts.Verify.
@@ -205,9 +200,7 @@ func RunContextArena(ctx context.Context, nl *netlist.Netlist, spec RunSpec, are
 		ConsiderDVI: spec.ConsiderDVI,
 		ConsiderTPL: spec.ConsiderTPL,
 		Params:      spec.Params,
-		Queue:       spec.Queue,
 		Topology:    spec.Topology,
-		Workers:     spec.Workers,
 		Seed:        spec.Seed,
 		Arena:       arena,
 		Cancel:      ctx.Done(),
@@ -324,35 +317,4 @@ func runVerify(nl *netlist.Netlist, spec RunSpec, art *Artifacts) {
 		SADP:     spec.Scheme,
 		CheckTPL: spec.ConsiderTPL && !tplDegraded,
 	})
-}
-
-// RunAll generates and runs every circuit under the spec, routing up
-// to workers circuits concurrently (each circuit's flow is itself
-// deterministic, and rows are returned in circuit order regardless of
-// completion order, so the result is identical for any worker count).
-// The first error in circuit order wins.
-func RunAll(circuits []Circuit, spec RunSpec, workers int) ([]Row, error) {
-	if workers <= 0 {
-		workers = 1
-	}
-	rows := make([]Row, len(circuits))
-	errs := make([]error, len(circuits))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, c := range circuits {
-		wg.Add(1)
-		go func(i int, c Circuit) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			rows[i], _, errs[i] = Run(Generate(c), spec)
-		}(i, c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
 }

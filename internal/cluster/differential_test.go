@@ -171,29 +171,3 @@ func TestDifferentialTopologies(t *testing.T) {
 		t.Fatalf("ClusterRequeues %d, want >= 1 (the killed worker held a job)", got)
 	}
 }
-
-// TestDifferentialWorkersMultiPin pins the other determinism axis for
-// k-pin nets: the routed Solution bytes of the multi-pin suite must be
-// identical for any intra-router Workers value. Workers changes spec
-// bytes (so nothing is answered from the result cache) but must never
-// change output.
-func TestDifferentialWorkersMultiPin(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real routing flow; skipped in -short")
-	}
-	sv, err := service.New(service.Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sv.Shutdown(context.Background())
-	ts := httptest.NewServer(sv.Handler())
-	defer ts.Close()
-
-	spec1 := diffSpec()
-	spec1.Workers = 1
-	ref := runSuite(t, ts, bench.TinyMultiPinSuite(), spec1)
-
-	spec4 := diffSpec()
-	spec4.Workers = 4
-	compareOutcomes(t, "workers=4 vs workers=1", ref, runSuite(t, ts, bench.TinyMultiPinSuite(), spec4))
-}

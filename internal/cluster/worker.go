@@ -64,9 +64,6 @@ type WorkerConfig struct {
 	// SlowDelay is the extra latency the "worker.slow" chaos site
 	// injects before running a job (default 1s).
 	SlowDelay time.Duration
-	// NoArena disables router state recycling, as in the standalone
-	// daemon.
-	NoArena bool
 	// Fault arms the worker-side chaos sites: "worker.kill" (die
 	// silently after pulling a job, before running it), "worker.slow"
 	// (sleep SlowDelay before running a job), "spool.crash" (die
@@ -252,10 +249,7 @@ func (w *Worker) isKilled() bool {
 
 // slotLoop is one slot's pull-execute cycle.
 func (w *Worker) slotLoop(ctx context.Context, slot int) {
-	var arena *router.Arena
-	if !w.cfg.NoArena {
-		arena = router.NewArena()
-	}
+	arena := router.NewArena()
 	pullFails := 0
 	for {
 		if ctx.Err() != nil || w.isKilled() {

@@ -39,29 +39,6 @@ func TestBucketQueueSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestHeapSteadyStateAllocs: the legacy heap backend is still the
-// fallback for non-monotone phases; its steady state must be free too.
-func TestHeapSteadyStateAllocs(t *testing.T) {
-	var s searchScratch
-	for i := int64(0); i < 512; i++ {
-		s.hPush(pqItem{f: i, id: int32(i)})
-	}
-	for len(s.heap) > 0 {
-		s.hPop()
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		for i := int64(0); i < 64; i++ {
-			s.hPush(pqItem{f: i, id: int32(i)})
-		}
-		for len(s.heap) > 0 {
-			s.hPop()
-		}
-	})
-	if avg != 0 {
-		t.Errorf("heap steady-state push/pop allocates %.1f per cycle, want 0", avg)
-	}
-}
-
 // TestArenaJobAllocs pins the whole-job ceiling: a full route on a
 // warmed arena — the search steps, the TPL rip-up-and-recolor loop and
 // the via victim scans — must stay within a small constant allocation

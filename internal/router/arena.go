@@ -106,7 +106,6 @@ func (rt *Router) reinit(nl *netlist.Netlist, cfg Config) {
 	rt.ignoreBlocks = false
 	rt.stats = Stats{}
 	rt.debugLog, rt.debugVictim, rt.debugTPLIter = nil, nil, nil
-	rt.search.useHeap = cfg.Queue == HeapQueue
 	rt.search.bq.init(initialBucketSpan(cfg.Params))
 }
 

@@ -18,10 +18,9 @@ package router
 // order within a key is preserved.
 //
 // Tie-breaking: items of equal key pop in push order (the per-bucket
-// FIFO), i.e. in increasing pqItem.seq. The legacy binary heap orders
-// ties by the same sequence number, so both backends pop the exact
-// same item sequence for any push trace — the property the routing
-// differential tests pin down.
+// FIFO), i.e. in increasing pqItem.seq. The pop sequence is therefore
+// the canonical (key, seq) order of any push trace, which the tests
+// check against a reference binary heap.
 type bucketQueue struct {
 	buckets []bqBucket
 	mask    int64 // len(buckets)-1; len is a power of two

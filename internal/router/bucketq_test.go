@@ -3,25 +3,43 @@ package router
 // Property tests for the Dial bucket queue: monotone pop order,
 // wraparound addressing (ring index = key mod span), growth/rehash
 // under key spreads wider than the ring, and exact pop-sequence
-// equality with the legacy binary heap under Dijkstra-like traces —
-// the invariant that makes the two backends produce bit-identical
-// routing.
+// equality with a reference binary heap under Dijkstra-like traces —
+// the canonical (key, push sequence) order that fixes equal-cost path
+// geometry.
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
-
-	"repro/internal/coloring"
 )
 
-// dijkstraTrace drives both backends with an identical random
-// push/pop trace shaped like a search: every pushed key is the last
-// popped key plus a bounded non-negative increment (the monotone
-// contract Dial's algorithm needs). Returns false when the trace is
-// exhausted.
+// pqLess is the canonical queue order: key, then push sequence.
+func pqLess(a, b pqItem) bool {
+	return a.f < b.f || (a.f == b.f && a.seq < b.seq)
+}
+
+// refHeap is the reference queue: a container/heap binary min-heap on
+// pqLess, sharing no code with the bucket ring.
+type refHeap []pqItem
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return pqLess(h[i], h[j]) }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(pqItem)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// runTrace drives the bucket queue and the reference heap with an
+// identical random push/pop trace shaped like a search: every pushed
+// key is the last popped key plus a bounded non-negative increment
+// (the monotone contract Dial's algorithm needs).
 func runTrace(t *testing.T, trial int, rng *rand.Rand, maxStep int64) {
 	t.Helper()
-	var h searchScratch // heap backend used directly via hPush/hPop
+	var h refHeap
 	var q bucketQueue
 	q.init(1) // start at the minimum span to force growth
 
@@ -34,12 +52,12 @@ func runTrace(t *testing.T, trial int, rng *rand.Rand, maxStep int64) {
 			f := lastPop + rng.Int63n(maxStep+1)
 			it := pqItem{f: f, id: int32(i), seq: seq}
 			seq++
-			h.hPush(it)
+			heap.Push(&h, it)
 			q.push(it)
 			pending++
 			continue
 		}
-		a, b := h.hPop(), q.pop()
+		a, b := heap.Pop(&h).(pqItem), q.pop()
 		pending--
 		if a != b {
 			t.Fatalf("trial %d op %d: heap popped %+v, bucket popped %+v", trial, i, a, b)
@@ -50,19 +68,20 @@ func runTrace(t *testing.T, trial int, rng *rand.Rand, maxStep int64) {
 		lastPop = a.f
 	}
 	for pending > 0 {
-		a, b := h.hPop(), q.pop()
+		a, b := heap.Pop(&h).(pqItem), q.pop()
 		pending--
 		if a != b {
 			t.Fatalf("trial %d drain: heap popped %+v, bucket popped %+v", trial, a, b)
 		}
 	}
-	if q.n != 0 || len(h.heap) != 0 {
-		t.Fatalf("trial %d: leftovers: bucket %d, heap %d", trial, q.n, len(h.heap))
+	if q.n != 0 || h.Len() != 0 {
+		t.Fatalf("trial %d: leftovers: bucket %d, heap %d", trial, q.n, h.Len())
 	}
 }
 
-// TestBucketQueueMatchesHeap: both backends pop the exact same item
-// sequence (key, id and tie-break seq) for any Dijkstra-like trace.
+// TestBucketQueueMatchesHeap: the bucket queue pops the exact item
+// sequence (key, id and tie-break seq) of the reference heap for any
+// Dijkstra-like trace.
 func TestBucketQueueMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -167,57 +186,6 @@ func TestBucketQueueResetReuses(t *testing.T) {
 		for _, b := range q.buckets {
 			if len(b.items) != 0 || b.head != 0 {
 				t.Fatalf("round %d: dirty bucket survived reset", round)
-			}
-		}
-	}
-}
-
-// TestQueueBackendsBitIdentical: full routing runs (DVI + TPL
-// considerations on) under both backends end in the identical outcome
-// — the same Run error text (or none), the same stats and the same
-// per-net geometry. The comparison covers failed runs as well: seed 21
-// exhausts MaxRRIters, and both backends must fail it the same way.
-func TestQueueBackendsBitIdentical(t *testing.T) {
-	for _, seed := range []int64{3, 9, 21} {
-		nl := randomNetlist("qdiff", 28, 28, 40, seed)
-		run := func(k QueueKind) (*Router, string) {
-			rt, err := New(nl, Config{
-				Scheme:      coloring.Scheme{Type: coloring.SIM},
-				ConsiderDVI: true, ConsiderTPL: true,
-				Seed: seed, Queue: k,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := rt.Run(); err != nil {
-				return rt, err.Error()
-			}
-			return rt, ""
-		}
-		a, errA := run(BucketQueue)
-		b, errB := run(HeapQueue)
-		if errA != errB {
-			t.Fatalf("seed %d: Run errors differ between backends:\nbucket: %q\nheap:   %q", seed, errA, errB)
-		}
-		if a.Stats() != b.Stats() {
-			t.Fatalf("seed %d: stats differ between backends:\nbucket: %+v\nheap:   %+v", seed, a.Stats(), b.Stats())
-		}
-		for id := range a.Routes() {
-			ra, rb := a.Routes()[id], b.Routes()[id]
-			if (ra == nil) != (rb == nil) {
-				t.Fatalf("seed %d net %d: routed under one backend only", seed, id)
-			}
-			if ra == nil {
-				continue
-			}
-			pa, pb := ra.PointList(), rb.PointList()
-			if len(pa) != len(pb) {
-				t.Fatalf("seed %d net %d: point counts differ: %d vs %d", seed, id, len(pa), len(pb))
-			}
-			for i := range pa {
-				if pa[i] != pb[i] {
-					t.Fatalf("seed %d net %d: point %d differs: %v vs %v", seed, id, i, pa[i], pb[i])
-				}
 			}
 		}
 	}

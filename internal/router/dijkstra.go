@@ -80,9 +80,8 @@ type cell struct {
 }
 
 // searchScratch holds the reusable state of the windowed search: the
-// epoch-stamped distance/parent cells, the two priority-queue backends
-// (Dial bucket ring by default, binary heap behind Config.Queue), and
-// the path-reversal buffer. Nothing in here is allocated per search
+// epoch-stamped distance/parent cells, the Dial bucket queue, and the
+// path-reversal buffer. Nothing in here is allocated per search
 // once the buffers have grown to the largest window seen.
 //
 // Epoch stamping: a cell's dist/parent values are valid only when its
@@ -93,8 +92,6 @@ type searchScratch struct {
 	cells   []cell
 	epoch   uint32
 	seq     uint32 // push counter: the canonical tie-break among equal keys
-	useHeap bool   // legacy binary-heap backend (Config.Queue == HeapQueue)
-	heap    []pqItem
 	bq      bucketQueue
 	pathRev []geom.Pt3
 	pathFwd []geom.Pt3
@@ -139,7 +136,6 @@ func (s *searchScratch) reset(win geom.Rect, layers int) {
 		}
 		s.epoch = 1
 	}
-	s.heap = s.heap[:0]
 	s.bq.reset()
 	s.seq = 0
 }
@@ -211,21 +207,15 @@ func (s *searchScratch) statePt(idx int32) (geom.Pt3, int) {
 // the bound is disabled). g is recovered at pop time by subtracting
 // the bound. xyl packs the state's absolute coordinates and layer so a
 // pop needs no division to recover them (id still encodes the
-// direction state). seq is the push sequence number: both queue
-// backends order items by (f, seq), so equal-key ties pop in push
-// order regardless of backend — the canonical order the differential
-// tests pin. Stale entries — whose g exceeds the state's current
-// tentative distance — are skipped on pop.
+// direction state). seq is the push sequence number: the queue orders
+// items by (f, seq), so equal-key ties pop in push order — the
+// canonical order the queue tests pin. Stale entries — whose g exceeds
+// the state's current tentative distance — are skipped on pop.
 type pqItem struct {
 	f   int64
 	id  int32
 	xyl uint32
 	seq uint32
-}
-
-// pqLess is the canonical queue order: key, then push sequence.
-func pqLess(a, b pqItem) bool {
-	return a.f < b.f || (a.f == b.f && a.seq < b.seq)
 }
 
 // packXYL fits x and y in 14 bits each and the layer in 4; grids are
@@ -239,85 +229,13 @@ func unpackXYL(v uint32) geom.Pt3 {
 	return geom.XYL(int(v&0x3fff), int(v>>14&0x3fff), int(v>>28))
 }
 
-// hPush and hPop implement a monomorphic binary min-heap on (f, seq)
-// over s.heap — the legacy backend kept behind Config.Queue for
-// differential testing against the bucket queue. hPop uses a hole sift
-// (identical comparisons and final layout, half the writes).
-//
-//sadplint:hotpath heap push runs per relaxed edge of the search
-func (s *searchScratch) hPush(it pqItem) {
-	s.heap = append(s.heap, it)
-	h := s.heap
-	j := len(h) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !pqLess(h[j], h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-//sadplint:hotpath heap pop runs per expanded node of the search
-func (s *searchScratch) hPop() pqItem {
-	h := s.heap
-	n := len(h) - 1
-	top := h[0]
-	moved := h[n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		j := l
-		if r := l + 1; r < n && pqLess(h[r], h[l]) {
-			j = r
-		}
-		if !pqLess(h[j], moved) {
-			break
-		}
-		h[i] = h[j]
-		i = j
-	}
-	h[i] = moved
-	s.heap = h[:n]
-	return top
-}
-
-// push enqueues a state into the selected backend, assigning the next
-// tie-break sequence number.
+// push enqueues a state, assigning the next tie-break sequence
+// number.
 //
 //sadplint:hotpath queue push runs per relaxed edge of the search
 func (s *searchScratch) push(f int64, id int32, xyl uint32) {
-	it := pqItem{f: f, id: id, xyl: xyl, seq: s.seq}
+	s.bq.push(pqItem{f: f, id: id, xyl: xyl, seq: s.seq})
 	s.seq++
-	if s.useHeap {
-		s.hPush(it)
-	} else {
-		s.bq.push(it)
-	}
-}
-
-// queued returns the number of enqueued items.
-//
-//sadplint:hotpath queue size is polled per search iteration
-func (s *searchScratch) queued() int {
-	if s.useHeap {
-		return len(s.heap)
-	}
-	return s.bq.n
-}
-
-// pop dequeues the (f, seq)-minimal item from the selected backend.
-//
-//sadplint:hotpath queue pop runs per expanded node of the search
-func (s *searchScratch) pop() pqItem {
-	if s.useHeap {
-		return s.hPop()
-	}
-	return s.bq.pop()
 }
 
 // source is a search start state.
@@ -482,8 +400,8 @@ func (rt *Router) dijkstra(r routeView, sources []source, target geom.Pt3, net i
 	pointDelta := [4]int{1, -1, s.wW, -s.wW}
 	layerDelta := s.wW * s.wH
 	gridDelta := [4]int{1, -1, rt.g.W, -rt.g.W}
-	for s.queued() > 0 {
-		it := s.pop()
+	for s.bq.n > 0 {
+		it := s.bq.pop()
 		p := unpackXYL(it.xyl)
 		ds := int(it.id) % numDirStates
 		pIdx := int(it.id) / numDirStates

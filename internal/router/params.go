@@ -106,60 +106,9 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// QueueKind selects the priority-queue backend of the windowed
-// search. Both backends pop states in the identical canonical
-// (key, push-sequence) order, so routing output is bit-identical
-// between them; the flag exists for differential testing and as an
-// escape hatch.
+// QueueKind is the type of the ignored Config.Queue field. The search
+// has one priority queue, the Dial bucket ring (bucketq.go).
 type QueueKind uint8
-
-const (
-	// BucketQueue is the default Dial-style bucket ring: O(1) push and
-	// amortized O(1) pop, exploiting that step costs are small bounded
-	// multiples of CostScale (see DESIGN.md §12).
-	BucketQueue QueueKind = iota
-	// HeapQueue is the legacy monomorphic binary heap.
-	HeapQueue
-)
-
-// String implements fmt.Stringer ("bucket"/"heap").
-func (k QueueKind) String() string {
-	if k == HeapQueue {
-		return "heap"
-	}
-	return "bucket"
-}
-
-// MarshalJSON encodes the backend by name so specs carrying it stay
-// human-readable.
-func (k QueueKind) MarshalJSON() ([]byte, error) {
-	if k > HeapQueue {
-		return nil, fmt.Errorf("cannot marshal QueueKind(%d)", uint8(k))
-	}
-	return json.Marshal(k.String())
-}
-
-// UnmarshalJSON accepts the backend name or the raw numeric value.
-func (k *QueueKind) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		switch s {
-		case "bucket":
-			*k = BucketQueue
-		case "heap":
-			*k = HeapQueue
-		default:
-			return fmt.Errorf("queue backend: want \"bucket\" or \"heap\", got %q", s)
-		}
-		return nil
-	}
-	var n uint8
-	if err := json.Unmarshal(b, &n); err != nil || n > uint8(HeapQueue) {
-		return fmt.Errorf("queue backend: want \"bucket\", \"heap\" or 0-1, got %s", b)
-	}
-	*k = QueueKind(n)
-	return nil
-}
 
 // TopologyKind selects how a multi-pin net is decomposed into two-pin
 // connections before the search realizes them.
@@ -248,22 +197,16 @@ type Config struct {
 	MaxRRIters int
 	// MaxTPLRRIters caps TPL-violation-removal iterations.
 	MaxTPLRRIters int
-	// Queue selects the search's priority-queue backend. The zero
-	// value is the Dial bucket queue; HeapQueue restores the legacy
-	// binary heap. Routing output is identical either way.
+	// Deprecated: ignored; perfbench still names it.
 	Queue QueueKind
 	// Topology selects the multi-pin decomposition. The zero value is
 	// the Steiner tree generator; StarTopology restores the greedy
-	// nearest-pin order. Unlike Queue this changes routed geometry on
-	// nets with three or more pins.
+	// nearest-pin order, which changes routed geometry on nets with
+	// three or more pins.
 	Topology TopologyKind
 	// Seed drives deterministic tie-breaking choices.
 	Seed int64
-	// Workers bounds the parallelism of the embarrassingly independent
-	// phases (the initial FVP window scan and blocked-via-site scan of
-	// the TPL violation removal). Results are merged deterministically,
-	// so any value produces identical routing output; zero means 1
-	// (serial).
+	// Deprecated: ignored; perfbench still names it.
 	Workers int
 	// Arena, when non-nil, recycles router memory across runs: New
 	// rebinds the arena's previously Released router in place when the
@@ -300,9 +243,6 @@ func (c Config) withDefaults(numNets int) Config {
 	}
 	if c.MaxTPLRRIters == 0 {
 		c.MaxTPLRRIters = 20*numNets + 2000
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	return c
 }

@@ -1,10 +1,8 @@
 package router
 
-// Tests for the search-core performance machinery: the monomorphic
-// heap, the epoch-stamped scratch, the A* lower bound and the
-// worker-count independence of the parallel phases. These guard the
-// tentpole property that none of the optimizations change routing
-// results.
+// Tests for the search-core performance machinery: the epoch-stamped
+// scratch and the A* lower bound. These guard the property that none
+// of the optimizations change routing results.
 
 import (
 	"math/rand"
@@ -14,37 +12,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/grid"
 )
-
-// TestHeapPopsNondecreasing is the heap property test: any push
-// sequence pops in nondecreasing key order and returns every element.
-func TestHeapPopsNondecreasing(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		var s searchScratch
-		n := 1 + rng.Intn(500)
-		sum := int64(0)
-		for i := 0; i < n; i++ {
-			k := int64(rng.Intn(1000)) // duplicates likely: exercises ties
-			sum += k
-			s.hPush(pqItem{f: k, id: int32(i)})
-		}
-		prev := int64(-1)
-		for i := 0; i < n; i++ {
-			if len(s.heap) == 0 {
-				t.Fatalf("trial %d: heap empty after %d of %d pops", trial, i, n)
-			}
-			it := s.hPop()
-			if it.f < prev {
-				t.Fatalf("trial %d: pop %d decreased: %d after %d", trial, i, it.f, prev)
-			}
-			prev = it.f
-			sum -= it.f
-		}
-		if len(s.heap) != 0 || sum != 0 {
-			t.Fatalf("trial %d: %d leftover items, key sum residue %d", trial, len(s.heap), sum)
-		}
-	}
-}
 
 // TestEpochStaleReadsInf verifies the O(1) reset: values written in one
 // epoch read as infCost after the next reset without any clearing.
@@ -139,36 +106,6 @@ func TestAStarCostsMatchDijkstra(t *testing.T) {
 		if plainOK && plainCost != astarCost {
 			t.Fatalf("trial %d (multi-source %v, column %v): %d sources→%v in %v: plain cost %d, A* cost %d",
 				trial, multiSource, column, len(sources), dst, win, plainCost, astarCost)
-		}
-	}
-}
-
-// TestWorkersDeterminism: the parallel phases merge deterministically,
-// so any worker count must yield identical stats and identical per-net
-// geometry.
-func TestWorkersDeterminism(t *testing.T) {
-	nl := randomNetlist("wrk", 24, 24, 40, 3) // dense: baseline FVPs exist
-	mk := func(workers int) *Router {
-		cfg := Config{
-			Scheme:      coloring.Scheme{Type: coloring.SIM},
-			ConsiderDVI: true, ConsiderTPL: true,
-			Seed: 5, Workers: workers,
-		}
-		return route(t, nl, cfg)
-	}
-	a, b := mk(1), mk(4)
-	if a.Stats() != b.Stats() {
-		t.Fatalf("Workers=1 vs 4 stats differ:\n%+v\n%+v", a.Stats(), b.Stats())
-	}
-	for id := range a.Routes() {
-		pa, pb := a.Routes()[id].PointList(), b.Routes()[id].PointList()
-		if len(pa) != len(pb) {
-			t.Fatalf("net %d: point counts differ: %d vs %d", id, len(pa), len(pb))
-		}
-		for i := range pa {
-			if pa[i] != pb[i] {
-				t.Fatalf("net %d: point %d differs: %v vs %v", id, i, pa[i], pb[i])
-			}
 		}
 	}
 }

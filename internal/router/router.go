@@ -108,8 +108,7 @@ type Router struct {
 	// scanStamp/scanEpoch deduplicate the via-driven blocked-site
 	// discovery (initBlockedVias): overlapping 5×5 neighborhoods of
 	// nearby vias share cells, and each cell is examined once per
-	// epoch. Row bands own disjoint rows, so concurrent bands never
-	// touch the same stamp.
+	// epoch.
 	scanStamp []uint32
 	scanEpoch uint32
 	// siteBuf is recycled storage for occupied-via-site snapshots
@@ -261,7 +260,6 @@ func New(nl *netlist.Netlist, cfg Config) (*Router, error) {
 		rt.viaPrice = append(rt.viaPrice, make([]int64, np))
 	}
 	rt.scanStamp = make([]uint32, np)
-	rt.search.useHeap = cfg.Queue == HeapQueue
 	rt.search.bq.init(initialBucketSpan(cfg.Params))
 	return rt, nil
 }

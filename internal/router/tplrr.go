@@ -104,7 +104,7 @@ func (rt *Router) removeTPLViolations() error {
 		if !tplDeadline.IsZero() && time.Now().After(tplDeadline) {
 			remaining := 0
 			for _, lv := range rt.g.Vias {
-				remaining += len(lv.AllFVPsN(rt.cfg.Workers))
+				remaining += len(lv.AllFVPs())
 			}
 			rt.stats.TPLDegraded = true
 			rt.stats.RemainingFVPs = remaining
@@ -300,10 +300,7 @@ func (rt *Router) refreshAround(vl int, p geom.Pt, fvps map[fvpKey]bool) {
 // untouched (they are already false: zero-initialized on the first
 // entry, kept exact by refreshAround afterwards). Occupied sites
 // themselves are within distance 0 of a site, so the lv.Has clearing
-// of rescanBlockedVias is reproduced. The work is banded over rows
-// like the old whole-grid sweep — each band writes only its own rows
-// of blockVia and scanStamp, so the result is worker-count independent
-// and race-free.
+// of rescanBlockedVias is reproduced.
 func (rt *Router) initBlockedVias(vl int) {
 	lv := rt.g.Vias[vl]
 	rt.siteBuf = lv.AppendSites(rt.siteBuf[:0])
@@ -320,43 +317,26 @@ func (rt *Router) initBlockedVias(vl int) {
 	}
 	epoch := rt.scanEpoch
 	b := rt.g.Bounds()
-	parallelRows(b.MinY, b.MaxY, rt.cfg.Workers, func(r0, r1 int) {
-		for _, sp := range sites {
-			if sp.Y < r0-2 || sp.Y > r1+2 {
-				continue
-			}
-			y0, y1 := sp.Y-2, sp.Y+2
-			if y0 < r0 {
-				y0 = r0
-			}
-			if y1 > r1 {
-				y1 = r1
-			}
-			x0, x1 := sp.X-2, sp.X+2
-			if x0 < b.MinX {
-				x0 = b.MinX
-			}
-			if x1 > b.MaxX {
-				x1 = b.MaxX
-			}
-			for y := y0; y <= y1; y++ {
-				base := y * rt.g.W
-				for x := x0; x <= x1; x++ {
-					pi := base + x
-					if rt.scanStamp[pi] == epoch {
-						continue
-					}
-					rt.scanStamp[pi] = epoch
-					p := geom.XY(x, y)
-					if lv.Has(p) {
-						rt.blockVia[vl][pi] = false // occupied sites are priced, not blocked
-					} else {
-						rt.blockVia[vl][pi] = lv.WouldCreateFVP(p)
-					}
+	for _, sp := range sites {
+		y0, y1 := max(sp.Y-2, b.MinY), min(sp.Y+2, b.MaxY)
+		x0, x1 := max(sp.X-2, b.MinX), min(sp.X+2, b.MaxX)
+		for y := y0; y <= y1; y++ {
+			base := y * rt.g.W
+			for x := x0; x <= x1; x++ {
+				pi := base + x
+				if rt.scanStamp[pi] == epoch {
+					continue
+				}
+				rt.scanStamp[pi] = epoch
+				p := geom.XY(x, y)
+				if lv.Has(p) {
+					rt.blockVia[vl][pi] = false // occupied sites are priced, not blocked
+				} else {
+					rt.blockVia[vl][pi] = lv.WouldCreateFVP(p)
 				}
 			}
 		}
-	})
+	}
 }
 
 // rescanBlockedVias recomputes blockVia within the given area of one

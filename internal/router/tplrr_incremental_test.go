@@ -111,8 +111,7 @@ func TestTPLIncrementalMatchesFullRescan(t *testing.T) {
 // TestTPLInitViaDriven checks the via-driven initializer directly on
 // re-entry: after a full routing run the grid carries arbitrary via
 // patterns, and initBlockedVias must reproduce the whole-grid rescan
-// exactly — for every worker count, since the row bands share the
-// stamp array.
+// exactly.
 func TestTPLInitViaDriven(t *testing.T) {
 	nl := randomNetlist("tplinit", 26, 26, 36, 9)
 	rt := route(t, nl, Config{
@@ -125,18 +124,15 @@ func TestTPLInitViaDriven(t *testing.T) {
 		// Reference: full-area rescan.
 		rt.rescanBlockedVias(vl, g.Bounds())
 		want := append([]bool(nil), rt.blockVia[vl]...)
-		for _, workers := range []int{1, 2, 3, 8} {
-			// Poison the array where vias justify a block, then re-init.
-			for i := range rt.blockVia[vl] {
-				rt.blockVia[vl][i] = false
-			}
-			rt.cfg.Workers = workers
-			rt.initBlockedVias(vl)
-			for i := range want {
-				if rt.blockVia[vl][i] != want[i] {
-					t.Fatalf("layer %d workers %d: blockVia[%d] = %v, rescan says %v",
-						vl, workers, i, rt.blockVia[vl][i], want[i])
-				}
+		// Poison the array where vias justify a block, then re-init.
+		for i := range rt.blockVia[vl] {
+			rt.blockVia[vl][i] = false
+		}
+		rt.initBlockedVias(vl)
+		for i := range want {
+			if rt.blockVia[vl][i] != want[i] {
+				t.Fatalf("layer %d: blockVia[%d] = %v, rescan says %v",
+					vl, i, rt.blockVia[vl][i], want[i])
 			}
 		}
 	}

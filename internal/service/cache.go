@@ -90,8 +90,6 @@ func (c *resultCache) Len() int {
 // over the raw netlist bytes and a canonicalized spec. Normalizations
 // mirror what the flow itself does, so specs that cannot produce
 // different results share a key:
-//   - Workers is dropped (routing output is worker-count invariant,
-//     the PR 1 determinism guarantee);
 //   - a zero Params block becomes the Table II defaults;
 //   - ILPTimeLimit and ILPNodeLimit are dropped unless the method is
 //     the ILP (and a zero time limit becomes the documented 10-minute
@@ -109,7 +107,6 @@ func ContentAddress(netlistText string, spec bench.RunSpec) (string, error) {
 
 func cacheKey(netlistText string, spec bench.RunSpec) (string, error) {
 	norm := spec
-	norm.Workers = 0
 	if norm.Params == (router.Params{}) {
 		norm.Params = router.DefaultParams()
 	}

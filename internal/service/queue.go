@@ -25,10 +25,7 @@ func (s *Server) startWorkers() {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			var arena *router.Arena
-			if !s.cfg.NoArena {
-				arena = router.NewArena()
-			}
+			arena := router.NewArena()
 			for j := range s.queue {
 				s.runJob(j, arena)
 			}

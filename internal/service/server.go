@@ -43,7 +43,7 @@ import (
 // RunFunc executes one job's flow. The default implementation is
 // bench.RunContextArena wrapped into the api.Result schema; tests
 // inject controllable stand-ins. arena is the calling worker's scratch
-// arena (nil when recycling is disabled); an implementation that uses
+// arena (nil outside a worker goroutine); an implementation that uses
 // it must Release the job's router back to it after converting the
 // result, and must not retain the router past the call.
 type RunFunc func(ctx context.Context, nl *netlist.Netlist, spec bench.RunSpec, arena *router.Arena) (api.Result, error)
@@ -83,13 +83,6 @@ type Config struct {
 	// last allowed attempt is quarantined; one interrupted by crashes
 	// that many times is failed as interrupted.
 	MaxAttempts int
-	// NoArena disables the per-worker router arenas, making every job
-	// allocate its routing state from scratch. The arenas are output-
-	// neutral (bit-identical results, proven in internal/router tests);
-	// this switch exists for memory-constrained deployments where
-	// retaining one grid-sized router per worker between jobs is worse
-	// than the steady-state allocation churn.
-	NoArena bool
 	// DegradeByDefault forces the degrade option on every submission,
 	// for operators who prefer degraded results over deadline
 	// failures.

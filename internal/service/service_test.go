@@ -363,6 +363,13 @@ func TestSubmitValidation(t *testing.T) {
 	if code := post(mustJSON(tinyNetlist, `{"method":"bogus"}`)); code != http.StatusBadRequest {
 		t.Fatalf("bogus method: status %d", code)
 	}
+	// The removed queue-backend and router-parallelism knobs are
+	// unknown fields now, not silently ignored ones.
+	for _, spec := range []string{`{"method":"heur","queue":"heap"}`, `{"method":"heur","workers":4}`} {
+		if code := post(mustJSON(tinyNetlist, spec)); code != http.StatusBadRequest {
+			t.Fatalf("spec %s: status %d, want 400", spec, code)
+		}
+	}
 	// Out-of-range routing parameters are refused before they take a
 	// queue slot, including a partial block that leaves non_pref_mul 0.
 	for _, params := range []string{

@@ -2,7 +2,6 @@ package tpl
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/geom"
 )
@@ -163,47 +162,8 @@ func (lv *LayerVias) FVPsTouching(p geom.Pt) []geom.Pt {
 // AllFVPs scans the full grid (O(n) windows) and returns the origin of
 // every FVP window in row-major order.
 func (lv *LayerVias) AllFVPs() []geom.Pt {
-	return lv.scanFVPRows(-2, lv.h)
-}
-
-// AllFVPsN is AllFVPs with the scan split into up to workers contiguous
-// row bands examined concurrently. The layer must not be mutated during
-// the call. Band results are concatenated in band order, so the output
-// is identical to the serial scan for any worker count.
-func (lv *LayerVias) AllFVPsN(workers int) []geom.Pt {
-	rows := lv.h + 2 // window origins range over y ∈ [-2, h)
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 {
-		return lv.AllFVPs()
-	}
-	parts := make([][]geom.Pt, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		y0 := -2 + rows*w/workers
-		y1 := -2 + rows*(w+1)/workers
-		wg.Add(1)
-		go func(w, y0, y1 int) {
-			defer wg.Done()
-			parts[w] = lv.scanFVPRows(y0, y1)
-		}(w, y0, y1)
-	}
-	wg.Wait()
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]geom.Pt, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-func (lv *LayerVias) scanFVPRows(y0, y1 int) []geom.Pt {
 	var out []geom.Pt
-	for y := y0; y < y1; y++ {
+	for y := -2; y < lv.h; y++ {
 		for x := -2; x < lv.w; x++ {
 			o := geom.XY(x, y)
 			if lv.WindowAt(o).IsFVP() {

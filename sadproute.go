@@ -50,10 +50,6 @@ type Config struct {
 	Params router.Params
 	// Seed drives deterministic tie-breaking.
 	Seed int64
-	// Workers bounds the parallelism of the router's independent
-	// phases. Any value produces identical routing output; zero means
-	// serial.
-	Workers int
 }
 
 // Result is a completed routing solution.
@@ -97,7 +93,6 @@ func RouteContext(ctx context.Context, nl *netlist.Netlist, cfg Config) (*Result
 		ConsiderTPL: cfg.ConsiderTPL,
 		Params:      cfg.Params,
 		Seed:        cfg.Seed,
-		Workers:     cfg.Workers,
 		Cancel:      ctx.Done(),
 	})
 	if err != nil {
