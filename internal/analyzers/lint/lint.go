@@ -72,6 +72,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 var DeterministicPackages = []string{
 	"repro/internal/router",
 	"repro/internal/dvi",
+	"repro/internal/ilp",
 	"repro/internal/tpl",
 	"repro/internal/coloring",
 	"repro/internal/decompose",

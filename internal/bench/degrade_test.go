@@ -116,3 +116,36 @@ func TestBudgetsInertWithoutDegrade(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The ILP's two limits are told apart. A stop by the wall-clock limit
+// depends on the machine, so it is flagged whether or not Degrade is
+// set; a stop by the node limit is a deterministic function of the
+// input and spec and is never flagged. efc-t under SIM holds a
+// component that 400 000 nodes do not prove, so 50 ms always stops it
+// and 100 nodes always cap it first.
+func TestILPStopsFlaggedByCause(t *testing.T) {
+	nl := Generate(TinySuite()[1])
+	for _, degrade := range []bool{false, true} {
+		spec := RunSpec{
+			Scheme: coloring.SIM, ConsiderDVI: true, ConsiderTPL: true,
+			Method: ILPDVI, ILPTimeLimit: 50 * time.Millisecond, Degrade: degrade,
+		}
+		_, art, err := Run(nl, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !art.Solution.TimedOut || !hasStep(art.Degraded, "dvi-ilp-timeout") {
+			t.Fatalf("degrade=%v, 50 ms: TimedOut %v, Degraded %v; want a flagged timeout",
+				degrade, art.Solution.TimedOut, art.Degraded)
+		}
+		spec.ILPNodeLimit = 100
+		_, art, err = Run(nl, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !art.Solution.LimitHit || art.Solution.TimedOut || len(art.Degraded) != 0 {
+			t.Fatalf("degrade=%v, 100 nodes: LimitHit %v, TimedOut %v, Degraded %v; want an unflagged node-cap stop",
+				degrade, art.Solution.LimitHit, art.Solution.TimedOut, art.Degraded)
+		}
+	}
+}

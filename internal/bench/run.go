@@ -107,13 +107,16 @@ type RunSpec struct {
 	// remaining FVPs instead of failing. Zero means no phase budget.
 	TPLBudget time.Duration `json:"tpl_budget,omitempty"`
 	// Degrade enables graceful degradation on budget expiry: the TPL
-	// phase degrades per TPLBudget above, and an ILP DVI solve that
-	// hits its time limit (or has no time left) falls back to the
-	// warm-start heuristic solution instead of the run failing. Each
-	// degradation step taken is recorded in Artifacts.Degraded. The
+	// phase degrades per TPLBudget above, and an ILP DVI solve with no
+	// time left, or one that ends without any solution, falls back to
+	// the warm-start heuristic solution instead of the run failing. The
 	// paper itself frames the Algorithm 3 heuristic as the fast
 	// alternative to the exact ILP (~500–670× faster at a small DV/UV
-	// cost), so the fallback is semantically principled.
+	// cost), so the fallback is semantically principled. Each step is
+	// recorded in Artifacts.Degraded. An ILP solve that its time limit
+	// stopped records "dvi-ilp-timeout" with or without Degrade, since
+	// its incumbent depends on the machine's speed; a node-limit stop
+	// is deterministic and records nothing.
 	Degrade bool `json:"degrade,omitempty"`
 	// Deprecated: ignored; perfbench still names it.
 	Queue router.QueueKind `json:"-"`
@@ -164,9 +167,11 @@ type Artifacts struct {
 	Router   *router.Router
 	Instance *dvi.Instance
 	Solution *dvi.Solution
-	// Degraded lists the graceful-degradation steps taken under
-	// RunSpec.Degrade ("tpl-rr-timeout", "dvi-ilp-timeout"); empty on
-	// a full-fidelity run.
+	// Degraded lists the steps whose output depends on a wall-clock
+	// budget: "tpl-rr-timeout" and the "dvi-ilp-timeout" fallback
+	// under RunSpec.Degrade, and "dvi-ilp-timeout" whenever the ILP's
+	// time limit stopped its search. Empty on a run whose output is a
+	// function of the input and spec alone.
 	Degraded []string
 	// RemainingFVPs counts FVP windows left by a degraded TPL phase.
 	RemainingFVPs int
@@ -278,9 +283,11 @@ func RunContextArena(ctx context.Context, nl *netlist.Netlist, spec RunSpec, are
 				art.Degraded = append(art.Degraded, "dvi-ilp-timeout")
 			case err != nil:
 				return Row{}, nil, fmt.Errorf("bench: ILP DVI on %s: %w", nl.Name, err)
-			case sol.LimitHit && spec.Degrade:
+			case sol.TimedOut:
 				// The time limit expired mid-proof: the incumbent (never
-				// worse than the warm-start heuristic) stands, flagged.
+				// worse than the warm-start heuristic) stands, flagged,
+				// because another machine would have reached another
+				// one. A node-limit stop is deterministic and is not.
 				art.Degraded = append(art.Degraded, "dvi-ilp-timeout")
 			}
 		}

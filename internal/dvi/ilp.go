@@ -258,6 +258,7 @@ func (in *Instance) SolveILP(opts ILPOptions) (*Solution, error) {
 		Colors:    make([]int8, n),
 		RedColors: make([]int8, n),
 		LimitHit:  res.Status == ilp.Feasible,
+		TimedOut:  res.TimedOut,
 	}
 	for i := 0; i < n; i++ {
 		s.Inserted[i] = -1

@@ -62,6 +62,11 @@ type Solution struct {
 	// heuristic — but possibly suboptimal. Heuristic solutions leave
 	// it false.
 	LimitHit bool
+	// TimedOut is set by SolveILP when the wall-clock limit, not the
+	// node limit, stopped the search of some component. The solution
+	// then depends on the machine's speed; a node-limit stop alone
+	// leaves it a deterministic function of the instance and limit.
+	TimedOut bool
 }
 
 // redundantAt returns the location of via i's redundant via, or false.

@@ -16,7 +16,9 @@
 package ilp
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -80,33 +82,40 @@ func (m *Model) NumConstraints() int { return len(m.cons) }
 
 // AddConstraint adds Σ terms sense rhs. Equality constraints are
 // stored as a pair of inequalities. Terms referencing the same
-// variable twice are merged. Out-of-range variable indices panic.
+// variable twice are merged, and the stored terms are ordered by
+// variable index. Out-of-range variable indices panic.
 func (m *Model) AddConstraint(terms []Term, sense Sense, rhs int64) {
-	merged := make(map[int]int64, len(terms))
-	for _, t := range terms {
+	norm := slices.Clone(terms)
+	for _, t := range norm {
 		if t.Var < 0 || t.Var >= len(m.obj) {
 			panic(fmt.Sprintf("ilp: constraint references unknown var %d", t.Var))
 		}
-		merged[t.Var] += t.Coef
 	}
-	norm := make([]Term, 0, len(merged))
-	for v, c := range merged {
-		if c != 0 {
-			norm = append(norm, Term{Var: v, Coef: c})
+	slices.SortFunc(norm, func(a, b Term) int { return cmp.Compare(a.Var, b.Var) })
+	merged := norm[:0]
+	for i := 0; i < len(norm); {
+		t := norm[i]
+		for i++; i < len(norm) && norm[i].Var == t.Var; i++ {
+			t.Coef += norm[i].Coef
+		}
+		if t.Coef != 0 {
+			merged = append(merged, t)
 		}
 	}
 	switch sense {
 	case Leq:
-		m.cons = append(m.cons, constraint{terms: norm, rhs: rhs})
+		m.cons = append(m.cons, constraint{terms: merged, rhs: rhs})
 	case Geq:
-		neg := make([]Term, len(norm))
-		for i, t := range norm {
-			neg[i] = Term{Var: t.Var, Coef: -t.Coef}
+		for i := range merged {
+			merged[i].Coef = -merged[i].Coef
 		}
-		m.cons = append(m.cons, constraint{terms: neg, rhs: -rhs})
+		m.cons = append(m.cons, constraint{terms: merged, rhs: -rhs})
 	case Eq:
-		m.AddConstraint(terms, Leq, rhs)
-		m.AddConstraint(terms, Geq, rhs)
+		geq := make([]Term, len(merged))
+		for i, t := range merged {
+			geq[i] = Term{Var: t.Var, Coef: -t.Coef}
+		}
+		m.cons = append(m.cons, constraint{terms: merged, rhs: rhs}, constraint{terms: geq, rhs: -rhs})
 	default:
 		panic(fmt.Sprintf("ilp: bad sense %v", sense))
 	}
@@ -144,10 +153,12 @@ func (s Status) String() string {
 
 // Options bound the solve effort.
 type Options struct {
-	// TimeLimit caps wall-clock time; zero means no limit.
+	// TimeLimit caps wall-clock time; zero means no limit. The clock
+	// is read every 1 024 nodes of a component, and a stop it causes
+	// sets Result.TimedOut.
 	TimeLimit time.Duration
 	// NodeLimit caps branch-and-bound nodes per component; zero means
-	// no limit.
+	// no limit. Unlike TimeLimit it is deterministic.
 	NodeLimit int64
 	// WarmStart optionally seeds the search with a known feasible
 	// assignment (e.g. from a heuristic): it becomes the initial
@@ -168,6 +179,11 @@ type Result struct {
 	Nodes int64
 	// Components is the number of independent subproblems solved.
 	Components int
+	// TimedOut is set when Options.TimeLimit, rather than the node
+	// limit, stopped the search of some component. Such a result
+	// depends on the machine's speed; without it, the same model and
+	// node limit always give the same Result.
+	TimedOut bool
 }
 
 // Verify checks that x satisfies every constraint of the model.

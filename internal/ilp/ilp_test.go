@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -177,8 +178,10 @@ func TestVerify(t *testing.T) {
 	}
 }
 
-// bruteForce enumerates all 2^n assignments.
-func bruteForce(m *Model) (bestObj int64, feasible bool) {
+// bruteForce enumerates all 2^n assignments. It returns the best
+// objective and one assignment reaching it, or a nil assignment when
+// none is feasible.
+func bruteForce(m *Model) (bestObj int64, best []int8) {
 	n := m.NumVars()
 	x := make([]int8, n)
 	for mask := 0; mask < 1<<n; mask++ {
@@ -188,42 +191,47 @@ func bruteForce(m *Model) (bestObj int64, feasible bool) {
 		if m.Verify(x) != nil {
 			continue
 		}
-		obj := m.ObjectiveOf(x)
-		if !feasible || obj > bestObj {
-			feasible = true
-			bestObj = obj
+		if obj := m.ObjectiveOf(x); best == nil || obj > bestObj {
+			bestObj, best = obj, slices.Clone(x)
 		}
 	}
-	return bestObj, feasible
+	return bestObj, best
+}
+
+// randomModel draws a model of 2–10 variables and up to 7 constraints
+// of every sense, with small mixed-sign coefficients.
+func randomModel(rng *rand.Rand) *Model {
+	m := NewModel()
+	n := 2 + rng.Intn(9) // up to 10 vars
+	for i := 0; i < n; i++ {
+		m.AddVar(int64(rng.Intn(11) - 3))
+	}
+	nc := rng.Intn(8)
+	for c := 0; c < nc; c++ {
+		var terms []Term
+		for v := 0; v < n; v++ {
+			if rng.Intn(3) == 0 {
+				terms = append(terms, Term{v, int64(rng.Intn(5) - 2)})
+			}
+		}
+		if len(terms) == 0 {
+			continue
+		}
+		sense := Sense(rng.Intn(3))
+		rhs := int64(rng.Intn(5) - 1)
+		m.AddConstraint(terms, sense, rhs)
+	}
+	return m
 }
 
 // Randomized cross-validation against exhaustive enumeration.
 func TestSolveMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
-		m := NewModel()
-		n := 2 + rng.Intn(9) // up to 10 vars
-		for i := 0; i < n; i++ {
-			m.AddVar(int64(rng.Intn(11) - 3))
-		}
-		nc := rng.Intn(8)
-		for c := 0; c < nc; c++ {
-			var terms []Term
-			for v := 0; v < n; v++ {
-				if rng.Intn(3) == 0 {
-					terms = append(terms, Term{v, int64(rng.Intn(5) - 2)})
-				}
-			}
-			if len(terms) == 0 {
-				continue
-			}
-			sense := Sense(rng.Intn(3))
-			rhs := int64(rng.Intn(5) - 1)
-			m.AddConstraint(terms, sense, rhs)
-		}
-		want, feasible := bruteForce(m)
+		m := randomModel(rng)
+		want, best := bruteForce(m)
 		r := Solve(m, Options{})
-		if !feasible {
+		if best == nil {
 			if r.Status != Infeasible {
 				t.Fatalf("trial %d: want infeasible, got %v obj %d", trial, r.Status, r.Objective)
 			}

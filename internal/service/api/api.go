@@ -34,10 +34,12 @@ type Result struct {
 	// InsertedVias counts redundant vias inserted by post-routing DVI
 	// (0 when Spec.Method is "none").
 	InsertedVias int `json:"inserted_vias"`
-	// Degraded lists the graceful-degradation steps the flow took
-	// instead of failing when a phase budget expired (e.g.
-	// "dvi-ilp-timeout", "tpl-rr-timeout"). Empty on a full-fidelity
-	// run.
+	// Degraded lists the steps whose output depends on a wall-clock
+	// budget: "tpl-rr-timeout" when the TPL phase budget expired, and
+	// "dvi-ilp-timeout" when the ILP's time limit stopped its search
+	// or the degrade fallback replaced it. Empty when the result is a
+	// function of the netlist and spec alone; only such results are
+	// cached.
 	Degraded []string `json:"degraded,omitempty"`
 	// RemainingFVPs counts forbidden via patterns left unresolved when
 	// the TPL violation-removal phase was degraded (0 otherwise).

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -153,6 +154,60 @@ func TestEndToEndCacheHit(t *testing.T) {
 	}
 	if got := s.Metrics().CacheHits.Load(); got != 1 {
 		t.Fatalf("cache hit counter: %d", got)
+	}
+}
+
+// A result the ILP's wall-clock limit stopped depends on the machine,
+// so it lists dvi-ilp-timeout and never enters the cache, with or
+// without Degrade: its resubmission routes again. The same job under a
+// node limit, the deterministic budget, is an ordinary result whose
+// resubmission is a cache hit. efc-t under SIM holds a component that
+// 400 000 nodes do not prove, so 50 ms always stops it and 100 nodes
+// always cap it first.
+func TestILPTimeoutNeverCached(t *testing.T) {
+	var buf bytes.Buffer
+	if err := bench.Generate(bench.TinySuite()[1]).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, Config{Workers: 1, QueueSize: 4})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	run := func(spec bench.RunSpec, wantCode int) *api.Result {
+		t.Helper()
+		code, sr, _ := doSubmit(t, ts, buf.String(), spec)
+		if code != wantCode || sr.CacheHit != (wantCode == http.StatusOK) {
+			t.Fatalf("node limit %d: submit status %d, cache hit %v; want status %d",
+				spec.ILPNodeLimit, code, sr.CacheHit, wantCode)
+		}
+		jr := pollDone(t, ts, sr.ID)
+		res, err := jr.DecodeResult()
+		if err != nil {
+			t.Fatalf("node limit %d: %+v: %v", spec.ILPNodeLimit, jr, err)
+		}
+		return res
+	}
+	spec := bench.RunSpec{
+		Scheme: coloring.SIM, ConsiderDVI: true, ConsiderTPL: true,
+		Method: bench.ILPDVI, ILPTimeLimit: 50 * time.Millisecond,
+	}
+	for i := 0; i < 2; i++ {
+		if res := run(spec, http.StatusAccepted); !slices.Contains(res.Degraded, "dvi-ilp-timeout") {
+			t.Fatalf("time-limited run %d: Degraded %v, want dvi-ilp-timeout", i, res.Degraded)
+		}
+	}
+	if got := s.Metrics().Routed.Load(); got != 2 {
+		t.Fatalf("routed %d times, want 2: a timed-out result was served from the cache", got)
+	}
+
+	spec.ILPNodeLimit = 100
+	if res := run(spec, http.StatusAccepted); len(res.Degraded) != 0 {
+		t.Fatalf("node-capped run: Degraded %v, want none", res.Degraded)
+	}
+	run(spec, http.StatusOK)
+	if got := s.Metrics().Routed.Load(); got != 3 {
+		t.Fatalf("routed %d times, want 3: the node-capped resubmission missed the cache", got)
 	}
 }
 
