@@ -66,7 +66,6 @@ func run() int {
 	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "per-job wall-clock limit (0 = none); also caps the DVI ILP budget")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "max time to drain in-flight jobs on shutdown before canceling them")
 	maxBody := flag.Int64("max-request-bytes", 8<<20, "max request body bytes; larger submissions get 413")
-	flag.Int64Var(maxBody, "max-body", 8<<20, "alias for -max-request-bytes")
 	dataDir := flag.String("data-dir", "", "directory for the durable job journal; empty disables crash recovery")
 	maxAttempts := flag.Int("max-attempts", 2, "execution attempts per job before quarantine/interruption")
 	degrade := flag.Bool("degrade", false, "enable deadline-driven degraded modes for every job by default")

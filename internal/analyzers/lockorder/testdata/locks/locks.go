@@ -1,6 +1,8 @@
 // Package lockfixture exercises the lockorder analyzer: two mutexes
-// acquired in both orders (a cycle), a transitive acquisition through a
-// callee fact, and the unlock-validate-relock window pattern.
+// acquired in both orders (a cycle, one order held by a deferred
+// unlock), a transitive acquisition through a callee fact, a goroutine
+// launch that orders nothing, and the unlock-validate-relock window
+// pattern. guarded.go holds the `guarded by` access cases.
 package lockfixture
 
 import "sync"
@@ -31,10 +33,10 @@ var (
 
 func lockAB() {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	b.mu.Lock() // want "lock-order cycle"
 	b.n++
 	b.mu.Unlock()
-	a.mu.Unlock()
 }
 
 func lockBA() {
@@ -59,6 +61,31 @@ func transitiveAB() {
 	a.mu.Unlock()
 }
 
+// C is a third lock domain, acquired inside b.mu.
+type C struct{ mu sync.Mutex }
+
+var c C
+
+func lockBC() {
+	b.mu.Lock()
+	c.mu.Lock()
+	c.mu.Unlock()
+	b.mu.Unlock()
+}
+
+// spawnLockB starts lockB on a goroutine of its own, which does not
+// run under the caller's locks: spawnLockB acquires nothing.
+func spawnLockB() { go lockB() }
+
+// spawnUnderC holds c.mu across both launches; neither orders b.mu
+// after c.mu, so nothing closes a cycle with lockBC.
+func spawnUnderC() {
+	c.mu.Lock()
+	go lockB()
+	spawnLockB()
+	c.mu.Unlock()
+}
+
 // --- unlocked-window misuse (flagged) ---
 
 func sink(*Job)      {}
@@ -69,6 +96,18 @@ func windowUse(key string) {
 	j := a.jobs[key]
 	a.mu.Unlock()
 	sink(j) // want "unlocked window"
+}
+
+// windowRange ranges over guarded state: each value derives from it,
+// and the body uses one in an unlocked window.
+func windowRange() {
+	a.mu.Lock()
+	for _, j := range a.jobs {
+		a.mu.Unlock()
+		sink(j) // want "unlocked window"
+		a.mu.Lock()
+	}
+	a.mu.Unlock()
 }
 
 // --- sanctioned (clean) ---

@@ -11,7 +11,6 @@ import (
 	"repro/internal/analyzers/detmap"
 	"repro/internal/analyzers/hotalloc"
 	"repro/internal/analyzers/lint"
-	"repro/internal/analyzers/lockcheck"
 	"repro/internal/analyzers/lockorder"
 )
 
@@ -19,7 +18,6 @@ import (
 var Analyzers = []*lint.Analyzer{
 	detmap.Analyzer,
 	detclock.Analyzer,
-	lockcheck.Analyzer,
 	cancelpoll.Analyzer,
 	arenaesc.Analyzer,
 	lockorder.Analyzer,

@@ -12,7 +12,6 @@ import (
 	"repro/internal/analyzers/arenaesc"
 	"repro/internal/analyzers/detmap"
 	"repro/internal/analyzers/lint"
-	"repro/internal/analyzers/lockcheck"
 	"repro/internal/analyzers/lockorder"
 	"repro/internal/analyzers/suite"
 )
@@ -38,6 +37,31 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
+// TestCoordinatorMuIsOutermost pins the lock graph DESIGN §13 promises:
+// lockorder, run alone over the module, records the edge
+// Coordinator.mu → Server.mu (the coordinator reaches the service while
+// holding its own lock, released by a deferred Unlock) and no service
+// mutex ever orders before Coordinator.mu.
+func TestCoordinatorMuIsOutermost(t *testing.T) {
+	pkgs, err := lint.Load(repoRoot, "./...")
+	if err != nil {
+		t.Fatalf("loading module packages: %v", err)
+	}
+	facts := lint.NewFactStore()
+	if _, err := lint.RunAnalyzersFacts(pkgs, []*lint.Analyzer{lockorder.Analyzer}, facts); err != nil {
+		t.Fatalf("running lockorder: %v", err)
+	}
+	const coord = "repro/internal/cluster.Coordinator.mu"
+	if _, ok := facts.Get("lockorder", "edge:"+coord+"->repro/internal/service.Server.mu"); !ok {
+		t.Errorf("no edge %s -> service.Server.mu; edges: %v", coord, facts.Keys("lockorder"))
+	}
+	for _, k := range facts.Keys("lockorder") {
+		if strings.HasPrefix(k, "edge:repro/internal/service.") && strings.HasSuffix(k, "->"+coord) {
+			t.Errorf("service mutex ordered before the coordinator's: %s", k)
+		}
+	}
+}
+
 // TestInjectedMapRangeIsCaught re-type-checks internal/tpl with an
 // extra source file containing an order-sensitive map range: detmap
 // must flag it. This is the acceptance drill for the whole pipeline —
@@ -59,8 +83,8 @@ func InjectedKeys(m map[int]int) []int {
 }
 
 // TestInjectedUnguardedWriteIsCaught does the same drill for
-// lockcheck: a jobStore method touching the guarded map without the
-// mutex must be flagged.
+// lockorder's access check: a jobStore method touching the guarded map
+// without the mutex must be flagged.
 func TestInjectedUnguardedWriteIsCaught(t *testing.T) {
 	src := `package service
 
@@ -68,7 +92,7 @@ func (s *jobStore) injectedDrop(id string) {
 	delete(s.jobs, id)
 }
 `
-	diags := analyzeWithInjection(t, "internal/service", "repro/internal/service", src, lockcheck.Analyzer)
+	diags := analyzeWithInjection(t, "internal/service", "repro/internal/service", src, lockorder.Analyzer)
 	requireDiagnostic(t, diags, "zz_injected.go", "guarded by s.mu but accessed without holding it")
 }
 

@@ -41,7 +41,7 @@ func (rt *Router) resolveCongestion() error {
 			}
 			rt.logf("congestion round %d: %d overflows%s", round, len(cong), detail)
 		}
-		if rt.stats.RRIterations >= rt.cfg.MaxRRIters {
+		if rt.stats.RRIterations >= rt.maxRRIters() {
 			return fmt.Errorf("router: congestion unresolved after %d rip-up iterations (%d overflows left)",
 				rt.stats.RRIterations, len(cong))
 		}

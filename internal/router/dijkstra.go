@@ -295,7 +295,7 @@ func (rt *Router) findPathMode(r routeView, connected []geom.Pt3, target geom.Pt
 		box = box.AddPt(s.p.Pt2())
 	}
 	clip := rt.g.Bounds()
-	for margin := rt.cfg.SearchMargin; ; margin *= 2 {
+	for margin := searchMargin; ; margin *= 2 {
 		win := box.Expand(margin, clip)
 		if path, _, ok := rt.dijkstra(r, sources, target, net, win); ok {
 			return path, nil

@@ -189,14 +189,6 @@ type Config struct {
 	ConsiderTPL bool
 	// Params are the cost parameters; zero value means DefaultParams.
 	Params Params
-	// SearchMargin is the initial bounding-box margin of the windowed
-	// Dijkstra search; zero means a reasonable default.
-	SearchMargin int
-	// MaxRRIters caps negotiated-congestion rip-up-and-reroute
-	// iterations; zero means a default proportional to the net count.
-	MaxRRIters int
-	// MaxTPLRRIters caps TPL-violation-removal iterations.
-	MaxTPLRRIters int
 	// Deprecated: ignored; perfbench still names it.
 	Queue QueueKind
 	// Topology selects the multi-pin decomposition. The zero value is
@@ -231,18 +223,20 @@ type Config struct {
 	TPLBudget time.Duration
 }
 
-func (c Config) withDefaults(numNets int) Config {
+func (c Config) withDefaults() Config {
 	if c.Params == (Params{}) {
 		c.Params = DefaultParams()
 	}
-	if c.SearchMargin == 0 {
-		c.SearchMargin = 12
-	}
-	if c.MaxRRIters == 0 {
-		c.MaxRRIters = 40*numNets + 2000
-	}
-	if c.MaxTPLRRIters == 0 {
-		c.MaxTPLRRIters = 20*numNets + 2000
-	}
 	return c
 }
+
+// searchMargin is the initial bounding-box margin of the windowed
+// search; the window doubles until a path is found.
+const searchMargin = 12
+
+// maxRRIters caps negotiated-congestion rip-up-and-reroute iterations,
+// in proportion to the net count.
+func (rt *Router) maxRRIters() int { return 40*len(rt.nl.Nets) + 2000 }
+
+// maxTPLRRIters caps TPL-violation-removal iterations.
+func (rt *Router) maxTPLRRIters() int { return 20*len(rt.nl.Nets) + 2000 }

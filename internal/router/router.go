@@ -217,7 +217,7 @@ func New(nl *netlist.Netlist, cfg Config) (*Router, error) {
 	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults(len(nl.Nets))
+	cfg = cfg.withDefaults()
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}

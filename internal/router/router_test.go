@@ -298,7 +298,7 @@ func TestUnroutableNetlistErrors(t *testing.T) {
 		{ID: 0, Name: "a", Pins: []geom.Pt{geom.XY(0, 0), geom.XY(0, 1)}},
 		{ID: 1, Name: "b", Pins: []geom.Pt{geom.XY(0, 0), geom.XY(1, 1)}},
 	}}
-	rt, err := New(nl, Config{Scheme: coloring.Scheme{Type: coloring.SIM}, MaxRRIters: 20})
+	rt, err := New(nl, Config{Scheme: coloring.Scheme{Type: coloring.SIM}})
 	if err != nil {
 		t.Fatal(err)
 	}

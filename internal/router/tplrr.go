@@ -90,7 +90,7 @@ func (rt *Router) removeTPLViolations() error {
 		// phase budget too: a congested solution is shorted, so its
 		// resolution continues even past the deadline.
 		if cong := rt.g.Congestions(); len(cong) > 0 {
-			if iter >= rt.cfg.MaxTPLRRIters {
+			if iter >= rt.maxTPLRRIters() {
 				return fmt.Errorf("router: congestion unresolved after %d TPL R&R iterations", iter)
 			}
 			if err := rt.resolveCongestionStep(cong, fvps); err != nil {
@@ -143,7 +143,7 @@ func (rt *Router) removeTPLViolations() error {
 			}
 			continue
 		}
-		if iter >= rt.cfg.MaxTPLRRIters {
+		if iter >= rt.maxTPLRRIters() {
 			return fmt.Errorf("router: %d FVPs unresolved after %d TPL R&R iterations", len(fvps), iter)
 		}
 

@@ -257,7 +257,7 @@ func (s *Server) recover(jobs []*replayedJob) error {
 			j.fail(rj.errMsg)
 		case api.StatusQuarantined:
 			j.quarantine(rj.errMsg)
-			//sadplint:ignore lockcheck recover runs from New before startWorkers and the HTTP listener; no other goroutine exists yet
+			//sadplint:ignore lockorder recover runs from New before startWorkers and the HTTP listener; no other goroutine exists yet
 			s.quarantined[rj.key] = quarInfo{id: rj.id, msg: rj.errMsg}
 		default:
 			// Live job: re-enqueue unless the attempt budget is spent
@@ -281,7 +281,7 @@ func (s *Server) recover(jobs []*replayedJob) error {
 			}
 			j.nl = nl
 			j.netlistText = rj.netlist
-			//sadplint:ignore lockcheck recover runs from New before startWorkers and the HTTP listener; no other goroutine exists yet
+			//sadplint:ignore lockorder recover runs from New before startWorkers and the HTTP listener; no other goroutine exists yet
 			s.running[rj.key] = j
 			s.queue <- j
 			s.metrics.Replayed.Add(1)
