@@ -386,6 +386,18 @@ func TestSolutionValidateRejectsBadColoring(t *testing.T) {
 	if err := bad2.Validate(in); err == nil {
 		t.Error("out-of-range candidate accepted")
 	}
+	// Only -1 marks a dead via; the verifier rejects any other negative
+	// index as out of range, and so does Validate.
+	bad3 := *s
+	bad3.Inserted = append([]int(nil), s.Inserted...)
+	if bad3.Inserted[0] >= 0 {
+		bad3.InsertedCount--
+		bad3.DeadVias++
+	}
+	bad3.Inserted[0] = -2
+	if err := bad3.Validate(in); err == nil {
+		t.Error("candidate index -2 accepted")
+	}
 }
 
 func TestInstanceOnNilRoutes(t *testing.T) {

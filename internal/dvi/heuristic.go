@@ -130,36 +130,61 @@ type heurState struct {
 	// occ[vl] mirrors the via layer occupancy including inserted
 	// redundant vias, for FVP checks.
 	occ []*tpl.LayerVias
-	// bySite[vl][pt] lists candidates at that site (conflicting DVICs
-	// share a site).
-	bySite []map[geom.Pt][]cand
+	// w, h are the via-layer dimensions.
+	w, h int
+	// The candidates at via site (vl, x, y) (conflicting DVICs share a
+	// site) are siteCands[siteStart[c]:siteStart[c+1]] with
+	// c = (vl·h + y)·w + x, in (via, j) order. NewInstance only yields
+	// in-plane candidates.
+	siteStart []int32
+	siteCands []cand
 	// protected[i]: via i already has a redundant via.
 	protected []bool
-	// candDead[via][j]: candidate invalidated (conflict taken, site
-	// occupied, or FVP-blocked at insertion attempt).
-	candDead [][]bool
 }
 
 func (h *heurState) build() {
 	in := h.in
 	h.protected = make([]bool, len(in.Vias))
-	h.candDead = make([][]bool, len(in.Vias))
+	ncand := 0
+	for i := range in.Vias {
+		ncand += len(in.Feas[i])
+	}
 	nl := len(in.G.Vias)
 	h.occ = make([]*tpl.LayerVias, nl)
-	h.bySite = make([]map[geom.Pt][]cand, nl)
 	for vl := 0; vl < nl; vl++ {
 		w, hh := in.G.Vias[vl].Dims()
 		h.occ[vl] = tpl.NewLayerVias(w, hh)
-		h.bySite[vl] = map[geom.Pt][]cand{}
+	}
+	if nl > 0 {
+		h.w, h.h = in.G.Vias[0].Dims()
 	}
 	for _, v := range in.Vias {
 		h.occ[v.Layer()].Add(v.Pos())
 	}
-	for i := range in.Vias {
-		h.candDead[i] = make([]bool, len(in.Feas[i]))
+
+	// Counting sort of the candidates by site, stable in (via, j)
+	// order; the queue is filled in the same pass and heapified once,
+	// since (dp, via, j) is a total order: the pop sequence does not
+	// depend on the initial arrangement.
+	h.siteStart = make([]int32, nl*h.w*h.h+1)
+	for i, v := range in.Vias {
+		for _, c := range in.Feas[i] {
+			h.siteStart[h.siteOf(v.Layer(), c)+1]++
+		}
+	}
+	for k := 1; k < len(h.siteStart); k++ {
+		h.siteStart[k] += h.siteStart[k-1]
+	}
+	next := make([]int32, len(h.siteStart)-1)
+	copy(next, h.siteStart)
+	h.siteCands = make([]cand, ncand)
+	h.pq = make(candHeap, 0, ncand)
+	for i, v := range in.Vias {
 		for j, c := range in.Feas[i] {
-			h.bySite[in.Vias[i].Layer()][c] = append(h.bySite[in.Vias[i].Layer()][c], cand{i, j})
-			heap.Push(&h.pq, heapItem{cand{i, j}, 0})
+			site := h.siteOf(v.Layer(), c)
+			h.siteCands[next[site]] = cand{i, j}
+			next[site]++
+			h.pq = append(h.pq, heapItem{cand{i, j}, 0})
 		}
 	}
 	// Initialize true DPs (setDP of Algorithm 3).
@@ -167,6 +192,19 @@ func (h *heurState) build() {
 		h.pq[k].dp = h.computeDP(h.pq[k].cand)
 	}
 	heap.Init(&h.pq)
+}
+
+// siteOf returns the site index of in-plane point p on via layer vl.
+func (h *heurState) siteOf(vl int, p geom.Pt) int { return (vl*h.h+p.Y)*h.w + p.X }
+
+// candsAt lists the candidates at p on via layer vl (none off the
+// plane).
+func (h *heurState) candsAt(vl int, p geom.Pt) []cand {
+	if p.X < 0 || p.X >= h.w || p.Y < 0 || p.Y >= h.h {
+		return nil
+	}
+	site := h.siteOf(vl, p)
+	return h.siteCands[h.siteStart[site]:h.siteStart[site+1]]
 }
 
 // liveFeasCount counts via i's candidates that are still usable.
@@ -184,7 +222,7 @@ func (h *heurState) liveFeasCount(i int) int {
 // is unprotected, no redundant via occupies the site (a conflicting
 // DVIC taken), and inserting there would not create an FVP.
 func (h *heurState) candValid(c cand) bool {
-	if h.protected[c.via] || h.candDead[c.via][c.j] {
+	if h.protected[c.via] {
 		return false
 	}
 	vl := h.in.Vias[c.via].Layer()
@@ -204,7 +242,7 @@ func (h *heurState) computeDP(c cand) int {
 	pt := in.Feas[c.via][c.j]
 	feas := h.liveFeasCount(c.via)
 	conflicts := 0
-	for _, other := range h.bySite[vl][pt] {
+	for _, other := range h.candsAt(vl, pt) {
 		if other.via != c.via && h.candValid(other) {
 			conflicts++
 		}
@@ -227,7 +265,7 @@ func (h *heurState) countKills(vl int, pt geom.Pt, self int) int {
 			if q == pt {
 				continue
 			}
-			for _, other := range h.bySite[vl][q] {
+			for _, other := range h.candsAt(vl, q) {
 				if other.via == self || !h.candValid(other) {
 					continue
 				}
@@ -277,13 +315,14 @@ func (h *heurState) run() {
 // uncolorable insertions are removed (the final loop of Algorithm 3).
 func (h *heurState) colorInserted() {
 	in, s := h.in, h.sol
-	// Color lookup per layer: site → color.
-	colorAt := make([]map[geom.Pt]int8, len(h.occ))
-	for vl := range colorAt {
-		colorAt[vl] = map[geom.Pt]int8{}
+	// Color per via-layer site; tpl.Uncolored where no colored via
+	// sits.
+	colorAt := make([]int8, len(h.siteStart)-1)
+	for k := range colorAt {
+		colorAt[k] = tpl.Uncolored
 	}
 	for i, v := range in.Vias {
-		colorAt[v.Layer()][v.Pos()] = s.Colors[i]
+		colorAt[h.siteOf(v.Layer(), v.Pos())] = s.Colors[i]
 	}
 	for i := range in.Vias {
 		j := s.Inserted[i]
@@ -294,7 +333,11 @@ func (h *heurState) colorInserted() {
 		pt := in.Feas[i][j]
 		var used [tpl.NumColors]bool
 		for _, off := range tpl.ConflictOffsets {
-			if c, ok := colorAt[vl][pt.Add(off.X, off.Y)]; ok && c >= 0 {
+			q := pt.Add(off.X, off.Y)
+			if q.X < 0 || q.X >= h.w || q.Y < 0 || q.Y >= h.h {
+				continue
+			}
+			if c := colorAt[h.siteOf(vl, q)]; c >= 0 {
 				used[c] = true
 			}
 		}
@@ -312,6 +355,6 @@ func (h *heurState) colorInserted() {
 			continue
 		}
 		s.RedColors[i] = assigned
-		colorAt[vl][pt] = assigned
+		colorAt[h.siteOf(vl, pt)] = assigned
 	}
 }

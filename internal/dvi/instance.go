@@ -2,7 +2,7 @@ package dvi
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -89,24 +89,21 @@ func (s *Solution) Validate(in *Instance) error {
 		return fmt.Errorf("dvi: solution arrays sized %d/%d/%d for %d vias",
 			len(s.Inserted), len(s.Colors), len(s.RedColors), len(in.Vias))
 	}
-	type site struct {
-		vl int
-		p  geom.Pt
-	}
+	sites := newSiteStates(in.G)
 	type colored struct {
-		site
+		vl    int
+		p     geom.Pt
 		color int8
 	}
-	var all []colored
-	occupied := map[site]bool{}
+	all := make([]colored, 0, 2*len(in.Vias))
 	for _, v := range in.Vias {
-		occupied[site{v.Layer(), v.Pos()}] = true
+		sites.set(v.Layer(), v.Pos(), tpl.Uncolored)
 	}
 	inserted, dead, unc := 0, 0, 0
 	for i := range in.Vias {
 		v := in.Vias[i]
 		j := s.Inserted[i]
-		if j >= len(in.Feas[i]) {
+		if j < -1 || j >= len(in.Feas[i]) {
 			return fmt.Errorf("dvi: via %d inserted at out-of-range candidate %d", i, j)
 		}
 		if s.Colors[i] == tpl.Uncolored {
@@ -114,49 +111,42 @@ func (s *Solution) Validate(in *Instance) error {
 		} else if s.Colors[i] < 0 || s.Colors[i] >= tpl.NumColors {
 			return fmt.Errorf("dvi: via %d has invalid color %d", i, s.Colors[i])
 		}
-		all = append(all, colored{site{v.Layer(), v.Pos()}, s.Colors[i]})
+		all = append(all, colored{v.Layer(), v.Pos(), s.Colors[i]})
 		if j < 0 {
 			dead++
 			continue
 		}
 		inserted++
 		rp := in.Feas[i][j]
-		st := site{v.Layer(), rp}
-		if occupied[st] {
+		if sites.get(v.Layer(), rp) != siteFree {
 			return fmt.Errorf("dvi: redundant via of via %d at %v collides", i, rp)
 		}
-		occupied[st] = true
+		sites.set(v.Layer(), rp, tpl.Uncolored)
 		rc := s.RedColors[i]
 		if rc < 0 || rc >= tpl.NumColors {
 			return fmt.Errorf("dvi: redundant via of via %d has invalid color %d", i, rc)
 		}
-		all = append(all, colored{st, rc})
+		all = append(all, colored{v.Layer(), rp, rc})
 	}
 	// Pairwise coloring legality within each via layer, in ascending
 	// layer order so a multi-violation solution always reports the
-	// same error.
-	byLayer := map[int][]colored{}
-	vls := []int{}
+	// same error. A site holds the color of the last via placed on it.
+	var vls []int
 	for _, c := range all {
-		if byLayer[c.vl] == nil {
+		sites.set(c.vl, c.p, c.color)
+		if !slices.Contains(vls, c.vl) {
 			vls = append(vls, c.vl)
 		}
-		byLayer[c.vl] = append(byLayer[c.vl], c)
 	}
-	sort.Ints(vls)
+	slices.Sort(vls)
 	for _, vl := range vls {
-		cs := byLayer[vl]
-		pos := map[geom.Pt]int8{}
-		for _, c := range cs {
-			pos[c.p] = c.color
-		}
-		for _, c := range cs {
-			if c.color == tpl.Uncolored {
+		for _, c := range all {
+			if c.vl != vl || c.color == tpl.Uncolored {
 				continue
 			}
 			for _, off := range tpl.ConflictOffsets {
 				q := c.p.Add(off.X, off.Y)
-				if oc, ok := pos[q]; ok && oc == c.color {
+				if sites.get(vl, q) == c.color {
 					return fmt.Errorf("dvi: same-color vias within pitch at %v and %v (layer %d)", c.p, q, vl)
 				}
 			}
@@ -167,4 +157,50 @@ func (s *Solution) Validate(in *Instance) error {
 			s.InsertedCount, s.DeadVias, s.Uncolorable, inserted, dead, unc)
 	}
 	return nil
+}
+
+// siteStates holds one state per via site — siteFree, tpl.Uncolored
+// for an occupied site, or the color of the last via placed there — in
+// a flat array over the grid's via layers, with a side map for the
+// sites off the grid that a hand-built instance can name.
+type siteStates struct {
+	w, h, layers int
+	state        []int8
+	off          map[geom.Pt3]int8 // keyed by (x, y, via layer)
+}
+
+const siteFree int8 = -2
+
+func newSiteStates(g *grid.Grid) *siteStates {
+	ss := &siteStates{}
+	if g != nil && len(g.Vias) > 0 {
+		ss.w, ss.h = g.Vias[0].Dims()
+		ss.layers = len(g.Vias)
+	}
+	ss.state = make([]int8, ss.w*ss.h*ss.layers)
+	for k := range ss.state {
+		ss.state[k] = siteFree
+	}
+	return ss
+}
+
+func (ss *siteStates) get(vl int, p geom.Pt) int8 {
+	if vl >= 0 && vl < ss.layers && p.X >= 0 && p.X < ss.w && p.Y >= 0 && p.Y < ss.h {
+		return ss.state[(vl*ss.h+p.Y)*ss.w+p.X]
+	}
+	if st, ok := ss.off[geom.XYL(p.X, p.Y, vl)]; ok {
+		return st
+	}
+	return siteFree
+}
+
+func (ss *siteStates) set(vl int, p geom.Pt, st int8) {
+	if vl >= 0 && vl < ss.layers && p.X >= 0 && p.X < ss.w && p.Y >= 0 && p.Y < ss.h {
+		ss.state[(vl*ss.h+p.Y)*ss.w+p.X] = st
+		return
+	}
+	if ss.off == nil {
+		ss.off = map[geom.Pt3]int8{}
+	}
+	ss.off[geom.XYL(p.X, p.Y, vl)] = st
 }

@@ -338,3 +338,75 @@ func TestCrashRecoveryAcrossLives(t *testing.T) {
 		t.Fatalf("recovered result row = %+v, want the stub's output", res.Row)
 	}
 }
+
+// A live submit record whose netlist or spec was damaged on disk but
+// still parses must not run under its journaled key: every substituted
+// byte that keeps the line valid JSON and changes what it decodes to
+// leaves the job failed (or, for a line that no longer decodes as a
+// record, absent), never done, and nothing cached under the key.
+func TestReplayRejectsCorruptSubmission(t *testing.T) {
+	spec := bench.RunSpec{Method: bench.HeurDVI}
+	key, err := cacheKey(tinyNetlist, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "j000001-corrupt00000"
+	line, err := json.Marshal(journalRecord{V: journalVersion, Type: recSubmit, ID: id, Key: key, Netlist: tinyNetlist, Spec: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := bytes.Index(line, []byte(`"netlist":`))
+	end := bytes.LastIndexByte(line, '}') // the spec object ends the line
+	if start < 0 {
+		t.Fatal("record has no netlist field")
+	}
+	// substitute returns a copy of line with byte k replaced so the line
+	// stays valid JSON and its submission changes, or nil.
+	substitute := func(k int) []byte {
+		for _, b := range []byte("0123456789xyzabcdefghijklmnopqrstuvw -.") {
+			if b == line[k] {
+				continue
+			}
+			mut := append([]byte(nil), line...)
+			mut[k] = b
+			if !json.Valid(mut) {
+				continue
+			}
+			var rec journalRecord
+			if json.Unmarshal(mut, &rec) != nil || rec.Spec == nil {
+				return mut // no longer a replayable record
+			}
+			if k2, err := cacheKey(rec.Netlist, *rec.Spec); err != nil || k2 != key {
+				return mut
+			}
+		}
+		return nil
+	}
+	tried, kept := 0, 0
+	for k := start; k < end; k++ {
+		mut := substitute(k)
+		if mut == nil {
+			kept++ // every valid substitute decodes to the same submission
+			continue
+		}
+		tried++
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, journalFileName), append(mut, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := mustNew(t, Config{Workers: 1, QueueSize: 4, DataDir: dir, Run: stubRun})
+		if j, ok := s.store.Get(id); ok {
+			if jr := waitTerminal(t, j); jr.Status == api.StatusDone {
+				t.Errorf("byte %d (%q → %q): corrupt submission replayed to done", k, line[k], mut[k])
+			}
+		}
+		if _, ok := s.cache.Get(key); ok {
+			t.Errorf("byte %d (%q → %q): result cached under the journaled key", k, line[k], mut[k])
+		}
+		s.Shutdown(context.Background())
+	}
+	t.Logf("%d substitutions replayed, %d positions with no content-changing substitute", tried, kept)
+	if tried == 0 {
+		t.Fatal("no substitution tried")
+	}
+}

@@ -279,6 +279,15 @@ func (s *Server) recover(jobs []*replayedJob) error {
 				s.store.Add(j)
 				continue
 			}
+			// A record damaged on disk may still parse; running it would
+			// publish another submission's result under this key.
+			if key, err := cacheKey(rj.netlist, rj.spec); err != nil || key != rj.key {
+				rj.status = api.StatusFailed
+				rj.errMsg = "interrupted: journaled submission does not match its content address"
+				j.fail(rj.errMsg)
+				s.store.Add(j)
+				continue
+			}
 			j.nl = nl
 			j.netlistText = rj.netlist
 			//sadplint:ignore lockorder recover runs from New before startWorkers and the HTTP listener; no other goroutine exists yet

@@ -189,21 +189,61 @@ func (lv *LayerVias) HasFVP() bool {
 // WouldCreateFVP reports whether inserting one additional via at p
 // would create at least one FVP window. Used for via-site blocking in
 // the TPL violation removal R&R (Fig 10) and for the DVI kill rule.
-// The window-origin scan is inlined rather than delegated to
-// windowOrigins: a func literal here would allocate a closure on
-// every feasibility probe.
+// It reads p's 5×5 neighbourhood once and tests the nine 3×3 windows
+// containing p from that mask, so each site is read once, not once per
+// window.
 //
 //sadplint:hotpath probed per candidate via site in search and DVI cost loops
 func (lv *LayerVias) WouldCreateFVP(p geom.Pt) bool {
-	if !lv.InBounds(p) {
+	if !lv.InBounds(p) || lv.count[lv.idx(p)] > 0 {
+		// An occupied site gains no via: no window changes.
 		return false
 	}
-	for dy := -2; dy <= 0; dy++ {
-		for dx := -2; dx <= 0; dx++ {
-			o := geom.XY(p.X+dx, p.Y+dy)
-			w := lv.WindowAt(o)
-			nw := w.Set(p.X-o.X, p.Y-o.Y)
-			if nw != w && nw.IsFVP() {
+	return fvpAround(lv.neighbourhood(p))
+}
+
+// neighbourhood returns the occupancy of the 5×5 block centred on p as
+// a 25-bit mask, bit (dx+2) + 5·(dy+2) for the site p+(dx, dy). Sites
+// outside the grid read as empty.
+func (lv *LayerVias) neighbourhood(p geom.Pt) uint32 {
+	var m uint32
+	if p.X >= 2 && p.X+2 < lv.w && p.Y >= 2 && p.Y+2 < lv.h {
+		// Interior: five full rows of five sites.
+		for r := 0; r < 5; r++ {
+			at := (p.Y-2+r)*lv.w + p.X - 2
+			row := lv.count[at : at+5 : at+5]
+			for c, n := range row {
+				if n > 0 {
+					m |= 1 << (c + 5*r)
+				}
+			}
+		}
+		return m
+	}
+	for dy := -2; dy <= 2; dy++ {
+		y := p.Y + dy
+		if y < 0 || y >= lv.h {
+			continue
+		}
+		row := lv.count[y*lv.w : (y+1)*lv.w]
+		for dx := -2; dx <= 2; dx++ {
+			if x := p.X + dx; x >= 0 && x < lv.w && row[x] > 0 {
+				m |= 1 << ((dx + 2) + 5*(dy+2))
+			}
+		}
+	}
+	return m
+}
+
+// fvpAround reports whether a via added at the centre of the 5×5
+// neighbourhood m makes one of the nine 3×3 windows containing the
+// centre a forbidden via pattern.
+func fvpAround(m uint32) bool {
+	m |= 1 << 12 // the new via
+	for oy := 0; oy < 3; oy++ {
+		for ox := 0; ox < 3; ox++ {
+			r := m >> (ox + 5*oy)
+			if Window(r&7 | (r>>5&7)<<3 | (r>>10&7)<<6).IsFVP() {
 				return true
 			}
 		}

@@ -1,6 +1,8 @@
 package tpl
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -237,5 +239,98 @@ func BenchmarkAllFVPs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = lv.AllFVPs()
+	}
+}
+
+// refWouldCreateFVP is the probe WouldCreateFVP replaced: it extracts
+// each of the nine windows containing p from the grid.
+func refWouldCreateFVP(lv *LayerVias, p geom.Pt) bool {
+	if !lv.InBounds(p) {
+		return false
+	}
+	for dy := -2; dy <= 0; dy++ {
+		for dx := -2; dx <= 0; dx++ {
+			o := geom.XY(p.X+dx, p.Y+dy)
+			w := lv.WindowAt(o)
+			nw := w.Set(p.X-o.X, p.Y-o.Y)
+			if nw != w && nw.IsFVP() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestWouldCreateFVPMatchesWindowProbe compares the 5×5-mask probe
+// with the nine-window probe on every neighbourhood of an interior site
+// with an empty centre (2^24, visited in Gray-code order so each step
+// toggles one via), and on every site of every occupancy of grids up to
+// 4×4, which covers each border case.
+func TestWouldCreateFVPMatchesWindowProbe(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2^24 neighbourhoods")
+	}
+	centre := geom.XY(3, 3)
+	var sites []geom.Pt
+	for y := 1; y <= 5; y++ {
+		for x := 1; x <= 5; x++ {
+			if p := geom.XY(x, y); p != centre {
+				sites = append(sites, p)
+			}
+		}
+	}
+	// Four parallel quarters of the Gray-code sequence, each starting
+	// from the neighbourhood of its first code.
+	const quarter = 1 << 22
+	t.Run("interior", func(t *testing.T) {
+		for q := uint32(0); q < 4; q++ {
+			q := q
+			t.Run(fmt.Sprint(q), func(t *testing.T) {
+				t.Parallel()
+				lv := NewLayerVias(7, 7)
+				first := q * quarter
+				for k, p := range sites {
+					if (first^first>>1)&(1<<k) != 0 {
+						lv.Add(p)
+					}
+				}
+				for code := first; code < first+quarter; code++ {
+					if code > first {
+						// Step code turns Gray(code-1) into Gray(code).
+						p := sites[bits.TrailingZeros32(code)]
+						if lv.Has(p) {
+							lv.Remove(p)
+						} else {
+							lv.Add(p)
+						}
+					}
+					if got, want := lv.WouldCreateFVP(centre), refWouldCreateFVP(lv, centre); got != want {
+						t.Fatalf("neighbourhood %v: WouldCreateFVP %v, window probe %v", lv.SiteList(), got, want)
+					}
+				}
+			})
+		}
+	})
+
+	for w := 1; w <= 4; w++ {
+		for h := 1; h <= 4; h++ {
+			lv := NewLayerVias(w, h)
+			for occ := 0; occ < 1<<(w*h); occ++ {
+				lv.Clear()
+				for k := 0; k < w*h; k++ {
+					if occ&(1<<k) != 0 {
+						lv.Add(geom.XY(k%w, k/w))
+					}
+				}
+				for y := -1; y <= h; y++ {
+					for x := -1; x <= w; x++ {
+						p := geom.XY(x, y)
+						if got, want := lv.WouldCreateFVP(p), refWouldCreateFVP(lv, p); got != want {
+							t.Fatalf("%dx%d grid %v at %v: WouldCreateFVP %v, window probe %v", w, h, lv.SiteList(), p, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

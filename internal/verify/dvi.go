@@ -1,7 +1,8 @@
 package verify
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/dvi"
 	"repro/internal/geom"
@@ -16,6 +17,44 @@ import (
 // same-color via pitch on a layer (C5–C7), and reported statistics
 // matching a recount (the C8 objective accounting).
 
+// siteLists is cellLists over the via-layer cells plus a side map for
+// sites off the grid, which a forged instance or candidate can name.
+// A site is named as a geom.Pt3 whose Layer is the via layer.
+type siteLists struct {
+	cellLists
+	off map[geom.Pt3][]int32
+}
+
+// viaCell returns the via-layer cell of site (vl, p), or false when
+// the site is off the grid.
+func (c *checker) viaCell(vl int, p geom.Pt) (int, bool) {
+	if vl < 0 || vl >= c.nl.NumLayers-1 || p.X < 0 || p.X >= c.w || p.Y < 0 || p.Y >= c.h {
+		return 0, false
+	}
+	return (vl*c.h+p.Y)*c.w + p.X, true
+}
+
+func (c *checker) siteAdd(l *siteLists, vl int, p geom.Pt, v int32) {
+	if cell, ok := c.viaCell(vl, p); ok {
+		l.push(cell, v, false)
+		return
+	}
+	if l.off == nil {
+		l.off = map[geom.Pt3][]int32{}
+	}
+	k := geom.XYL(p.X, p.Y, vl)
+	l.off[k] = append(l.off[k], v)
+}
+
+// siteAt returns the list at (vl, p); see cellLists.at for its
+// lifetime.
+func (c *checker) siteAt(l *siteLists, vl int, p geom.Pt) []int32 {
+	if cell, ok := c.viaCell(vl, p); ok {
+		return l.at(cell)
+	}
+	return l.off[geom.XYL(p.X, p.Y, vl)]
+}
+
 // checkDVI verifies the solution sol of instance in against the
 // checker's independently reconstructed solution geometry.
 func (c *checker) checkDVI(in *dvi.Instance, sol *dvi.Solution) {
@@ -29,23 +68,15 @@ func (c *checker) checkDVI(in *dvi.Instance, sol *dvi.Solution) {
 
 	c.checkInstanceVias(in)
 
-	type site struct {
-		vl int
-		p  geom.Pt
-	}
 	// Original vias occupy their sites; insertions must not collide
-	// with them or with each other.
-	occupied := map[site][]int{} // site → instance via indices (originals: i, insertions: i)
+	// with them or with each other. occupied lists instance via
+	// indices per site, colors the colors of the vias placed there.
+	cells := len(c.via.one)
+	occupied := siteLists{cellLists: newCellLists(cells)}
+	colors := siteLists{cellLists: newCellLists(cells)}
 	for i, v := range in.Vias {
-		occupied[site{v.Layer(), v.Pos()}] = append(occupied[site{v.Layer(), v.Pos()}], i)
+		c.siteAdd(&occupied, v.Layer(), v.Pos(), int32(i))
 	}
-
-	type colored struct {
-		vl    int
-		p     geom.Pt
-		color int8
-	}
-	var all []colored
 	inserted, dead, unc := 0, 0, 0
 
 	for i := 0; i < n; i++ {
@@ -62,7 +93,7 @@ func (c *checker) checkDVI(in *dvi.Instance, sol *dvi.Solution) {
 		case col < 0 || col >= 3:
 			c.rep.add(DVIBadColor, v.Net, v.Base, "via color %d out of range", col)
 		default:
-			all = append(all, colored{v.Layer(), v.Pos(), col})
+			c.siteAdd(&colors, v.Layer(), v.Pos(), int32(col))
 		}
 		if j < 0 {
 			dead++
@@ -74,61 +105,22 @@ func (c *checker) checkDVI(in *dvi.Instance, sol *dvi.Solution) {
 			c.rep.add(DVIInfeasible, v.Net, v.Base, "candidate %v is not adjacent to the via", cand)
 			continue
 		}
-		st := site{v.Layer(), cand}
-		if len(occupied[st]) > 0 {
+		if prior := c.siteAt(&occupied, v.Layer(), cand); len(prior) > 0 {
 			c.rep.add(DVICollision, v.Net, geom.XYL(cand.X, cand.Y, v.Layer()),
-				"redundant via collides with via(s) %v at %v", occupied[st], cand)
+				"redundant via collides with via(s) %v at %v", prior, cand)
 		}
-		occupied[st] = append(occupied[st], i)
+		c.siteAdd(&occupied, v.Layer(), cand, int32(i))
 		c.checkInsertionFeasible(v, cand)
 		rc := sol.RedColors[i]
 		if rc < 0 || rc >= 3 {
 			c.rep.add(DVIBadColor, v.Net, geom.XYL(cand.X, cand.Y, v.Layer()),
 				"inserted redundant via has color %d (want 0..2)", rc)
 		} else {
-			all = append(all, colored{v.Layer(), cand, rc})
+			c.siteAdd(&colors, v.Layer(), cand, int32(rc))
 		}
 	}
 
-	// Pairwise coloring legality per via layer.
-	byLayer := map[int]map[geom.Pt][]int8{}
-	for _, cc := range all {
-		if byLayer[cc.vl] == nil {
-			byLayer[cc.vl] = map[geom.Pt][]int8{}
-		}
-		byLayer[cc.vl][cc.p] = append(byLayer[cc.vl][cc.p], cc.color)
-	}
-	// Conflicts are reported in (layer, row-major site) order so the
-	// report diffs cleanly between runs.
-	vls := make([]int, 0, len(byLayer))
-	for vl := range byLayer { //sadplint:ordered keys are sorted on the next line
-		vls = append(vls, vl)
-	}
-	sort.Ints(vls)
-	for _, vl := range vls {
-		pos := byLayer[vl]
-		for _, p := range sortedPtKeys(pos) {
-			cols := pos[p]
-			for _, col := range cols {
-				for _, off := range conflictOffsets {
-					q := p.Add(off.X, off.Y)
-					// Report each conflicting pair once, from its
-					// lexicographically smaller endpoint.
-					if q.Y < p.Y || (q.Y == p.Y && q.X < p.X) {
-						continue
-					}
-					for _, oc := range byLayer[vl][q] {
-						if oc == col {
-							c.rep.add(DVIColorConflict, -1, geom.XYL(p.X, p.Y, vl),
-								"vias at %v and %v share color %d within pitch (via layer %d)", p, q, col, vl)
-						}
-					}
-				}
-				// Two vias stacked on one site (a collision, reported
-				// above) also always conflict in color space; skip.
-			}
-		}
-	}
+	c.checkColorConflicts(&colors)
 
 	if sol.InsertedCount != inserted || sol.DeadVias != dead || sol.Uncolorable != unc {
 		c.rep.add(DVIStatsMismatch, -1, geom.Pt3{},
@@ -137,32 +129,113 @@ func (c *checker) checkDVI(in *dvi.Instance, sol *dvi.Solution) {
 	}
 }
 
+// checkColorConflicts reports every same-colored pair within the
+// pitch, in (layer, row-major site) order so the report diffs cleanly
+// between runs: the grid's cells are scanned in that order, and the
+// sorted off-grid sites are merged into the scan.
+func (c *checker) checkColorConflicts(colors *siteLists) {
+	off := make([]geom.Pt3, 0, len(colors.off))
+	for k := range colors.off { //sadplint:ordered keys are sorted on the next line
+		off = append(off, k)
+	}
+	slices.SortFunc(off, comparePt3)
+	k := 0
+	for cell, o := range colors.one {
+		if o == 0 {
+			continue
+		}
+		s := c.ptOf(cell)
+		for ; k < len(off) && comparePt3(off[k], s) < 0; k++ {
+			c.colorConflictsAt(colors, off[k])
+		}
+		c.colorConflictsAt(colors, s)
+	}
+	for ; k < len(off); k++ {
+		c.colorConflictsAt(colors, off[k])
+	}
+}
+
+// colorConflictsAt reports the conflicts of the vias at s with the
+// same-colored vias at or after s in row-major order, so each pair is
+// reported once, from its lexicographically smaller endpoint. Two vias
+// stacked on one site (a collision, reported already) are not paired.
+func (c *checker) colorConflictsAt(colors *siteLists, s geom.Pt3) {
+	var buf [4]int32
+	p, vl := s.Pt2(), s.Layer
+	mine := append(buf[:0], c.siteAt(colors, vl, p)...)
+	for _, col := range mine {
+		for _, off := range conflictOffsets {
+			q := p.Add(off.X, off.Y)
+			if q.Y < p.Y || (q.Y == p.Y && q.X < p.X) {
+				continue
+			}
+			for _, oc := range c.siteAt(colors, vl, q) {
+				if oc == col {
+					c.rep.add(DVIColorConflict, -1, s,
+						"vias at %v and %v share color %d within pitch (via layer %d)", p, q, col, vl)
+				}
+			}
+		}
+	}
+}
+
+// routedVia returns the index in c.vias of the routed via v names, or
+// -1 when its net is unknown or has no via at v.Base.
+func (c *checker) routedVia(v dvi.Via) int {
+	if v.Net < 0 || int(v.Net) >= len(c.nets) || !c.onGrid(v.Base) {
+		return -1
+	}
+	sp := c.nets[v.Net]
+	if k, ok := slices.BinarySearch(c.vias[sp.via0:sp.via1], c.cellOf(v.Base)); ok {
+		return sp.via0 + k
+	}
+	return -1
+}
+
 // checkInstanceVias cross-checks the DVI instance's via list against
 // the vias the verifier extracted from the routed geometry itself.
 func (c *checker) checkInstanceVias(in *dvi.Instance) {
-	mine := 0
-	for i := range c.nets {
-		mine += len(c.nets[i].vias)
-	}
-	if mine != len(in.Vias) {
+	if mine := len(c.vias); mine != len(in.Vias) {
 		c.rep.add(DVIViaMismatch, -1, geom.Pt3{},
 			"instance lists %d vias, routed solution has %d", len(in.Vias), mine)
 	}
-	seen := map[dvi.Via]bool{}
-	for _, v := range in.Vias {
-		if seen[v] {
+	// A via matching a routed via repeats an earlier one when that
+	// routed via was matched before. The others (unknown net, or no
+	// such via) are grouped by sorting; each group's first is new.
+	var strays []int
+	for i, v := range in.Vias {
+		if c.routedVia(v) < 0 {
+			strays = append(strays, i)
+		}
+	}
+	var repeat []bool
+	if len(strays) > 1 {
+		repeat = make([]bool, len(in.Vias))
+		slices.SortStableFunc(strays, func(a, b int) int { return compareVia(in.Vias[a], in.Vias[b]) })
+		for k := 1; k < len(strays); k++ {
+			repeat[strays[k]] = in.Vias[strays[k]] == in.Vias[strays[k-1]]
+		}
+	}
+	seen := make([]bool, len(c.vias))
+	for i, v := range in.Vias {
+		g := c.routedVia(v)
+		if g >= 0 && seen[g] || g < 0 && repeat != nil && repeat[i] {
 			c.rep.add(DVIViaMismatch, v.Net, v.Base, "via listed twice in the instance")
 			continue
 		}
-		seen[v] = true
-		if v.Net < 0 || int(v.Net) >= len(c.nets) {
+		switch {
+		case g >= 0:
+			seen[g] = true
+		case v.Net < 0 || int(v.Net) >= len(c.nets):
 			c.rep.add(DVIViaMismatch, v.Net, v.Base, "via owned by unknown net")
-			continue
-		}
-		if !c.nets[v.Net].vias[v.Base] {
+		default:
 			c.rep.add(DVIViaMismatch, v.Net, v.Base, "instance via not present in the routed solution")
 		}
 	}
+}
+
+func compareVia(a, b dvi.Via) int {
+	return cmp.Or(cmp.Compare(a.Net, b.Net), comparePt3(a.Base, b.Base))
 }
 
 // checkInsertionFeasible re-derives the §II-C DVIC feasibility of an
@@ -195,14 +268,15 @@ func (c *checker) checkInsertionFeasible(v dvi.Via, cand geom.Pt) {
 	stubVertical := dy != 0
 
 	for _, l := range [2]int{v.Base.Layer, v.Base.Layer + 1} {
-		mp := geom.XYL(cand.X, cand.Y, l)
-		for _, owner := range c.metalOwner[mp] {
-			if owner != v.Net {
-				c.rep.add(DVIInfeasible, v.Net, at,
-					"candidate metal point %v occupied by net %d", mp, owner)
+		if mp := geom.XYL(cand.X, cand.Y, l); c.onGrid(mp) {
+			for _, owner := range c.metal.at(c.cellOf(mp)) {
+				if owner != v.Net {
+					c.rep.add(DVIInfeasible, v.Net, at,
+						"candidate metal point %v occupied by net %d", mp, owner)
+				}
 			}
 		}
-		arms := c.nets[v.Net].arms[geom.XYL(v.Base.X, v.Base.Y, l)]
+		arms := c.armsAt(v.Net, geom.XYL(v.Base.X, v.Base.Y, l))
 		if arms&stubArm != 0 {
 			continue // metal already runs toward the candidate
 		}

@@ -31,8 +31,9 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/coloring"
@@ -259,15 +260,16 @@ func Solution(nl *netlist.Netlist, routes []*grid.Route, in *dvi.Instance, sol *
 // Metrics independently recounts the table metrics of a routed
 // solution: total wirelength (distinct planar unit segments per net)
 // and total via count (distinct via sites per net). It walks the raw
-// path polylines, sharing no code with router.Stats.
+// path polylines, sharing no code with router.Stats. It knows no grid
+// bounds, so it counts distinct entries by sorting, not by indexing.
 func Metrics(routes []*grid.Route) (wl, vias int) {
-	type seg struct{ a, b geom.Pt3 }
+	var segs []segment
+	var bases []geom.Pt3
 	for _, r := range routes {
 		if r == nil || len(r.Paths) == 0 {
 			continue
 		}
-		segs := map[seg]bool{}
-		viaSet := map[geom.Pt3]bool{}
+		segs, bases = segs[:0], bases[:0]
 		for _, path := range r.Paths {
 			for i := 1; i < len(path); i++ {
 				a, b := path[i-1], path[i]
@@ -276,19 +278,29 @@ func Metrics(routes []*grid.Route) (wl, vias int) {
 					if b.Layer < a.Layer {
 						base = b
 					}
-					viaSet[base] = true
+					bases = append(bases, base)
 					continue
 				}
 				if b.X < a.X || b.Y < a.Y {
 					a, b = b, a
 				}
-				segs[seg{a, b}] = true
+				segs = append(segs, segment{a, b})
 			}
 		}
-		wl += len(segs)
-		vias += len(viaSet)
+		slices.SortFunc(segs, func(s, t segment) int {
+			return cmp.Or(comparePt3(s.a, t.a), comparePt3(s.b, t.b))
+		})
+		slices.SortFunc(bases, comparePt3)
+		wl += len(slices.Compact(segs))
+		vias += len(slices.Compact(bases))
 	}
 	return wl, vias
+}
+
+type segment struct{ a, b geom.Pt3 }
+
+func comparePt3(p, q geom.Pt3) int {
+	return cmp.Or(cmp.Compare(p.Layer, q.Layer), cmp.Compare(p.Y, q.Y), cmp.Compare(p.X, q.X))
 }
 
 // arm bits of the verifier's own arm encoding.
@@ -299,29 +311,20 @@ const (
 	armS
 )
 
-// netData is the verifier's reconstruction of one net's geometry.
-type netData struct {
-	pts  map[geom.Pt3]int   // point → dense index (union-find)
-	arms map[geom.Pt3]uint8 // planar arm mask at each point
-	vias map[geom.Pt3]bool  // via base points (lower layer)
-	// parent is the union-find forest over pts' indices.
-	parent []int
-	valid  bool // geometry walk succeeded (steps legal, on grid)
-}
+// The checker keeps its state in flat arrays over the netlist's grid,
+// not in maps keyed by position. Metal point (x, y, layer) is cell
+// (layer·H + y)·W + x. A via site uses the same formula with its via
+// layer, the layer of the via's lower metal point, so a via base point
+// and its via site share one index. Ascending cell order is the
+// (layer, y, x) order reports are emitted in: sorting cells sorts
+// report sites. A cell index is computed only after the onGrid test,
+// since the geometry may come from an untrusted upload.
 
-func (nd *netData) find(x int) int {
-	for nd.parent[x] != x {
-		nd.parent[x] = nd.parent[nd.parent[x]]
-		x = nd.parent[x]
-	}
-	return x
-}
-
-func (nd *netData) union(a, b int) {
-	ra, rb := nd.find(a), nd.find(b)
-	if ra != rb {
-		nd.parent[ra] = rb
-	}
+// netSpan locates one net's geometry in the checker's backing arrays.
+type netSpan struct {
+	pts0, pts1 int  // pts[pts0:pts1] and arms[pts0:pts1]
+	via0, via1 int  // vias[via0:via1]
+	valid      bool // geometry walk succeeded (steps legal, on grid)
 }
 
 type checker struct {
@@ -330,44 +333,80 @@ type checker struct {
 	opt    Options
 	rep    *Report
 
-	nets []netData
-	// metalOwner maps each occupied metal point to the distinct nets
-	// covering it (shorts keep all owners for reporting).
-	metalOwner map[geom.Pt3][]int32
-	// viaOwner maps each occupied via site (Layer = via layer) to its
-	// owning nets.
-	viaOwner map[geom.Pt3][]int32
-	// pinOwner maps layer-0 pin points to the nets pinning there.
-	pinOwner map[geom.Pt][]int32
+	w, h  int
+	plane int // w·h: the cells of one layer
+
+	// Walk scratch, reused net by net. stamp[cell] is net+1 of the last
+	// net whose walk visited the cell, so an entry left by an earlier
+	// net never matches; local[cell] is the cell's union-find index in
+	// that net.
+	stamp    []int32
+	local    []int32
+	parent   []int32 // union-find forest over the walked net's indices
+	walkCell []int   // index → cell, in first-visit order
+	walkArm  []uint8 // index → planar arm mask
+	walkVia  []bool  // index → the point is a via's base
+
+	// Every net's distinct points, sorted by cell, in one backing array
+	// with per-net offsets in nets: pts packs cell<<32 | union-find
+	// index, arms is parallel to pts, and vias lists via base cells.
+	pts  []uint64
+	arms []uint8
+	vias []int
+	nets []netSpan
+
+	metal cellLists // metal cell → owning nets
+	via   cellLists // via-layer cell → owning nets
+	pin   cellLists // layer-0 cell → nets with a pin there
 }
 
 func newChecker(nl *netlist.Netlist, routes []*grid.Route, opt Options) *checker {
 	opt = opt.withDefaults()
+	w, h, layers := max(nl.W, 0), max(nl.H, 0), max(nl.NumLayers, 0)
 	c := &checker{
-		nl:         nl,
-		routes:     routes,
-		opt:        opt,
-		rep:        &Report{max: opt.MaxViolations},
-		nets:       make([]netData, len(nl.Nets)),
-		metalOwner: map[geom.Pt3][]int32{},
-		viaOwner:   map[geom.Pt3][]int32{},
-		pinOwner:   map[geom.Pt][]int32{},
+		nl:     nl,
+		routes: routes,
+		opt:    opt,
+		rep:    &Report{max: opt.MaxViolations},
+		w:      w,
+		h:      h,
+		plane:  w * h,
+		nets:   make([]netSpan, len(nl.Nets)),
 	}
+	// Size the point arrays from the path lengths, so the walk never
+	// regrows them.
+	total, most := 0, 0
+	for i := range nl.Nets {
+		if i >= len(routes) || routes[i] == nil {
+			continue
+		}
+		n := 0
+		for _, path := range routes[i].Paths {
+			n += len(path)
+		}
+		total += n
+		most = max(most, n)
+	}
+	cells := c.plane * layers
+	c.stamp = make([]int32, cells)
+	c.local = make([]int32, cells)
+	c.parent = make([]int32, 0, most)
+	c.walkCell = make([]int, 0, most)
+	c.walkArm = make([]uint8, 0, most)
+	c.walkVia = make([]bool, 0, most)
+	c.pts = make([]uint64, 0, total)
+	c.arms = make([]uint8, 0, total)
+	c.metal = newCellLists(cells)
+	c.via = newCellLists(c.plane * max(layers-1, 0))
+	c.pin = newCellLists(c.plane)
 	for _, n := range nl.Nets {
 		for _, p := range n.Pins {
-			c.pinOwner[p] = appendDistinct(c.pinOwner[p], int32(n.ID))
+			if p.X >= 0 && p.X < w && p.Y >= 0 && p.Y < h {
+				c.pin.add(p.Y*w+p.X, int32(n.ID))
+			}
 		}
 	}
 	return c
-}
-
-func appendDistinct(s []int32, v int32) []int32 {
-	for _, x := range s {
-		if x == v {
-			return s
-		}
-	}
-	return append(s, v)
 }
 
 func (c *checker) onGrid(p geom.Pt3) bool {
@@ -375,33 +414,67 @@ func (c *checker) onGrid(p geom.Pt3) bool {
 		p.X >= 0 && p.X < c.nl.W && p.Y >= 0 && p.Y < c.nl.H
 }
 
-// walkNet rebuilds one net's point set, arm masks and via set from its
-// raw path polylines, validating steps as it goes.
-func (c *checker) walkNet(id int32, r *grid.Route) {
-	nd := &c.nets[id]
-	nd.pts = map[geom.Pt3]int{}
-	nd.arms = map[geom.Pt3]uint8{}
-	nd.vias = map[geom.Pt3]bool{}
-	nd.valid = true
+// cellOf returns the cell of an on-grid point.
+func (c *checker) cellOf(p geom.Pt3) int { return (p.Layer*c.h+p.Y)*c.w + p.X }
 
-	idxOf := func(p geom.Pt3) int {
-		if i, ok := nd.pts[p]; ok {
-			return i
-		}
-		i := len(nd.parent)
-		nd.pts[p] = i
-		nd.parent = append(nd.parent, i)
-		return i
+// ptOf is the inverse of cellOf.
+func (c *checker) ptOf(cell int) geom.Pt3 {
+	l := cell / c.plane
+	r := cell - l*c.plane
+	return geom.XYL(r%c.w, r/c.w, l)
+}
+
+// visit returns the walked net's union-find index of cell, adding the
+// cell to the net on its first visit.
+func (c *checker) visit(cell int, stamp int32) int32 {
+	if c.stamp[cell] == stamp {
+		return c.local[cell]
 	}
+	k := int32(len(c.parent))
+	c.stamp[cell] = stamp
+	c.local[cell] = k
+	c.parent = append(c.parent, k)
+	c.walkCell = append(c.walkCell, cell)
+	c.walkArm = append(c.walkArm, 0)
+	c.walkVia = append(c.walkVia, false)
+	return k
+}
+
+func (c *checker) find(x int32) int32 {
+	for c.parent[x] != x {
+		c.parent[x] = c.parent[c.parent[x]]
+		x = c.parent[x]
+	}
+	return x
+}
+
+func (c *checker) union(a, b int32) {
+	ra, rb := c.find(a), c.find(b)
+	if ra != rb {
+		c.parent[ra] = rb
+	}
+}
+
+// walkNet rebuilds one net's point set, arm masks and via bases from
+// its raw path polylines, validating steps as it goes, then appends
+// them, sorted by cell, to the backing arrays and records the net as
+// an owner of its cells.
+func (c *checker) walkNet(id int32, r *grid.Route) {
+	stamp := id + 1
+	c.parent = c.parent[:0]
+	c.walkCell = c.walkCell[:0]
+	c.walkArm = c.walkArm[:0]
+	c.walkVia = c.walkVia[:0]
+	valid := true
 
 	for _, path := range r.Paths {
 		for i, p := range path {
 			if !c.onGrid(p) {
 				c.rep.add(OffGrid, id, p, "path point outside %dx%dx%d grid", c.nl.W, c.nl.H, c.nl.NumLayers)
-				nd.valid = false
+				valid = false
 				continue
 			}
-			pi := idxOf(p)
+			pi := c.visit(c.cellOf(p), stamp)
 			if i == 0 {
 				continue
 			}
@@ -410,42 +483,83 @@ func (c *checker) walkNet(id int32, r *grid.Route) {
 				continue // already reported
 			}
 			dx, dy, dz := p.X-prev.X, p.Y-prev.Y, p.Layer-prev.Layer
-			adx, ady, adz := abs(dx), abs(dy), abs(dz)
-			if adx+ady+adz != 1 {
+			if abs(dx)+abs(dy)+abs(dz) != 1 {
 				c.rep.add(BadStep, id, p, "step %v -> %v is not a unit grid step", prev, p)
-				nd.valid = false
+				valid = false
 				continue
 			}
-			nd.union(nd.pts[prev], pi)
+			qi := c.local[c.cellOf(prev)]
+			c.union(qi, pi)
 			switch {
-			case adz == 1:
-				base := prev
-				if dz < 0 {
-					base = p
-				}
-				nd.vias[base] = true
+			case dz == 1:
+				c.walkVia[qi] = true
+			case dz == -1:
+				c.walkVia[pi] = true
 			case dx == 1:
-				nd.arms[prev] |= armE
-				nd.arms[p] |= armW
+				c.walkArm[qi] |= armE
+				c.walkArm[pi] |= armW
 			case dx == -1:
-				nd.arms[prev] |= armW
-				nd.arms[p] |= armE
+				c.walkArm[qi] |= armW
+				c.walkArm[pi] |= armE
 			case dy == 1:
-				nd.arms[prev] |= armN
-				nd.arms[p] |= armS
+				c.walkArm[qi] |= armN
+				c.walkArm[pi] |= armS
 			default: // dy == -1
-				nd.arms[prev] |= armS
-				nd.arms[p] |= armN
+				c.walkArm[qi] |= armS
+				c.walkArm[pi] |= armN
 			}
 		}
 	}
 
-	for p := range nd.pts {
-		c.metalOwner[p] = appendDistinct(c.metalOwner[p], id)
+	sp := &c.nets[id]
+	sp.valid = valid
+	sp.pts0, sp.via0 = len(c.pts), len(c.vias)
+	for k, cell := range c.walkCell {
+		c.pts = append(c.pts, uint64(cell)<<32|uint64(k))
 	}
-	for v := range nd.vias {
-		c.viaOwner[v] = appendDistinct(c.viaOwner[v], id)
+	keys := c.pts[sp.pts0:]
+	slices.Sort(keys)
+	for _, key := range keys {
+		cell, k := int(key>>32), uint32(key)
+		c.arms = append(c.arms, c.walkArm[k])
+		c.metal.add(cell, id)
+		if c.walkVia[k] {
+			c.vias = append(c.vias, cell)
+			c.via.add(cell, id)
+		}
 	}
+	sp.pts1, sp.via1 = len(c.pts), len(c.vias)
+}
+
+// searchCell returns the index of the first key in keys (sorted
+// cell<<32 | index entries) whose cell is at least cell.
+func searchCell(keys []uint64, cell int) int {
+	target := uint64(cell) << 32
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if keys[m] < target {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// armsAt returns net id's planar arm mask at p (0 off the grid or off
+// the net).
+func (c *checker) armsAt(id int32, p geom.Pt3) uint8 {
+	if !c.onGrid(p) {
+		return 0
+	}
+	sp := c.nets[id]
+	keys := c.pts[sp.pts0:sp.pts1]
+	cell := c.cellOf(p)
+	if k := searchCell(keys, cell); k < len(keys) && int(keys[k]>>32) == cell {
+		return c.arms[sp.pts0+k]
+	}
+	return 0
 }
 
 // checkGeometry runs the structural checks: path legality, pin
@@ -462,96 +576,68 @@ func (c *checker) checkGeometry() {
 			continue
 		}
 		c.walkNet(id, r)
-		nd := &c.nets[i]
+		sp := c.nets[i]
 
-		// Pin coverage on layer 0.
+		// Pin coverage on layer 0: the walk just stamped the net's
+		// cells.
 		missing := false
 		for _, p := range n.Pins {
-			if _, ok := nd.pts[geom.XYL(p.X, p.Y, 0)]; !ok {
-				c.rep.add(PinMissing, id, geom.XYL(p.X, p.Y, 0), "pin %v not covered by route", p)
+			at := geom.XYL(p.X, p.Y, 0)
+			if !c.onGrid(at) || c.stamp[c.cellOf(at)] != id+1 {
+				c.rep.add(PinMissing, id, at, "pin %v not covered by route", p)
 				missing = true
 			}
 		}
 		// Connectivity: every point in one component (no floating
 		// metal, pins mutually reachable). Skip when the walk already
 		// failed — union-find over broken paths is meaningless.
-		if !nd.valid || missing || len(nd.parent) == 0 {
+		if !sp.valid || missing || len(c.parent) == 0 {
 			continue
 		}
-		root := nd.find(0)
-		for _, p := range sortedPt3Keys(nd.pts) {
-			if nd.find(nd.pts[p]) != root {
+		root := c.find(0)
+		for _, key := range c.pts[sp.pts0:sp.pts1] {
+			if c.find(int32(uint32(key))) != root {
+				p := c.ptOf(int(key >> 32))
 				c.rep.add(Disconnected, id, p, "metal at %v not connected to the rest of the net", p)
 				break
 			}
 		}
 	}
 
-	// Shorts: metal points and via sites with more than one owner.
-	metalPts := sortedPt3Keys(c.metalOwner)
-	for _, p := range metalPts {
-		if owners := c.metalOwner[p]; len(owners) > 1 {
+	// Shorts: metal points and via sites with more than one owner. The
+	// scans run in cell order, which is report order.
+	for cell, o := range c.metal.one {
+		if o >= 0 {
+			continue
+		}
+		if owners := c.metal.many[cell]; len(owners) > 1 {
+			p := c.ptOf(cell)
 			c.rep.add(MetalShort, owners[0], p, "nets %v share metal point %v", owners, p)
 		}
 	}
-	for _, v := range sortedPt3Keys(c.viaOwner) {
-		if owners := c.viaOwner[v]; len(owners) > 1 {
+	for cell, o := range c.via.one {
+		if o >= 0 {
+			continue
+		}
+		if owners := c.via.many[cell]; len(owners) > 1 {
+			v := c.ptOf(cell)
 			c.rep.add(ViaShort, owners[0], v, "nets %v share via site %v", owners, v)
 		}
 	}
 	// Pin obstructions: a net's metal on layer 0 over a foreign pin.
-	for _, p := range metalPts {
-		owners := c.metalOwner[p]
-		if p.Layer != 0 {
+	// Layer 0 is the first plane of metal cells (none on a grid
+	// without layers).
+	for cell, o := range c.metal.one[:min(c.plane, len(c.metal.one))] {
+		if o == 0 || c.pin.one[cell] == 0 {
 			continue
 		}
-		pinNets, ok := c.pinOwner[p.Pt2()]
-		if !ok {
-			continue
-		}
-		for _, o := range owners {
-			if !containsNet(pinNets, o) {
-				c.rep.add(PinObstruction, o, p, "route covers pin of net(s) %v", pinNets)
+		pinNets := c.pin.at(cell)
+		for _, own := range c.metal.at(cell) {
+			if !containsNet(pinNets, own) {
+				c.rep.add(PinObstruction, own, c.ptOf(cell), "route covers pin of net(s) %v", pinNets)
 			}
 		}
 	}
-}
-
-// sortedPt3Keys returns m's keys in (layer, row-major) order. Reports
-// are emitted by key order, so they must not depend on map iteration:
-// the stress harness and the service's fault reproducers diff reports
-// between runs.
-func sortedPt3Keys[V any](m map[geom.Pt3]V) []geom.Pt3 {
-	keys := make([]geom.Pt3, 0, len(m))
-	for k := range m { //sadplint:ordered keys are sorted on the next line
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Layer != b.Layer {
-			return a.Layer < b.Layer
-		}
-		if a.Y != b.Y {
-			return a.Y < b.Y
-		}
-		return a.X < b.X
-	})
-	return keys
-}
-
-// sortedPtKeys is sortedPt3Keys for single-layer keys.
-func sortedPtKeys[V any](m map[geom.Pt]V) []geom.Pt {
-	keys := make([]geom.Pt, 0, len(m))
-	for k := range m { //sadplint:ordered keys are sorted on the next line
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Y != keys[j].Y {
-			return keys[i].Y < keys[j].Y
-		}
-		return keys[i].X < keys[j].X
-	})
-	return keys
 }
 
 func containsNet(s []int32, v int32) bool {
@@ -568,13 +654,12 @@ func containsNet(s []int32, v int32) bool {
 // forbidden in the chosen mode. Points with one arm, straight wires,
 // T- and X-junctions carry no L constraint (the producer's rule).
 func (c *checker) checkTurns() {
-	for i := range c.nets {
-		nd := &c.nets[i]
-		if !nd.valid {
+	for i, sp := range c.nets {
+		if !sp.valid {
 			continue
 		}
-		for _, p := range sortedPt3Keys(nd.arms) {
-			arms := nd.arms[p]
+		for k := sp.pts0; k < sp.pts1; k++ {
+			arms := c.arms[k]
 			h := arms & (armE | armW)
 			v := arms & (armN | armS)
 			if h == 0 || v == 0 {
@@ -583,6 +668,7 @@ func (c *checker) checkTurns() {
 			if popcount4(arms) != 2 {
 				continue // T or X junction: unconstrained
 			}
+			p := c.ptOf(int(c.pts[k] >> 32))
 			if forbiddenL(c.opt.SADP, p.Pt2(), h, v) {
 				c.rep.add(ForbiddenTurn, int32(i), p, "L-turn (%s) forbidden for %v at parity (%d,%d)",
 					armString(arms), c.opt.SADP, p.X&1, p.Y&1)
