@@ -2,7 +2,7 @@ package dvi
 
 import (
 	"container/heap"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/tpl"
@@ -62,27 +62,36 @@ func (in *Instance) SolveHeuristic(p HeurParams) *Solution {
 	return s
 }
 
-// precolor runs Welsh–Powell on each via layer's existing vias and
-// stores the colors.
+// precolor runs Welsh–Powell on each via layer's existing vias, in
+// ascending layer order, and stores the colors. Each layer's graph
+// lists its vias in instance order: a counting pass over the grid's via
+// layers (the range build indexes too) groups them stably.
 func (in *Instance) precolor(s *Solution) {
-	byLayer := map[int][]int{}
-	layers := []int{}
-	for i, v := range in.Vias {
-		if byLayer[v.Layer()] == nil {
-			layers = append(layers, v.Layer())
-		}
-		byLayer[v.Layer()] = append(byLayer[v.Layer()], i)
+	start := make([]int, len(in.G.Vias)+1)
+	for _, v := range in.Vias {
+		start[v.Layer()+1]++
 	}
-	sort.Ints(layers)
-	for _, vl := range layers {
-		idxs := byLayer[vl]
-		pts := make([]geom.Pt, len(idxs))
-		for k, i := range idxs {
-			pts[k] = in.Vias[i].Pos()
+	for vl := 1; vl < len(start); vl++ {
+		start[vl] += start[vl-1]
+	}
+	next := slices.Clone(start)
+	order := make([]int, len(in.Vias))
+	for i, v := range in.Vias {
+		order[next[v.Layer()]] = i
+		next[v.Layer()]++
+	}
+	var pts []geom.Pt
+	for vl := 0; vl+1 < len(start); vl++ {
+		group := order[start[vl]:start[vl+1]]
+		if len(group) == 0 {
+			continue
 		}
-		g := tpl.NewGraph(pts)
-		colors, _ := g.WelshPowell(tpl.NumColors)
-		for k, i := range idxs {
+		pts = pts[:0]
+		for _, i := range group {
+			pts = append(pts, in.Vias[i].Pos())
+		}
+		colors, _ := tpl.NewGraph(pts).WelshPowell(tpl.NumColors)
+		for k, i := range group {
 			s.Colors[i] = colors[k]
 		}
 	}

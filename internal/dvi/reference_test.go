@@ -15,6 +15,32 @@ import (
 // differential tests: SolveHeuristic must return a deeply equal
 // Solution, and Validate the same error text.
 
+// refPrecolor is precolor before its map grouping became a counting
+// pass.
+func refPrecolor(in *Instance, s *Solution) {
+	byLayer := map[int][]int{}
+	layers := []int{}
+	for i, v := range in.Vias {
+		if byLayer[v.Layer()] == nil {
+			layers = append(layers, v.Layer())
+		}
+		byLayer[v.Layer()] = append(byLayer[v.Layer()], i)
+	}
+	sort.Ints(layers)
+	for _, vl := range layers {
+		idxs := byLayer[vl]
+		pts := make([]geom.Pt, len(idxs))
+		for k, i := range idxs {
+			pts[k] = in.Vias[i].Pos()
+		}
+		g := tpl.NewGraph(pts)
+		colors, _ := g.WelshPowell(tpl.NumColors)
+		for k, i := range idxs {
+			s.Colors[i] = colors[k]
+		}
+	}
+}
+
 func refSolveHeuristic(in *Instance, p HeurParams) *Solution {
 	n := len(in.Vias)
 	s := &Solution{
@@ -28,7 +54,7 @@ func refSolveHeuristic(in *Instance, p HeurParams) *Solution {
 	}
 
 	// TPL pre-coloring on existing vias (Welsh–Powell per via layer).
-	in.precolor(s)
+	refPrecolor(in, s)
 
 	h := &refHeurState{in: in, sol: s, p: p}
 	h.build()

@@ -242,15 +242,3 @@ func TestGridCongestions(t *testing.T) {
 		t.Error("congestion persists after removal")
 	}
 }
-
-func TestRouteCanonicalizeDeterministic(t *testing.T) {
-	r := lRoute()
-	r.Canonicalize()
-	pts := r.PointList()
-	for i := 1; i < len(pts); i++ {
-		a, b := pts[i-1], pts[i]
-		if a.Layer > b.Layer || (a.Layer == b.Layer && (a.Y > b.Y || (a.Y == b.Y && a.X > b.X))) {
-			t.Fatalf("points not sorted: %v before %v", a, b)
-		}
-	}
-}

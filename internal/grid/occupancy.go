@@ -10,13 +10,23 @@ import (
 // Occupancy tracks which nets occupy each grid point of one routing
 // layer. During negotiated-congestion routing multiple nets may share a
 // point (an overflow); the rip-up-and-reroute loop then needs to know
-// exactly which nets those are, so each cell stores the occupant list.
+// exactly which nets those are, so each cell keeps its occupant list.
 // A net occupying a point twice (a route crossing itself at a junction)
 // is stored once per occurrence and removed symmetrically.
+//
+// Each cell is one packed word, so the search's congestion query is a
+// single load: 0 for an empty cell, net+1 for exactly one occupant, and
+// −(slot+1) for two or more entries, whose list is side[slot]. Side
+// lists behave exactly like a per-cell slice: Add appends, Remove swaps
+// the first match with the last entry. Their order is an output — the
+// rip-up loops pick a victim by position — so a cell that drops back to
+// one entry keeps the survivor and returns its slot to the free list.
 type Occupancy struct {
 	w, h  int
-	cells [][]int32
-	used  int // number of non-empty cells
+	cells []int32
+	side  [][]int32 // occupant lists of cells holding ≥2 entries
+	free  []int32   // side slots not attached to a cell
+	used  int       // number of non-empty cells
 	// over tracks the cells currently overflowing (shared by ≥2
 	// distinct nets), maintained incrementally by Add/Remove. It makes
 	// the congestion query O(overflows) instead of O(w·h) — the
@@ -27,22 +37,44 @@ type Occupancy struct {
 
 // NewOccupancy returns an empty occupancy over a w×h grid.
 func NewOccupancy(w, h int) *Occupancy {
-	return &Occupancy{w: w, h: h, cells: make([][]int32, w*h), over: map[int32]struct{}{}}
+	return &Occupancy{w: w, h: h, cells: make([]int32, w*h), over: map[int32]struct{}{}}
 }
 
 func (o *Occupancy) idx(p geom.Pt) int { return p.Y*o.w + p.X }
 
+// takeSlot attaches a free side list, reusing retired storage.
+func (o *Occupancy) takeSlot() int32 {
+	if n := len(o.free); n > 0 {
+		s := o.free[n-1]
+		o.free = o.free[:n-1]
+		return s
+	}
+	o.side = append(o.side, nil)
+	return int32(len(o.side) - 1)
+}
+
 // Add records net occupying point p.
 func (o *Occupancy) Add(p geom.Pt, net int32) {
 	i := o.idx(p)
-	if len(o.cells[i]) == 0 {
+	switch v := o.cells[i]; {
+	case v == 0:
+		o.cells[i] = net + 1
 		o.used++
-	}
-	o.cells[i] = append(o.cells[i], net)
-	// Adding can only create an overflow, never clear one, and only on
-	// a cell that now holds ≥2 entries.
-	if len(o.cells[i]) >= 2 && o.Overflow(p) {
-		o.over[int32(i)] = struct{}{}
+	case v > 0:
+		s := o.takeSlot()
+		o.side[s] = append(o.side[s], v-1, net)
+		o.cells[i] = -(s + 1)
+		if v-1 != net {
+			o.over[int32(i)] = struct{}{}
+		}
+	default:
+		// The list overflows now iff it did before or net differs from
+		// its first entry; re-marking a marked cell is a no-op.
+		s := -v - 1
+		if net != o.side[s][0] {
+			o.over[int32(i)] = struct{}{}
+		}
+		o.side[s] = append(o.side[s], net)
 	}
 }
 
@@ -51,18 +83,32 @@ func (o *Occupancy) Add(p geom.Pt, net int32) {
 // diverged from the grid.
 func (o *Occupancy) Remove(p geom.Pt, net int32) {
 	i := o.idx(p)
-	cell := o.cells[i]
-	for j, n := range cell {
-		if n == net {
-			cell[j] = cell[len(cell)-1]
-			o.cells[i] = cell[:len(cell)-1]
-			if len(o.cells[i]) == 0 {
-				o.used--
+	switch v := o.cells[i]; {
+	case v > 0:
+		if v == net+1 {
+			o.cells[i] = 0
+			o.used--
+			return
+		}
+	case v < 0:
+		s := -v - 1
+		list := o.side[s]
+		for j, n := range list {
+			if n != net {
+				continue
 			}
-			// Removing can only clear an overflow. A cell that held one
-			// entry could not have been marked; larger cells re-check.
-			if len(cell) >= 2 && !o.Overflow(p) {
+			list[j] = list[len(list)-1]
+			list = list[:len(list)-1]
+			if len(list) == 1 {
+				o.cells[i] = list[0] + 1
+				o.side[s] = list[:0]
+				o.free = append(o.free, s)
 				delete(o.over, int32(i))
+			} else {
+				o.side[s] = list
+				if !overflowing(list) {
+					delete(o.over, int32(i))
+				}
 			}
 			return
 		}
@@ -70,20 +116,58 @@ func (o *Occupancy) Remove(p geom.Pt, net int32) {
 	panic(fmt.Sprintf("grid: Remove(%v, net %d): net not present", p, net))
 }
 
-// Count returns the number of occupants at p (with multiplicity).
-func (o *Occupancy) Count(p geom.Pt) int { return len(o.cells[o.idx(p)]) }
+// overflowing reports whether a side list holds two distinct nets.
+func overflowing(list []int32) bool {
+	for _, n := range list[1:] {
+		if n != list[0] {
+			return true
+		}
+	}
+	return false
+}
 
-// Nets returns the occupant list at p. The returned slice aliases
-// internal storage and must not be modified.
-func (o *Occupancy) Nets(p geom.Pt) []int32 { return o.cells[o.idx(p)] }
+// Count returns the number of occupants at p (with multiplicity).
+func (o *Occupancy) Count(p geom.Pt) int {
+	switch v := o.cells[o.idx(p)]; {
+	case v == 0:
+		return 0
+	case v > 0:
+		return 1
+	default:
+		return len(o.side[-v-1])
+	}
+}
+
+// AppendNets appends the occupant list at p to dst, in list order, and
+// returns the extended slice. Callers on hot paths pass a recycled
+// buffer (dst[:0]).
+func (o *Occupancy) AppendNets(dst []int32, p geom.Pt) []int32 {
+	switch v := o.cells[o.idx(p)]; {
+	case v == 0:
+		return dst
+	case v > 0:
+		return append(dst, v-1)
+	default:
+		return append(dst, o.side[-v-1]...)
+	}
+}
 
 // CountOther returns the number of occupants at p belonging to nets
 // other than net, with multiplicity. It is the hot-path accessor of the
-// router's congestion cost: one bounds-checked slice walk, no slice
-// header escapes, no allocation.
+// router's congestion cost: one load for an empty or singly occupied
+// cell, a side-list walk only where nets already overlap.
+//
+//sadplint:hotpath congestion cost of every relaxed search edge
 func (o *Occupancy) CountOther(p geom.Pt, net int32) int {
+	v := o.cells[o.idx(p)]
+	if v >= 0 {
+		if v == 0 || v == net+1 {
+			return 0
+		}
+		return 1
+	}
 	k := 0
-	for _, n := range o.cells[o.idx(p)] {
+	for _, n := range o.side[-v-1] {
 		if n != net {
 			k++
 		}
@@ -92,11 +176,15 @@ func (o *Occupancy) CountOther(p geom.Pt, net int32) int {
 }
 
 // Occupied reports whether any net occupies p.
-func (o *Occupancy) Occupied(p geom.Pt) bool { return len(o.cells[o.idx(p)]) > 0 }
+func (o *Occupancy) Occupied(p geom.Pt) bool { return o.cells[o.idx(p)] != 0 }
 
 // OccupiedByOther reports whether a net other than net occupies p.
 func (o *Occupancy) OccupiedByOther(p geom.Pt, net int32) bool {
-	for _, n := range o.cells[o.idx(p)] {
+	v := o.cells[o.idx(p)]
+	if v >= 0 {
+		return v != 0 && v != net+1
+	}
+	for _, n := range o.side[-v-1] {
 		if n != net {
 			return true
 		}
@@ -106,7 +194,11 @@ func (o *Occupancy) OccupiedByOther(p geom.Pt, net int32) bool {
 
 // Has reports whether the given net occupies p.
 func (o *Occupancy) Has(p geom.Pt, net int32) bool {
-	for _, n := range o.cells[o.idx(p)] {
+	v := o.cells[o.idx(p)]
+	if v >= 0 {
+		return v == net+1
+	}
+	for _, n := range o.side[-v-1] {
 		if n == net {
 			return true
 		}
@@ -116,17 +208,8 @@ func (o *Occupancy) Has(p geom.Pt, net int32) bool {
 
 // Overflow reports whether two or more distinct nets share p.
 func (o *Occupancy) Overflow(p geom.Pt) bool {
-	cell := o.cells[o.idx(p)]
-	if len(cell) < 2 {
-		return false
-	}
-	first := cell[0]
-	for _, n := range cell[1:] {
-		if n != first {
-			return true
-		}
-	}
-	return false
+	v := o.cells[o.idx(p)]
+	return v < 0 && overflowing(o.side[-v-1])
 }
 
 // Overflows calls fn for every point where distinct nets overlap, in
@@ -165,13 +248,14 @@ func (o *Occupancy) OverflowIdxs() []int32 {
 // UsedCells returns the number of occupied grid points.
 func (o *Occupancy) UsedCells() int { return o.used }
 
-// Clear empties every cell in place, retaining the occupant-list
-// capacity each cell has grown — the point of reusing an Occupancy.
+// Clear empties every cell in place and returns every side list to the
+// free list with its storage — the point of reusing an Occupancy.
 func (o *Occupancy) Clear() {
-	for i := range o.cells {
-		if len(o.cells[i]) > 0 {
-			o.cells[i] = o.cells[i][:0]
-		}
+	clear(o.cells)
+	o.free = o.free[:0]
+	for s := len(o.side) - 1; s >= 0; s-- {
+		o.side[s] = o.side[s][:0]
+		o.free = append(o.free, int32(s))
 	}
 	o.used = 0
 	clear(o.over)

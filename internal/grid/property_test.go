@@ -136,7 +136,7 @@ func TestOccupancyCounts(t *testing.T) {
 				depth++
 			} else if depth > 0 {
 				// Remove an occupant that is present.
-				nets := o.Nets(p)
+				nets := o.AppendNets(nil, p)
 				o.Remove(p, nets[0])
 				depth--
 			}

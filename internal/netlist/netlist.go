@@ -143,8 +143,10 @@ func (nl *Netlist) Write(w io.Writer) error {
 // Read parses a netlist in the format produced by Write and validates
 // it.
 func Read(r io.Reader) (*Netlist, error) {
+	// The scanner starts small and grows to the longest line, up to
+	// the 16 MiB token cap: serving parses every job more than once.
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24)
 	nl := &Netlist{}
 	lineNo := 0
 	for sc.Scan() {

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"strings"
@@ -152,6 +153,24 @@ func TestReadErrors(t *testing.T) {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d: Read accepted malformed input", i)
 		}
+	}
+}
+
+// TestReadLongLines: the scanner grows to lines past 1 MiB, and the
+// 16 MiB token cap still refuses longer ones with bufio.ErrTooLong.
+func TestReadLongLines(t *testing.T) {
+	line := func(pad int) string {
+		return "netlist x 4 4 2\nnet a" + strings.Repeat(" ", pad) + "0 0 3 3\n"
+	}
+	nl, err := Read(strings.NewReader(line(1<<20 + 1)))
+	if err != nil {
+		t.Fatalf("net line over 1 MiB: %v", err)
+	}
+	if len(nl.Nets) != 1 || len(nl.Nets[0].Pins) != 2 {
+		t.Fatalf("net line over 1 MiB parsed as %+v", nl.Nets)
+	}
+	if _, err := Read(strings.NewReader(line(1<<24 + 1))); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("net line over 16 MiB: err %v, want bufio.ErrTooLong", err)
 	}
 }
 

@@ -36,7 +36,7 @@ func (rt *Router) resolveCongestion() error {
 			var detail string
 			if len(cong) <= 2 {
 				for _, p := range cong {
-					detail += fmt.Sprintf(" %v:%v", p, rt.g.Metal[p.Layer].Nets(p.Pt2()))
+					detail += fmt.Sprintf(" %v:%v", p, rt.g.Metal[p.Layer].AppendNets(nil, p.Pt2()))
 				}
 			}
 			rt.logf("congestion round %d: %d overflows%s", round, len(cong), detail)
@@ -56,7 +56,8 @@ func (rt *Router) resolveCongestion() error {
 		for _, p := range cong {
 			pi := rt.g.PIdx(p.Pt2())
 			rt.bumpHistMetal(p.Layer, pi, P.HistInc*CostScale)
-			nets := rt.g.Metal[p.Layer].Nets(p.Pt2())
+			rt.netBuf = rt.g.Metal[p.Layer].AppendNets(rt.netBuf[:0], p.Pt2())
+			nets := rt.netBuf
 			if len(nets) == 0 {
 				continue
 			}
@@ -99,7 +100,8 @@ func (rt *Router) escalatePresFac() {
 //
 //sadplint:hotpath called per candidate site inside the TPL rip-up loop
 func (rt *Router) appendViaOwners(dst []int32, vl int, p geom.Pt) []int32 {
-	for _, id := range rt.g.Metal[vl].Nets(p) {
+	rt.netBuf = rt.g.Metal[vl].AppendNets(rt.netBuf[:0], p)
+	for _, id := range rt.netBuf {
 		r := rt.routes[id]
 		if r == nil {
 			continue

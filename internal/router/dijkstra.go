@@ -99,7 +99,7 @@ type searchScratch struct {
 	wW, wH  int
 	layers  int
 
-	// arms caches the partial route's ArmMask per in-window point for
+	// arms caches the partial route's arm mask per in-window point for
 	// the duration of one search (the route is fixed while the search
 	// runs). It replaces a map lookup per expansion with an array read;
 	// armStamp epoch-validates entries exactly like stamp does for dist.
@@ -115,9 +115,13 @@ func (s *searchScratch) reset(win geom.Rect, layers int) {
 	n := s.wW * s.wH * layers * numDirStates
 	np := s.wW * s.wH * layers
 	if cap(s.cells) < n {
-		s.cells = make([]cell, n)
-		s.arms = make([]uint8, np)
-		s.armStamp = make([]uint32, np)
+		// Grow geometrically: the HPWL-ascending first pass makes
+		// almost every net a new largest window, and an exact-size
+		// reallocation would zero a fresh array each time.
+		c := max(n, 2*cap(s.cells))
+		s.cells = make([]cell, n, c)
+		s.arms = make([]uint8, np, c/numDirStates)
+		s.armStamp = make([]uint32, np, c/numDirStates)
 		s.epoch = 0
 	} else {
 		s.cells = s.cells[:n]
@@ -152,12 +156,13 @@ func (s *searchScratch) loadArms(r routeView) {
 	if r.Empty() {
 		return
 	}
-	for _, p := range r.PointList() {
+	arms := r.ArmList()
+	for k, p := range r.PointList() {
 		if !s.win.Contains(p.Pt2()) || p.Layer >= s.layers {
 			continue
 		}
 		i := s.pointIdx(p)
-		s.arms[i] = r.ArmMask(p)
+		s.arms[i] = arms[k]
 		s.armStamp[i] = s.epoch
 	}
 }
@@ -218,9 +223,8 @@ type pqItem struct {
 	seq uint32
 }
 
-// packXYL fits x and y in 14 bits each and the layer in 4; grids are
-// far below 16384 tracks and 16 layers (grid.New would have to change
-// first).
+// packXYL fits x and y in 14 bits each and the layer in 4; New
+// rejects grids beyond MaxTracks and MaxLayers.
 func packXYL(p geom.Pt3) uint32 {
 	return uint32(p.X) | uint32(p.Y)<<14 | uint32(p.Layer)<<28
 }
@@ -246,10 +250,11 @@ type source struct {
 }
 
 // routeView is the subset of grid.Route the search needs; it keeps the
-// search testable with lightweight fakes.
+// search testable with lightweight fakes. ArmList is parallel to
+// PointList.
 type routeView interface {
 	PointList() []geom.Pt3
-	ArmMask(geom.Pt3) uint8
+	ArmList() []uint8
 	Empty() bool
 }
 
@@ -380,6 +385,7 @@ func (rt *Router) dijkstra(r routeView, sources []source, target geom.Pt3, net i
 	s := &rt.search
 	s.reset(win, rt.g.NumLayers)
 	s.loadArms(r)
+	rt.stats.Searches++
 	for _, src := range sources {
 		if !win.Contains(src.p.Pt2()) {
 			continue
@@ -402,6 +408,7 @@ func (rt *Router) dijkstra(r routeView, sources []source, target geom.Pt3, net i
 	gridDelta := [4]int{1, -1, rt.g.W, -rt.g.W}
 	for s.bq.n > 0 {
 		it := s.bq.pop()
+		rt.stats.Pops++
 		p := unpackXYL(it.xyl)
 		ds := int(it.id) % numDirStates
 		pIdx := int(it.id) / numDirStates

@@ -16,6 +16,7 @@ package router
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -85,7 +86,6 @@ type Router struct {
 	pinBuf      []geom.Pt3
 	connBuf     []geom.Pt3
 	remBuf      []geom.Pt3
-	pinSeen     map[geom.Pt]bool
 
 	// topos caches each net's Steiner topology. A topology is a pure
 	// function of the net's pin set and the static obstacle verdicts
@@ -93,13 +93,13 @@ type Router struct {
 	// and reroute cycles reuse it — the whole net keeps its tree shape
 	// while negotiation moves the wires realizing it.
 	topos []*steiner.Tree
-	// steinerOwner maps a grid cell claimed as a Steiner point to
-	// 1+netID of the claiming net. Later topologies avoid claimed
+	// steinerOwner[pidx] is 1+netID of the net that claimed that grid
+	// cell as a Steiner point, or 0. Later topologies avoid claimed
 	// cells: two nets each *forced* through the same cell would be a
 	// congestion no negotiation could ever resolve. Claims happen in
 	// deterministic routing order, so the reservation set — and with it
 	// every topology — is reproducible.
-	steinerOwner map[geom.Pt]int32
+	steinerOwner []int32
 	// steinerB recycles the topology generator's scratch across nets
 	// and (through the arena) across runs.
 	steinerB steiner.Builder
@@ -116,9 +116,11 @@ type Router struct {
 	siteBuf []geom.Pt
 	// victimBuf and ripViasBuf are recycled per-violation working sets
 	// of the TPL rip-up loop (candidate victim nets, ripped via
-	// snapshots).
+	// snapshots); netBuf holds one cell's occupant list for the
+	// congestion victim picks and appendViaOwners.
 	victimBuf  []int32
 	ripViasBuf []geom.Pt3
+	netBuf     []int32
 	// dvicBuf is recycled storage for per-via feasible-DVIC queries in
 	// the cost assignment (≤4 entries, rewritten for every via).
 	dvicBuf []geom.Pt
@@ -187,6 +189,43 @@ type Stats struct {
 	// proved unrealizable and the net fell back to the greedy
 	// nearest-pin order for that attempt.
 	SteinerFallbacks int
+	// Searches counts windowed searches (one per window tried per
+	// connection); Pops counts their queue pops, stale entries
+	// included. Both are exact and machine-independent: equal counts
+	// mean the search expanded the same states in the same order.
+	Searches int
+	Pops     int64
+}
+
+// The router's grid limits. packXYL holds x and y in 14 bits each and
+// the layer in 4, and search state ids are int32 over W·H·layers·7
+// direction states.
+const (
+	MaxTracks = 1 << 14
+	MaxLayers = 16
+)
+
+// ErrGridTooLarge reports a grid beyond the router's limits (see
+// CheckGrid).
+var ErrGridTooLarge = errors.New("grid exceeds the router's limits")
+
+// CheckGrid reports whether a w×h grid with the given number of
+// routing layers is within the router's limits: at most MaxTracks
+// tracks each way, at most MaxLayers layers, and a search state space
+// (w·h·layers·7) that fits int32. The error wraps ErrGridTooLarge.
+// Positive dimensions are the netlist's own check.
+func CheckGrid(w, h, layers int) error {
+	switch {
+	case w > MaxTracks || h > MaxTracks:
+		return fmt.Errorf("router: grid %dx%d has more than %d tracks: %w", w, h, MaxTracks, ErrGridTooLarge)
+	case layers > MaxLayers:
+		return fmt.Errorf("router: %d routing layers, more than %d: %w", layers, MaxLayers, ErrGridTooLarge)
+	case w*h*layers*numDirStates > math.MaxInt32:
+		// Bounded above: with the checks before, the product is < 2^35.
+		return fmt.Errorf("router: grid %dx%dx%d has more than %d search states: %w",
+			w, h, layers, math.MaxInt32, ErrGridTooLarge)
+	}
+	return nil
 }
 
 // ErrCanceled reports that the run was aborted through Config.Cancel.
@@ -209,12 +248,15 @@ func (rt *Router) checkCancel() error {
 	}
 }
 
-// New prepares a router for the netlist. The netlist must validate,
-// and so must the parameters once a zero block has become
-// DefaultParams; out-of-range parameters fail with an error wrapping
-// ErrInvalidParams.
+// New prepares a router for the netlist. The netlist must validate
+// and its grid must pass CheckGrid, and the parameters must validate
+// once a zero block has become DefaultParams; out-of-range parameters
+// fail with an error wrapping ErrInvalidParams.
 func New(nl *netlist.Netlist, cfg Config) (*Router, error) {
 	if err := nl.Validate(); err != nil {
+		return nil, err
+	}
+	if err := CheckGrid(nl.W, nl.H, nl.NumLayers); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
@@ -246,7 +288,7 @@ func New(nl *netlist.Netlist, cfg Config) (*Router, error) {
 		}
 	}
 	rt.topos = make([]*steiner.Tree, len(nl.Nets))
-	rt.steinerOwner = make(map[geom.Pt]int32)
+	rt.steinerOwner = make([]int32, np)
 	for l := 0; l < nl.NumLayers; l++ {
 		rt.metalCost = append(rt.metalCost, make([]int64, np))
 		rt.histMetal = append(rt.histMetal, make([]int64, np))
@@ -378,17 +420,11 @@ func (rt *Router) routeNet(id int32) error {
 	} else {
 		r = grid.NewRoute(id)
 	}
+	// Pins are distinct: New rejects netlists with duplicates
+	// (netlist.ErrDuplicatePin).
 	pins := rt.pinBuf[:0]
-	if rt.pinSeen == nil {
-		rt.pinSeen = map[geom.Pt]bool{}
-	} else {
-		clear(rt.pinSeen)
-	}
 	for _, p := range net.Pins {
-		if !rt.pinSeen[p] {
-			rt.pinSeen[p] = true
-			pins = append(pins, geom.XYL(p.X, p.Y, 0))
-		}
+		pins = append(pins, geom.XYL(p.X, p.Y, 0))
 	}
 	rt.pinBuf = pins
 	if len(pins) > 2 && rt.cfg.Topology == SteinerTopology {
@@ -454,15 +490,16 @@ func (rt *Router) topology(id int32, pins []geom.Pt3) *steiner.Tree {
 	rt.ptBuf = pts
 	t := rt.steinerB.Build(pts, steiner.Options{
 		Blocked: func(p geom.Pt) bool {
-			if o := rt.pinOwner[p.Y*rt.nl.W+p.X]; o != 0 && o != id+1 {
+			pi := p.Y*rt.nl.W + p.X
+			if o := rt.pinOwner[pi]; o != 0 && o != id+1 {
 				return true
 			}
-			o, ok := rt.steinerOwner[p]
-			return ok && o != id+1
+			o := rt.steinerOwner[pi]
+			return o != 0 && o != id+1
 		},
 	})
 	for _, s := range t.Steiner {
-		rt.steinerOwner[s] = id + 1
+		rt.steinerOwner[s.Y*rt.nl.W+s.X] = id + 1
 	}
 	if len(t.Segs) > 1 {
 		rt.stats.SteinerNets++

@@ -193,7 +193,7 @@ func TestSteinerOwnerExclusive(t *testing.T) {
 			continue
 		}
 		for _, s := range tree.Steiner {
-			if o := rt.steinerOwner[s]; o != int32(id)+1 {
+			if o := rt.steinerOwner[s.Y*nl.W+s.X]; o != int32(id)+1 {
 				t.Fatalf("net %d steiner point %v owned by %d", id, s, o-1)
 			}
 			if o := rt.pinOwner[s.Y*nl.W+s.X]; o != 0 && o != int32(id)+1 {

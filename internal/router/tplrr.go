@@ -175,8 +175,8 @@ func (rt *Router) resolveCongestionStep(cong []geom.Pt3, fvps map[fvpKey]bool) e
 	for _, p := range cong {
 		pi := rt.g.PIdx(p.Pt2())
 		rt.bumpHistMetal(p.Layer, pi, P.HistInc*CostScale)
-		nets := rt.g.Metal[p.Layer].Nets(p.Pt2())
-		if len(nets) > 0 {
+		rt.netBuf = rt.g.Metal[p.Layer].AppendNets(rt.netBuf[:0], p.Pt2())
+		if nets := rt.netBuf; len(nets) > 0 {
 			toRip[nets[rt.rng.Intn(len(nets))]] = true
 		}
 	}

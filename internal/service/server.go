@@ -414,6 +414,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "netlist: %v", err)
 		return
 	}
+	// The router's limits come first: they bound every dimension, so
+	// the cell product below cannot overflow past the cap.
+	if err := router.CheckGrid(nl.W, nl.H, nl.NumLayers); err != nil {
+		writeError(w, http.StatusUnprocessableEntity, "netlist: %v", err)
+		return
+	}
 	if cells := nl.W * nl.H * nl.NumLayers; cells > s.cfg.MaxGridCells {
 		writeError(w, http.StatusUnprocessableEntity, "netlist: grid %dx%dx%d (%d cells) exceeds limit %d",
 			nl.W, nl.H, nl.NumLayers, cells, s.cfg.MaxGridCells)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -388,7 +389,11 @@ func TestJobTimeout(t *testing.T) {
 
 // Input validation at the trust boundary.
 func TestSubmitValidation(t *testing.T) {
-	s := mustNew(t, Config{Workers: 1, QueueSize: 1, MaxGridCells: 1 << 20})
+	// The stub run never builds a grid, so a check that let an
+	// oversized netlist through fails the assertions below instead of
+	// allocating it.
+	dir := t.TempDir()
+	s := mustNew(t, Config{Workers: 1, QueueSize: 1, MaxGridCells: 1 << 20, DataDir: dir, Run: stubRun})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -415,6 +420,17 @@ func TestSubmitValidation(t *testing.T) {
 	if code := post(mustJSON("netlist x 100000 100000 2\nnet a 1 1 2 2\n", `{}`)); code != http.StatusUnprocessableEntity {
 		t.Fatalf("oversized grid: status %d", code)
 	}
+	// Under the cell cap but past the router's limits: 16 500 tracks
+	// overflow its packed coordinates, and 2^62 layers wrap the cell
+	// product 2·2·2^62 to 0.
+	for _, text := range []string{
+		"netlist x 16500 4 2\nnet a 0 0 16499 3\n",
+		"netlist x 2 2 4611686018427387904\nnet a 0 0 1 1\n",
+	} {
+		if code := post(mustJSON(text, `{}`)); code != http.StatusUnprocessableEntity {
+			t.Fatalf("grid past the router's limits %q: status %d, want 422", text, code)
+		}
+	}
 	if code := post(mustJSON(tinyNetlist, `{"method":"bogus"}`)); code != http.StatusBadRequest {
 		t.Fatalf("bogus method: status %d", code)
 	}
@@ -439,6 +455,12 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if got := s.metrics.Submitted.Load(); got != 0 {
 		t.Fatalf("rejected submissions were counted as submitted: %d", got)
+	}
+	if n := len(s.queue); n != 0 {
+		t.Fatalf("rejected submissions left %d jobs on the queue", n)
+	}
+	if recs, err := readJournal(filepath.Join(dir, journalFileName)); err != nil || len(recs) != 0 {
+		t.Fatalf("rejected submissions journaled %d records (err %v)", len(recs), err)
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/nope")

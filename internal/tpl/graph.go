@@ -1,6 +1,8 @@
 package tpl
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -23,21 +25,19 @@ type Graph struct {
 }
 
 // NewGraph builds the decomposition graph of the given via locations.
-// Edges are found through a uniform spatial hash, so construction is
-// O(V) for bounded via density.
+// Vertex i is pts[i]; its neighbors are listed in ConflictOffsets
+// order, and a location listed twice answers with its last index.
+// Construction is O(V + bounding-box area) through a dense site index.
 func NewGraph(pts []geom.Pt) *Graph {
 	g := &Graph{Pts: pts, Adj: make([][]int32, len(pts))}
-	byPos := make(map[geom.Pt]int32, len(pts))
-	for i, p := range pts {
-		byPos[p] = int32(i)
-	}
+	ix := newSiteIndex(pts)
 	// Two passes over one flat backing array instead of a per-vertex
 	// append: the graph is rebuilt after every routing pass, so the
 	// O(V) small slices would dominate steady-state allocation.
 	total := 0
 	for _, p := range pts {
 		for _, off := range ConflictOffsets {
-			if _, ok := byPos[p.Add(off.X, off.Y)]; ok {
+			if ix.at(p.Add(off.X, off.Y)) >= 0 {
 				total++
 			}
 		}
@@ -46,13 +46,93 @@ func NewGraph(pts []geom.Pt) *Graph {
 	for i, p := range pts {
 		start := len(flat)
 		for _, off := range ConflictOffsets {
-			if j, ok := byPos[p.Add(off.X, off.Y)]; ok {
+			if j := ix.at(p.Add(off.X, off.Y)); j >= 0 {
 				flat = append(flat, j)
 			}
 		}
 		g.Adj[i] = flat[start:len(flat):len(flat)]
 	}
 	return g
+}
+
+// conflictReach is the largest coordinate difference of a
+// ConflictOffsets entry: padding the sites' bounding box by it keeps
+// every conflict partner of a site inside the box.
+const conflictReach = 2
+
+// maxDenseSites caps the dense index of a siteIndex (64 MiB). Every
+// routing grid the router accepts at service scale is far below it;
+// beyond it the index falls back to binary search.
+const maxDenseSites = 1 << 24
+
+// siteIndex maps via locations to their last index in a point list.
+// Its dense form is an int32 per location of the padded bounding box
+// (index+1, 0 for none), so a lookup of a site or any of its conflict
+// partners is one load with no bounds test. Points spanning a box over
+// maxDenseSites use the sparse form: indices sorted by (y, x, index).
+type siteIndex struct {
+	pts    []geom.Pt
+	x0, y0 int
+	w      int
+	dense  []int32
+	sorted []int32
+}
+
+func newSiteIndex(pts []geom.Pt) siteIndex {
+	ix := siteIndex{pts: pts}
+	if len(pts) == 0 {
+		return ix
+	}
+	b := geom.BoundingRect(pts)
+	// Spans as unsigned differences stay exact for any coordinates.
+	sx, sy := uint64(b.MaxX)-uint64(b.MinX), uint64(b.MaxY)-uint64(b.MinY)
+	if sx < maxDenseSites && sy < maxDenseSites && (sx+1+2*conflictReach)*(sy+1+2*conflictReach) <= maxDenseSites {
+		ix.x0, ix.y0 = b.MinX-conflictReach, b.MinY-conflictReach
+		ix.w = int(sx) + 1 + 2*conflictReach
+		ix.dense = make([]int32, ix.w*(int(sy)+1+2*conflictReach))
+		for i, p := range pts {
+			ix.dense[(p.Y-ix.y0)*ix.w+p.X-ix.x0] = int32(i) + 1
+		}
+		return ix
+	}
+	ix.sorted = make([]int32, len(pts))
+	for i := range ix.sorted {
+		ix.sorted[i] = int32(i)
+	}
+	slices.SortFunc(ix.sorted, func(a, b int32) int {
+		if c := cmpYX(pts[a], pts[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return ix
+}
+
+func cmpYX(a, b geom.Pt) int {
+	if c := cmp.Compare(a.Y, b.Y); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.X, b.X)
+}
+
+// at returns the last index of location q, or -1. In the dense form q
+// must lie in the padded box: a listed site or one of its conflict
+// partners.
+func (ix *siteIndex) at(q geom.Pt) int32 {
+	if ix.dense != nil {
+		return ix.dense[(q.Y-ix.y0)*ix.w+q.X-ix.x0] - 1
+	}
+	// The last index of q precedes the first entry ordered after q.
+	k, _ := slices.BinarySearchFunc(ix.sorted, q, func(e int32, q geom.Pt) int {
+		if cmpYX(ix.pts[e], q) <= 0 {
+			return -1
+		}
+		return 1
+	})
+	if k == 0 || ix.pts[ix.sorted[k-1]] != q {
+		return -1
+	}
+	return ix.sorted[k-1]
 }
 
 // FromLayer builds the decomposition graph of all vias on a layer.

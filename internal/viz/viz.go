@@ -57,12 +57,13 @@ func Layer(g *grid.Grid, l int, opt Options) string {
 		}
 	}
 	var b strings.Builder
+	var nets []int32
 	fmt.Fprintf(&b, "metal %d (%s preferred)\n", l+2, prefName(g, l))
 	for y := win.MaxY; y >= win.MinY; y-- {
 		for x := win.MinX; x <= win.MaxX; x++ {
 			p := geom.XY(x, y)
 			var ch rune
-			switch nets := g.Metal[l].Nets(p); {
+			switch nets = g.Metal[l].AppendNets(nets[:0], p); {
 			case g.Metal[l].Overflow(p):
 				ch = overflowGlyph
 			case len(nets) > 0:
