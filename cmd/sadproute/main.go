@@ -135,9 +135,9 @@ func run() (code int) {
 	} else {
 		st := art.Router.Stats()
 		fmt.Printf("circuit %s: %d nets, %dx%d grid, %s SADP\n", nl.Name, len(nl.Nets), nl.W, nl.H, typ)
-		fmt.Printf("routability %.0f%%  WL %d  #Vias %d  CPU %.2fs  (R&R %d, TPL-R&R %d, FVPs resolved %d, searches %d, pops %d)\n",
+		fmt.Printf("routability %.0f%%  WL %d  #Vias %d  CPU %.2fs  (R&R %d, TPL-R&R %d, FVPs resolved %d, searches %d, pops %d, batched %d, redone %d)\n",
 			row.Routability*100, row.WL, row.Vias, row.RouteCPU.Seconds(),
-			st.RRIterations, st.TPLRRIterations, st.FVPsResolved, st.Searches, st.Pops)
+			st.RRIterations, st.TPLRRIterations, st.FVPsResolved, st.Searches, st.Pops, st.BatchedNets, st.Redone)
 		if art.Solution != nil {
 			fmt.Printf("DVI (%s): inserted %d  #DV %d  #UV %d\n", meth, res.InsertedVias, row.DV, row.UV)
 		}

@@ -19,7 +19,9 @@ import (
 // Release once the routes and grid are no longer referenced. Routing
 // output is bit-identical with or without an arena — recycled memory
 // is cleared or epoch-invalidated before reuse, and nothing the search
-// reads survives a rebind.
+// reads survives a rebind. The router's batch-helper searchers are
+// recycled with it; the helper goroutines never are: every Run joins
+// its helpers before it returns.
 //
 // An Arena is single-owner state (one per worker goroutine); it is not
 // safe for concurrent use.
@@ -105,8 +107,8 @@ func (rt *Router) reinit(nl *netlist.Netlist, cfg Config) {
 	}
 	rt.ignoreBlocks = false
 	rt.stats = Stats{}
-	rt.debugLog, rt.debugVictim, rt.debugTPLIter = nil, nil, nil
-	rt.search.bq.init(initialBucketSpan(cfg.Params))
+	rt.crew.handoffs = 0
+	rt.debugLog, rt.debugVictim, rt.debugTPLIter, rt.debugCommit = nil, nil, nil, nil
 }
 
 // resizeTopos returns a nil-filled topology slice of length n, reusing

@@ -73,11 +73,12 @@ func (rt *Router) resolveCongestion() error {
 		for _, id := range order {
 			rt.ripUp(id)
 		}
-		for _, id := range order {
-			rt.stats.RRIterations++
-			if err := rt.reroute(id); err != nil {
-				return fmt.Errorf("router: congestion reroute of net %d: %w", id, err)
+		rt.stats.RRIterations += len(order)
+		if id, err := rt.routeInOrder(order); err != nil {
+			if id < 0 {
+				return err
 			}
+			return fmt.Errorf("router: congestion reroute of net %d: %w", id, err)
 		}
 	}
 }

@@ -3,16 +3,19 @@ package router
 import (
 	"repro/internal/dvi"
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/tpl"
 )
 
 // The cost assignment scheme (Algorithm 1): after a net is routed,
 // penalty costs are added to the routing graph so later nets avoid
 // harming DVI feasibility (BDC, AMC, CDC) and via-layer TPL
-// decomposability (TPLC). Every addition is recorded in the net's
-// ledger so a rip-up can revert exactly what the net contributed, even
-// though the amounts depend on surrounding state at the time they were
-// computed.
+// decomposability (TPLC). BDC and CDC amounts depend on DVIC
+// feasibility — surrounding state at the time they are computed — so
+// each addition is recorded in the net's ledger and a rip-up reverts
+// exactly what the net contributed. AMC and TPLC amounts depend on the
+// route alone: a rip-up re-derives them from the still-intact route
+// with the opposite sign.
 
 // costKind discriminates ledger entries.
 type costKind uint8
@@ -20,7 +23,6 @@ type costKind uint8
 const (
 	costMetal costKind = iota // metalCost[layer][pidx] += amount
 	costVia                   // viaCost[vlayer][pidx] += amount
-	costConf                  // viaConf[vlayer][pidx] += amount (TPLC conflict count)
 )
 
 type costEntry struct {
@@ -46,13 +48,6 @@ func (rt *Router) addViaCost(vlayer int, p geom.Pt, amount int64, led *ledger) {
 	*led = append(*led, costEntry{kind: costVia, layer: int32(vlayer), pidx: int32(pi), amount: amount})
 }
 
-func (rt *Router) addViaConf(vlayer int, p geom.Pt, amount int64, led *ledger) {
-	pi := rt.g.PIdx(p)
-	rt.viaConf[vlayer][pi] += int32(amount)
-	rt.viaPrice[vlayer][pi] += amount * rt.cfg.Params.Gamma * CostScale
-	*led = append(*led, costEntry{kind: costConf, layer: int32(vlayer), pidx: int32(pi), amount: amount})
-}
-
 // bumpHistMetal raises a metal point's negotiated-congestion history.
 // History is intentionally never reverted by rip-ups, so it has no
 // ledger entry; the folded price moves with it.
@@ -67,17 +62,16 @@ func (rt *Router) bumpHistVia(vlayer int, pi int, amount int64) {
 	rt.viaPrice[vlayer][pi] += amount
 }
 
-// applyNetCosts runs Algorithm 1 for a freshly routed net, building its
-// ledger.
+// applyNetCosts runs Algorithm 1 for a freshly routed net, ledgering
+// its BDC and CDC.
 func (rt *Router) applyNetCosts(id int32) {
 	r := rt.routes[id]
 	if r == nil || r.Empty() {
 		return
 	}
-	led := &rt.ledgers[id]
-	P := rt.cfg.Params
-
 	if rt.cfg.ConsiderDVI {
+		led := &rt.ledgers[id]
+		P := rt.cfg.Params
 		// BDC and CDC around each of the net's vias. Vias are built
 		// inline from ViaList rather than via dvi.ViasOf so the hot
 		// apply path does not allocate a slice per routed net.
@@ -109,44 +103,55 @@ func (rt *Router) applyNetCosts(id int32) {
 				}
 			}
 		}
+	}
+	rt.routeCosts(r, 1)
+}
+
+// routeCosts adds (sign 1) or removes (sign −1) the costs whose
+// amounts depend on the route alone: AMC and TPLC.
+func (rt *Router) routeCosts(r *grid.Route, sign int64) {
+	P := rt.cfg.Params
+	if amc := sign * P.AMC * CostScale; rt.cfg.ConsiderDVI && amc != 0 {
 		// AMC: via locations alongside the net's metal would have
 		// their DVICs blocked by this metal (Fig 9(c)).
-		amc := P.AMC * CostScale
-		if amc > 0 {
-			for _, p := range r.PointList() {
-				for _, d := range geom.PlanarDirs {
-					q := p.Pt2().Step(d)
-					if !rt.g.InPlane(q) {
-						continue
-					}
-					for _, vl := range [2]int{p.Layer - 1, p.Layer} {
-						if vl >= 0 && vl < rt.g.NumLayers-1 {
-							rt.addViaCost(vl, q, amc, led)
-						}
+		for _, p := range r.PointList() {
+			for _, d := range geom.PlanarDirs {
+				q := p.Pt2().Step(d)
+				if !rt.g.InPlane(q) {
+					continue
+				}
+				pi := rt.g.PIdx(q)
+				for _, vl := range [2]int{p.Layer - 1, p.Layer} {
+					if vl >= 0 && vl < rt.g.NumLayers-1 {
+						rt.viaCost[vl][pi] += amc
+						rt.viaPrice[vl][pi] += amc
 					}
 				}
 			}
 		}
 	}
-
 	if rt.cfg.ConsiderTPL {
 		// TPLC: each via raises the coloring-conflict count of every
 		// via location within same-color pitch; the search prices a
 		// prospective via at γ × count (§III-B).
-		for _, b := range r.ViaList() {
-			v := dvi.Via{Net: r.Net, Base: b}
+		price := sign * P.Gamma * CostScale
+		for _, v := range r.ViaList() {
 			for _, off := range tpl.ConflictOffsets {
-				q := v.Pos().Add(off.X, off.Y)
+				q := geom.XY(v.X+off.X, v.Y+off.Y)
 				if rt.g.InPlane(q) {
-					rt.addViaConf(v.Layer(), q, 1, led)
+					pi := rt.g.PIdx(q)
+					rt.viaConf[v.Layer][pi] += int32(sign)
+					rt.viaPrice[v.Layer][pi] += price
 				}
 			}
 		}
 	}
 }
 
-// revertNetCosts undoes the net's ledger, folds included.
+// revertNetCosts undoes the net's costs, folds included. The net's
+// route must still be the one its costs were applied for.
 func (rt *Router) revertNetCosts(id int32) {
+	rt.routeCosts(rt.routes[id], -1)
 	for _, e := range rt.ledgers[id] {
 		switch e.kind {
 		case costMetal:
@@ -155,9 +160,6 @@ func (rt *Router) revertNetCosts(id int32) {
 		case costVia:
 			rt.viaCost[e.layer][e.pidx] -= e.amount
 			rt.viaPrice[e.layer][e.pidx] -= e.amount
-		case costConf:
-			rt.viaConf[e.layer][e.pidx] -= int32(e.amount)
-			rt.viaPrice[e.layer][e.pidx] -= e.amount * rt.cfg.Params.Gamma * CostScale
 		}
 	}
 	rt.ledgers[id] = rt.ledgers[id][:0]

@@ -261,11 +261,11 @@ type routeView interface {
 // findPath routes one two-pin connection from the net's connected
 // component (the current route r plus the listed points) to target,
 // using a window-bounded search that grows on failure up to the whole
-// grid.
+// grid. Every window searched joins the searcher's read rect.
 //
 //sadplint:scratch the returned path aliases search scratch, valid until the next search
-func (rt *Router) findPath(r routeView, connected []geom.Pt3, target geom.Pt3, net int32) ([]geom.Pt3, error) {
-	return rt.findPathMode(r, connected, target, net, false)
+func (s *searcher) findPath(r routeView, connected []geom.Pt3, target geom.Pt3, net int32) ([]geom.Pt3, error) {
+	return s.findPathMode(r, connected, target, net, false)
 }
 
 // findPathColumn is findPath with the target relaxed to the whole
@@ -275,15 +275,15 @@ func (rt *Router) findPath(r routeView, connected []geom.Pt3, target geom.Pt3, n
 // pinning it to layer 0 would force via stacks for no benefit.
 //
 //sadplint:scratch the returned path aliases search scratch, valid until the next search
-func (rt *Router) findPathColumn(r routeView, connected []geom.Pt3, target geom.Pt3, net int32) ([]geom.Pt3, error) {
-	return rt.findPathMode(r, connected, target, net, true)
+func (s *searcher) findPathColumn(r routeView, connected []geom.Pt3, target geom.Pt3, net int32) ([]geom.Pt3, error) {
+	return s.findPathMode(r, connected, target, net, true)
 }
 
 //sadplint:scratch the returned path aliases search scratch, valid until the next search
-func (rt *Router) findPathMode(r routeView, connected []geom.Pt3, target geom.Pt3, net int32, anyLayer bool) ([]geom.Pt3, error) {
-	rt.colTarget = anyLayer
-	defer func() { rt.colTarget = false }()
-	sources := rt.srcBuf[:0]
+func (s *searcher) findPathMode(r routeView, connected []geom.Pt3, target geom.Pt3, net int32, anyLayer bool) ([]geom.Pt3, error) {
+	s.colTarget = anyLayer
+	defer func() { s.colTarget = false }()
+	sources := s.srcBuf[:0]
 	if r.Empty() {
 		for _, p := range connected {
 			sources = append(sources, source{p: p, din: geom.None})
@@ -293,16 +293,17 @@ func (rt *Router) findPathMode(r routeView, connected []geom.Pt3, target geom.Pt
 			sources = append(sources, source{p: p, din: geom.None})
 		}
 	}
-	rt.srcBuf = sources
+	s.srcBuf = sources
 
 	box := geom.NewRect(target.Pt2(), target.Pt2())
-	for _, s := range sources {
-		box = box.AddPt(s.p.Pt2())
+	for _, src := range sources {
+		box = box.AddPt(src.p.Pt2())
 	}
-	clip := rt.g.Bounds()
+	clip := s.rt.g.Bounds()
 	for margin := searchMargin; ; margin *= 2 {
 		win := box.Expand(margin, clip)
-		if path, _, ok := rt.dijkstra(r, sources, target, net, win); ok {
+		s.read = s.read.Union(win)
+		if path, _, ok := s.dijkstra(r, sources, target, net, win); ok {
 			return path, nil
 		}
 		if win == clip {
@@ -357,12 +358,13 @@ func buildTurnTab(scheme coloring.Scheme, nonPrefTurnCost int64) (tab [coloring.
 // most CostScale and a via step changes the layer term by exactly the
 // via bound — so the first pop of the target is optimal and the found
 // path cost equals plain Dijkstra's.
-func (rt *Router) lowerBound(p, target geom.Pt3) int64 {
+func (s *searcher) lowerBound(p, target geom.Pt3) int64 {
+	rt := s.rt
 	if rt.noAStar {
 		return 0
 	}
 	md := int64(p.Pt2().ManhattanDist(target.Pt2()))
-	if rt.colTarget {
+	if s.colTarget {
 		// Column target: the nearest goal state is on p's own layer, so
 		// only the planar term bounds the remaining cost. Still
 		// consistent — via steps leave the bound unchanged and cost ≥ 0.
@@ -378,14 +380,17 @@ func (rt *Router) lowerBound(p, target geom.Pt3) int64 {
 // dijkstra runs the goal-directed (A*) variant of the modified
 // Dijkstra search within win. It returns the path source→target and
 // its cost, or ok=false when the target is unreachable in the window.
+// It reads the router's shared state inside win only and writes
+// nothing but the searcher.
 //
 //sadplint:hotpath the inner search step; millions of node expansions per job
 //sadplint:scratch the returned path aliases search scratch, valid until the next search
-func (rt *Router) dijkstra(r routeView, sources []source, target geom.Pt3, net int32, win geom.Rect) ([]geom.Pt3, int64, bool) {
-	s := &rt.search
+func (sr *searcher) dijkstra(r routeView, sources []source, target geom.Pt3, net int32, win geom.Rect) ([]geom.Pt3, int64, bool) {
+	rt := sr.rt
+	s := &sr.search
 	s.reset(win, rt.g.NumLayers)
 	s.loadArms(r)
-	rt.stats.Searches++
+	sr.searches++
 	for _, src := range sources {
 		if !win.Contains(src.p.Pt2()) {
 			continue
@@ -393,7 +398,7 @@ func (rt *Router) dijkstra(r routeView, sources []source, target geom.Pt3, net i
 		id := s.stateIdx(src.p, dirState(src.din))
 		if src.cost < s.distAt(id) {
 			s.setDist(id, src.cost, -1)
-			s.push(src.cost+rt.lowerBound(src.p, target), id, packXYL(src.p))
+			s.push(src.cost+sr.lowerBound(src.p, target), id, packXYL(src.p))
 		}
 	}
 	P := rt.cfg.Params
@@ -408,15 +413,15 @@ func (rt *Router) dijkstra(r routeView, sources []source, target geom.Pt3, net i
 	gridDelta := [4]int{1, -1, rt.g.W, -rt.g.W}
 	for s.bq.n > 0 {
 		it := s.bq.pop()
-		rt.stats.Pops++
+		sr.pops++
 		p := unpackXYL(it.xyl)
 		ds := int(it.id) % numDirStates
 		pIdx := int(it.id) / numDirStates
-		g := it.f - rt.lowerBound(p, target)
+		g := it.f - sr.lowerBound(p, target)
 		if g > s.cells[it.id].dist {
 			continue // stale
 		}
-		if p == target || (rt.colTarget && p.Pt2() == target.Pt2()) {
+		if p == target || (sr.colTarget && p.Pt2() == target.Pt2()) {
 			return s.rebuildPath(it.id), g, true
 		}
 		din := stateDirs[ds]
@@ -462,7 +467,7 @@ func (rt *Router) dijkstra(r routeView, sources []source, target geom.Pt3, net i
 			nid := int32((pIdx+pointDelta[di])*numDirStates + di + 1)
 			if cost < s.distAt(nid) {
 				s.setDist(nid, cost, it.id)
-				s.push(cost+rt.lowerBound(np, target), nid, packXYL(np))
+				s.push(cost+sr.lowerBound(np, target), nid, packXYL(np))
 			}
 		}
 		// Via moves.
@@ -492,7 +497,7 @@ func (rt *Router) dijkstra(r routeView, sources []source, target geom.Pt3, net i
 			nid := int32((pIdx+nd)*numDirStates + 5 + vi)
 			if cost < s.distAt(nid) {
 				s.setDist(nid, cost, it.id)
-				s.push(cost+rt.lowerBound(np, target), nid, packXYL(np))
+				s.push(cost+sr.lowerBound(np, target), nid, packXYL(np))
 			}
 		}
 	}

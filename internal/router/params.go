@@ -207,9 +207,10 @@ type Config struct {
 	// One arena per worker goroutine; see Arena.
 	Arena *Arena
 	// Cancel, when non-nil, aborts the run cooperatively: the router
-	// polls it at iteration boundaries (per net in the initial phase,
-	// per rip-up round afterwards) and returns ErrCanceled once it is
-	// closed. Wire a context's Done() channel here to bound a run.
+	// polls it at batch and iteration boundaries (per batch in the
+	// initial phase and in each congestion round, per rip-up round
+	// afterwards) and returns ErrCanceled once it is closed. Wire a
+	// context's Done() channel here to bound a run.
 	Cancel <-chan struct{}
 	// TPLBudget, when positive, bounds the wall-clock time of the TPL
 	// violation-removal phase (measured from the phase's start). On

@@ -52,7 +52,8 @@ func TestAStarCostsMatchDijkstra(t *testing.T) {
 	nl := randomNetlist("astar", 28, 28, 30, 9)
 	cfg := Config{Scheme: coloring.Scheme{Type: coloring.SIM}, ConsiderDVI: true, ConsiderTPL: true}
 	rt := route(t, nl, cfg) // populates metal/via/history costs
-	defer func() { rt.noAStar, rt.colTarget = false, false }()
+	s := rt.searchers[0]
+	defer func() { rt.noAStar, s.colTarget = false, false }()
 	rng := rand.New(rand.NewSource(77))
 	inWin := func(win geom.Rect, layer int) geom.Pt3 {
 		return geom.XYL(win.MinX+rng.Intn(win.Width()), win.MinY+rng.Intn(win.Height()), layer)
@@ -93,11 +94,11 @@ func TestAStarCostsMatchDijkstra(t *testing.T) {
 			dst.Layer = rng.Intn(nl.NumLayers)
 		}
 
-		rt.colTarget = column
+		s.colTarget = column
 		rt.noAStar = true
-		_, plainCost, plainOK := rt.dijkstra(r, sources, dst, 9999, win)
+		_, plainCost, plainOK := s.dijkstra(r, sources, dst, 9999, win)
 		rt.noAStar = false
-		_, astarCost, astarOK := rt.dijkstra(r, sources, dst, 9999, win)
+		_, astarCost, astarOK := s.dijkstra(r, sources, dst, 9999, win)
 
 		if plainOK != astarOK {
 			t.Fatalf("trial %d (multi-source %v, column %v): reachability differs: plain %v, A* %v",

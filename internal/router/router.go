@@ -69,23 +69,23 @@ type Router struct {
 	// Any FVP the unblocked route creates re-enters the violation
 	// queue.
 	ignoreBlocks bool
-	// colTarget relaxes the current search's goal to the target's whole
-	// layer column (set by findPathColumn for Steiner junctions, which
-	// are wire meeting points, not layer-0 terminals).
-	colTarget bool
 
-	search searchScratch
-	srcBuf []source // reused per-connection source list
+	// searchers[0] is the calling goroutine's working state; the rest
+	// belong to batch helpers (batch.go). They survive arena reuse; the
+	// helper goroutines do not.
+	searchers []*searcher
+	// slots holds the current batch; one is the outcome buffer of a
+	// single reroute.
+	slots []batchSlot
+	one   netRoute
+	crew  crew
 
 	// Rip-up/reroute recycling: ripped Route objects (with their path,
-	// cache and map storage) are reused by the next routeNet instead of
+	// cache and map storage) are reused by the next route instead of
 	// being re-allocated — the rip-up loops churn through thousands of
-	// them. routeNet's per-call pin working sets are reused the same
-	// way.
+	// them. Only the calling goroutine touches the pool: the batch
+	// engine hands each slot its Route before the routing phase.
 	spareRoutes []*grid.Route
-	pinBuf      []geom.Pt3
-	connBuf     []geom.Pt3
-	remBuf      []geom.Pt3
 
 	// topos caches each net's Steiner topology. A topology is a pure
 	// function of the net's pin set and the static obstacle verdicts
@@ -100,11 +100,6 @@ type Router struct {
 	// deterministic routing order, so the reservation set — and with it
 	// every topology — is reproducible.
 	steinerOwner []int32
-	// steinerB recycles the topology generator's scratch across nets
-	// and (through the arena) across runs.
-	steinerB steiner.Builder
-	ptBuf    []geom.Pt // reused 2-D pin list for topology building
-
 	// scanStamp/scanEpoch deduplicate the via-driven blocked-site
 	// discovery (initBlockedVias): overlapping 5×5 neighborhoods of
 	// nearby vias share cells, and each cell is examined once per
@@ -150,6 +145,10 @@ type Router struct {
 	// cross-check blockVia and the fvps map against full rescans and to
 	// run the independent verifier per iteration.
 	debugTPLIter func(iter int, fvps map[fvpKey]bool)
+	// debugCommit, when set, is called before (done false) and after
+	// (done true) every commit that succeeds. Tests use it to check
+	// that a commit writes nothing outside the net's write rect.
+	debugCommit func(res *netRoute, done bool)
 }
 
 func (rt *Router) logf(format string, args ...interface{}) {
@@ -193,8 +192,17 @@ type Stats struct {
 	// connection); Pops counts their queue pops, stale entries
 	// included. Both are exact and machine-independent: equal counts
 	// mean the search expanded the same states in the same order.
+	// Speculative batch routes that were redone count once, as the
+	// committed attempt.
 	Searches int
 	Pops     int64
+	// BatchedNets counts nets routed in batches of two or more (first
+	// pass and congestion reroutes); Redone counts the speculative
+	// routes among them that read a cell an earlier net of their batch
+	// wrote, and were routed again in order. Both are independent of
+	// GOMAXPROCS.
+	BatchedNets int
+	Redone      int
 }
 
 // The router's grid limits. packXYL holds x and y in 14 bits each and
@@ -234,8 +242,8 @@ func CheckGrid(w, h, layers int) error {
 var ErrCanceled = errors.New("router: run canceled")
 
 // checkCancel polls the cooperative cancellation channel. It is called
-// at iteration boundaries only — never inside a single net's search —
-// so a canceled run stops within one rip-up round.
+// at batch and iteration boundaries only — never inside a single net's
+// search — so a canceled run stops within one batch or rip-up round.
 func (rt *Router) checkCancel() error {
 	if rt.cfg.Cancel == nil {
 		return nil
@@ -302,7 +310,8 @@ func New(nl *netlist.Netlist, cfg Config) (*Router, error) {
 		rt.viaPrice = append(rt.viaPrice, make([]int64, np))
 	}
 	rt.scanStamp = make([]uint32, np)
-	rt.search.bq.init(initialBucketSpan(cfg.Params))
+	rt.searchers = []*searcher{rt.newSearcher()}
+	rt.slots = make([]batchSlot, batchCap)
 	return rt, nil
 }
 
@@ -340,21 +349,16 @@ func (rt *Router) Stats() Stats { return rt.stats }
 // post-routing DVI. It returns an error if any net cannot be routed or
 // a violation phase fails to converge within its iteration budget.
 func (rt *Router) Run() error {
+	// Batch helpers start lazily; none outlives the run, whatever path
+	// it returns (or panics) by.
+	defer rt.stopHelpers()
 	// Phase 1: independent routing iterations, shortest nets first.
-	order := make([]int, len(rt.nl.Nets))
-	for i := range order {
-		order[i] = i
-	}
 	nets := rt.nl.Nets
-	sortByHPWL(order, nets)
-	for _, id := range order {
-		if err := rt.checkCancel(); err != nil {
+	if id, err := rt.routeInOrder(hpwlOrder(nets)); err != nil {
+		if id < 0 {
 			return err
 		}
-		if err := rt.routeNet(int32(id)); err != nil {
-			return fmt.Errorf("router: initial routing of net %q: %w", nets[id].Name, err)
-		}
-		rt.applyNetCosts(int32(id))
+		return fmt.Errorf("router: initial routing of net %q: %w", nets[id].Name, err)
 	}
 	// Phase 2: negotiated congestion R&R.
 	if err := rt.resolveCongestion(); err != nil {
@@ -393,11 +397,13 @@ func (rt *Router) collectStats() {
 	rt.stats.Vias = vias
 }
 
-func sortByHPWL(order []int, nets []*netlist.Net) {
-	// Insertion-stable sort by HPWL; netlists are pre-validated.
+// hpwlOrder returns the net ids by ascending HPWL, ties by id.
+func hpwlOrder(nets []*netlist.Net) []int32 {
 	hp := make([]int, len(nets))
+	order := make([]int32, len(nets))
 	for i, n := range nets {
 		hp[i] = n.HPWL()
+		order[i] = int32(i)
 	}
 	sort.Slice(order, func(i, j int) bool {
 		a, b := order[i], order[j]
@@ -406,39 +412,113 @@ func sortByHPWL(order []int, nets []*netlist.Net) {
 		}
 		return a < b
 	})
+	return order
 }
 
-// routeNet routes all pins of a net from scratch. The net must not be
-// currently routed.
-func (rt *Router) routeNet(id int32) error {
-	net := rt.nl.Nets[id]
-	var r *grid.Route
+// searcher is one goroutine's routing working state: the search
+// scratch and the per-net working sets. route reads the router's
+// shared state and writes only its searcher, its Route and its
+// outcome, so searchers can route different nets concurrently.
+type searcher struct {
+	rt     *Router
+	search searchScratch
+	srcBuf []source // reused per-connection source list
+	// Per-net pin working sets, reused across nets.
+	pinBuf  []geom.Pt3
+	connBuf []geom.Pt3
+	remBuf  []geom.Pt3
+	ptBuf   []geom.Pt // 2-D pin list for topology building
+	// steinerB recycles the topology generator's scratch across nets
+	// and (through the arena) across runs.
+	steinerB steiner.Builder
+	// colTarget relaxes the current search's goal to the target's whole
+	// layer column (set by findPathColumn for Steiner junctions, which
+	// are wire meeting points, not layer-0 terminals).
+	colTarget bool
+	// The current net's read rect and work counters.
+	read     geom.Rect
+	searches int
+	pops     int64
+	// panicked holds a value recovered on a helper goroutine, for the
+	// caller to re-raise.
+	panicked any
+}
+
+func (rt *Router) newSearcher() *searcher {
+	s := &searcher{rt: rt}
+	s.search.bq.init(initialBucketSpan(rt.cfg.Params))
+	return s
+}
+
+// netRoute is one net's routing outcome: computed by a searcher
+// against the router's shared state without writing it, applied by
+// commit.
+type netRoute struct {
+	id  int32
+	r   *grid.Route
+	err error
+	// read bounds every cell the attempt read: its pins' box (which
+	// bounds the Steiner builder's Hanan queries) and every window it
+	// searched.
+	read geom.Rect
+	// box bounds the route's points. Computing it builds the route's
+	// point lists while the batch still routes concurrently, not in the
+	// serial commit.
+	box geom.Rect
+	// built is the topology this attempt built, whose Steiner points
+	// commit claims; nil when the net's topology was cached.
+	built *steiner.Tree
+	// fellBack marks a Steiner topology that proved unrealizable: the
+	// net routes with the greedy order from then on.
+	fellBack bool
+	searches int
+	pops     int64
+}
+
+// takeRoute returns a recycled Route, or a new one.
+func (rt *Router) takeRoute() *grid.Route {
 	if n := len(rt.spareRoutes); n > 0 {
-		r = rt.spareRoutes[n-1]
+		r := rt.spareRoutes[n-1]
 		rt.spareRoutes = rt.spareRoutes[:n-1]
-		r.Net = id
-	} else {
-		r = grid.NewRoute(id)
+		return r
 	}
+	return grid.NewRoute(-1)
+}
+
+// route routes all pins of net id from scratch into the empty Route r
+// and records the outcome in out. It writes no shared state; commit
+// applies the outcome.
+func (s *searcher) route(id int32, r *grid.Route, out *netRoute) {
+	r.Net = id
+	*out = netRoute{id: id, r: r}
+	net := s.rt.nl.Nets[id]
 	// Pins are distinct: New rejects netlists with duplicates
 	// (netlist.ErrDuplicatePin).
-	pins := rt.pinBuf[:0]
+	pins := s.pinBuf[:0]
 	for _, p := range net.Pins {
 		pins = append(pins, geom.XYL(p.X, p.Y, 0))
 	}
-	rt.pinBuf = pins
-	if len(pins) > 2 && rt.cfg.Topology == SteinerTopology {
-		if rt.routeSteinerTree(r, pins, id) {
-			rt.routes[id] = r
-			rt.g.AddRoute(r)
+	s.pinBuf = pins
+	s.read, s.searches, s.pops = geom.BoundingRect(net.Pins), 0, 0
+	out.err = s.routePins(r, pins, id, out)
+	out.read, out.searches, out.pops = s.read, s.searches, s.pops
+	out.box = geom.Rect{MinX: math.MaxInt, MinY: math.MaxInt, MaxX: math.MinInt, MaxY: math.MinInt}
+	for _, p := range r.PointList() {
+		out.box = out.box.AddPt(p.Pt2())
+	}
+}
+
+func (s *searcher) routePins(r *grid.Route, pins []geom.Pt3, id int32, out *netRoute) error {
+	if len(pins) > 2 && s.rt.cfg.Topology == SteinerTopology {
+		if s.routeSteinerTree(r, pins, id, out) {
 			return nil
 		}
 		// Some Steiner segment was unrealizable; r was reset. Fall
 		// through to the greedy star order below.
 	}
 	// Connect pins nearest-first starting from pins[0].
-	connected := append(rt.connBuf[:0], pins[0])
-	remaining := append(rt.remBuf[:0], pins[1:]...)
+	connected := append(s.connBuf[:0], pins[0])
+	remaining := append(s.remBuf[:0], pins[1:]...)
 	for len(remaining) > 0 {
 		// Pick the unconnected pin closest to the connected set.
 		bi, bd := 0, int(^uint(0)>>1)
@@ -451,17 +531,55 @@ func (rt *Router) routeNet(id int32) error {
 		}
 		target := remaining[bi]
 		remaining = append(remaining[:bi], remaining[bi+1:]...)
-		rt.connBuf, rt.remBuf = connected, remaining
-		path, err := rt.findPath(r, connected, target, id)
+		s.connBuf, s.remBuf = connected, remaining
+		path, err := s.findPath(r, connected, target, id)
 		if err != nil {
 			return err
 		}
 		r.AddPathCopy(path) // path is search scratch, valid until the next findPath
 		connected = append(connected, target)
 	}
-	rt.connBuf, rt.remBuf = connected[:0], remaining[:0]
-	rt.routes[id] = r
-	rt.g.AddRoute(r)
+	s.connBuf, s.remBuf = connected[:0], remaining[:0]
+	return nil
+}
+
+// commit applies a routing outcome to the shared state: the route and
+// its occupancy, the topology and its Steiner claims, the cost
+// assignment, and the attempt's counters. A failed attempt commits its
+// topology and counters, recycles its Route and returns its error.
+func (rt *Router) commit(res *netRoute) error {
+	id := res.id
+	if res.err == nil {
+		if rt.debugCommit != nil {
+			rt.debugCommit(res, false)
+		}
+		rt.routes[id] = res.r
+		rt.g.AddRoute(res.r)
+	}
+	if t := res.built; t != nil {
+		for _, s := range t.Steiner {
+			rt.steinerOwner[s.Y*rt.nl.W+s.X] = id + 1
+		}
+		rt.topos[id] = t
+		if len(t.Segs) > 1 {
+			rt.stats.SteinerNets++
+		}
+	}
+	if res.fellBack {
+		rt.topos[id] = fallbackTopo
+		rt.stats.SteinerFallbacks++
+	}
+	rt.stats.Searches += res.searches
+	rt.stats.Pops += res.pops
+	if res.err != nil {
+		res.r.Reset()
+		rt.spareRoutes = append(rt.spareRoutes, res.r)
+		return res.err
+	}
+	rt.applyNetCosts(id)
+	if rt.debugCommit != nil {
+		rt.debugCommit(res, true)
+	}
 	return nil
 }
 
@@ -476,19 +594,20 @@ var fallbackTopo = &steiner.Tree{}
 // cells (hard obstacles for this net) and on cells already claimed as
 // Steiner points by other nets — two nets forced to terminate wires on
 // the same cell would be a congestion no negotiation could resolve.
-// The surviving Steiner points are claimed for this net. Topologies
-// are built in the deterministic initial routing order, so the claim
-// set, and with it every later topology, is reproducible.
-func (rt *Router) topology(id int32, pins []geom.Pt3) *steiner.Tree {
+// commit claims the surviving Steiner points for this net. Topologies
+// are committed in the deterministic routing order, so the claim set,
+// and with it every later topology, is reproducible.
+func (s *searcher) topology(id int32, pins []geom.Pt3, out *netRoute) *steiner.Tree {
+	rt := s.rt
 	if t := rt.topos[id]; t != nil {
 		return t
 	}
-	pts := rt.ptBuf[:0]
+	pts := s.ptBuf[:0]
 	for _, p := range pins {
 		pts = append(pts, p.Pt2())
 	}
-	rt.ptBuf = pts
-	t := rt.steinerB.Build(pts, steiner.Options{
+	s.ptBuf = pts
+	t := s.steinerB.Build(pts, steiner.Options{
 		Blocked: func(p geom.Pt) bool {
 			pi := p.Y*rt.nl.W + p.X
 			if o := rt.pinOwner[pi]; o != 0 && o != id+1 {
@@ -498,13 +617,7 @@ func (rt *Router) topology(id int32, pins []geom.Pt3) *steiner.Tree {
 			return o != 0 && o != id+1
 		},
 	})
-	for _, s := range t.Steiner {
-		rt.steinerOwner[s.Y*rt.nl.W+s.X] = id + 1
-	}
-	if len(t.Segs) > 1 {
-		rt.stats.SteinerNets++
-	}
-	rt.topos[id] = t
+	out.built = t
 	return t
 }
 
@@ -514,23 +627,23 @@ func (rt *Router) topology(id int32, pins []geom.Pt3) *steiner.Tree {
 // the same net as free trunk and only pays for new metal. It reports
 // false — with r reset and the net marked for the greedy fallback —
 // when a segment cannot be realized.
-func (rt *Router) routeSteinerTree(r *grid.Route, pins []geom.Pt3, id int32) bool {
-	tree := rt.topology(id, pins)
+func (s *searcher) routeSteinerTree(r *grid.Route, pins []geom.Pt3, id int32, out *netRoute) bool {
+	tree := s.topology(id, pins, out)
 	if len(tree.Segs) == 0 {
 		return false // fallback sentinel
 	}
-	root := append(rt.connBuf[:0], pins[0])
-	rt.connBuf = root
+	root := append(s.connBuf[:0], pins[0])
+	s.connBuf = root
 	for _, seg := range tree.Segs {
 		junction := false
-		for _, s := range tree.Steiner {
-			if s == seg.B {
+		for _, st := range tree.Steiner {
+			if st == seg.B {
 				junction = true
 				break
 			}
 		}
 		target := geom.XYL(seg.B.X, seg.B.Y, 0)
-		if !r.Empty() && rt.coversTarget(r, seg.B, junction) {
+		if !r.Empty() && coversTarget(r, seg.B, junction, s.rt.g.NumLayers) {
 			continue // an earlier path already runs through this node
 		}
 		var path []geom.Pt3
@@ -539,15 +652,14 @@ func (rt *Router) routeSteinerTree(r *grid.Route, pins []geom.Pt3, id int32) boo
 			// A Steiner junction is a meeting point of same-net wires,
 			// not a terminal: reaching its column on any layer connects
 			// the tree without forcing a via stack down to layer 0.
-			path, err = rt.findPathColumn(r, root, target, id)
+			path, err = s.findPathColumn(r, root, target, id)
 		} else {
-			path, err = rt.findPath(r, root, target, id)
+			path, err = s.findPath(r, root, target, id)
 		}
 		if err != nil {
 			r.Reset()
 			r.Net = id
-			rt.topos[id] = fallbackTopo
-			rt.stats.SteinerFallbacks++
+			out.fellBack = true
 			return false
 		}
 		r.AddPathCopy(path)
@@ -558,11 +670,11 @@ func (rt *Router) routeSteinerTree(r *grid.Route, pins []geom.Pt3, id int32) boo
 // coversTarget reports whether the partial route already reaches a
 // tree node: the exact layer-0 point for a pin, any layer of the
 // node's column for a Steiner junction.
-func (rt *Router) coversTarget(r *grid.Route, node geom.Pt, junction bool) bool {
+func coversTarget(r *grid.Route, node geom.Pt, junction bool, layers int) bool {
 	if !junction {
 		return r.HasPoint(geom.XYL(node.X, node.Y, 0))
 	}
-	for l := 0; l < rt.g.NumLayers; l++ {
+	for l := 0; l < layers; l++ {
 		if r.HasPoint(geom.XYL(node.X, node.Y, l)) {
 			return true
 		}
@@ -571,7 +683,7 @@ func (rt *Router) coversTarget(r *grid.Route, node geom.Pt, junction bool) bool 
 }
 
 // ripUp removes a net's route, cost contributions and occupancy. The
-// Route object is recycled for the next routeNet — no caller retains a
+// Route object is recycled for the next route — no caller retains a
 // ripped route (ripUpTracked copies the via list it needs first).
 func (rt *Router) ripUp(id int32) {
 	r := rt.routes[id]
@@ -585,11 +697,9 @@ func (rt *Router) ripUp(id int32) {
 	rt.spareRoutes = append(rt.spareRoutes, r)
 }
 
-// reroute routes a previously ripped-up net and reapplies its costs.
+// reroute routes a net that is not currently routed on the calling
+// goroutine and commits it.
 func (rt *Router) reroute(id int32) error {
-	if err := rt.routeNet(id); err != nil {
-		return err
-	}
-	rt.applyNetCosts(id)
-	return nil
+	rt.searchers[0].route(id, rt.takeRoute(), &rt.one)
+	return rt.commit(&rt.one)
 }

@@ -30,10 +30,18 @@ set -euo pipefail
 BIN=${BIN:-/tmp/sadprouted}
 BENCHGEN=${BENCHGEN:-/tmp/benchgen}
 WORK=${WORK:-$(mktemp -d /tmp/cluster-e2e.XXXXXX)}
-# div-s at scale 4 routes in ~1s — long enough to reliably kill a
-# process mid-job; the -s siblings are quick fillers that make the
-# re-placement shuffle non-trivial.
+# div-s is the job the fault scenarios kill mid-flight; the other -s
+# circuits are fillers that make the re-placement shuffle non-trivial.
+# No circuit is slow enough to be caught running by polling alone, so
+# the worker-kill scenario holds its leases with a fault site (see
+# SLOW_SEED).
 CIRCUITS=${CIRCUITS:-"ecc-s efc-s ctl-s div-s"}
+# Worker A runs with -chaos slow at this seed. The preset stalls a job
+# for 2 s before running it with probability 1/2 per job; seed 65 makes
+# its first six draws all stall (cmd/sadprouted's
+# TestSlowChaosSeedStallsEveryJob pins that), so every job A takes is
+# leased and idle for 2 s.
+SLOW_SEED=65
 SCENARIOS=${SCENARIOS:-"kill crash chaos"}
 CHAOS_CIRCUITS=${CHAOS_CIRCUITS:-"ecc-s efc-s ctl-s"}
 CHAOS_PRESETS=${CHAOS_PRESETS:-"latency corrupt slow spool"}
@@ -106,12 +114,15 @@ rm -f "$WORK/coord.addr"
   -data-dir "$WORK/coord-data" -lease-ttl 2s -quiet > "$WORK/coord.log" 2>&1 &
 COORD_PID=$!; PIDS+=("$COORD_PID")
 ADDR=$(wait_addr "$WORK/coord.addr")
-"$BIN" -mode worker -coordinator-addr "http://$ADDR" -worker-id wA -workers 1 -quiet > "$WORK/wA.log" 2>&1 &
+"$BIN" -mode worker -coordinator-addr "http://$ADDR" -worker-id wA -workers 1 \
+  -chaos slow -chaos-seed "$SLOW_SEED" -quiet > "$WORK/wA.log" 2>&1 &
 WA_PID=$!; PIDS+=("$WA_PID")
 
 declare -A CL_JOB
 for c in $CIRCUITS; do CL_JOB[$c]=$(submit "$ADDR" "$c"); done
-# Kill worker A the moment the long job is running on it.
+# Kill worker A once div-s is running on it. A stalls every job for
+# 2 s before routing it, so the kill lands while A holds the lease,
+# however fast the routing is.
 for _ in $(seq 300); do
   [ "$(job_status "$ADDR" "${CL_JOB[div-s]}")" = running ] && break
   sleep 0.05
