@@ -17,7 +17,7 @@
 //   - is stored into a struct field, map or slice element (long-lived
 //     memory) outside the owner package's own scratch functions,
 //   - is sent over a channel or captured by a `go` statement, or
-//   - is used after the owner's Reset/Release/reinit — or after a
+//   - is used after the owner's Reset/Release — or after a
 //     second call to the same scratch function — invalidated it.
 package arenaesc
 
@@ -39,14 +39,13 @@ var Analyzer = &lint.Analyzer{
 }
 
 // invalidators are method names whose call invalidates every live
-// scratch value of the receiver's owner. Matched by name: the owner
-// types (router.Arena, router.Router, steiner.Builder) all use this
-// vocabulary, and a false stale-marking only makes the analyzer more
-// conservative about later uses, never less.
+// scratch value of the receiver's owner. Matched by name: the owners
+// (router.Arena's Release, grid.Route's Reset) use this vocabulary,
+// and a false stale-marking only makes the analyzer more conservative
+// about later uses, never less.
 var invalidators = map[string]bool{
 	"Reset":   true,
 	"Release": true,
-	"reinit":  true,
 }
 
 // taint records where a tainted value came from and whether the
@@ -394,7 +393,7 @@ func (a *analysis) scratchCallee(call *ast.CallExpr) (string, bool) {
 }
 
 // invalidate walks an expression for calls that kill live scratch: an
-// owner Reset/Release/reinit staleness-marks everything; a repeat call
+// owner Reset/Release staleness-marks everything; a repeat call
 // to a scratch function staleness-marks that function's prior results.
 // Func literals are separate analysis scopes and are not entered.
 func (a *analysis) invalidate(e ast.Expr, s state) {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -147,5 +148,31 @@ func TestILPStopsFlaggedByCause(t *testing.T) {
 			t.Fatalf("degrade=%v, 100 nodes: LimitHit %v, TimedOut %v, Degraded %v; want an unflagged node-cap stop",
 				degrade, art.Solution.LimitHit, art.Solution.TimedOut, art.Degraded)
 		}
+	}
+}
+
+// ILPBudget is the one home of the exact solve's time policy: zero
+// means DefaultILPTimeLimit, a context deadline caps the limit, and a
+// deadline already past leaves a millisecond.
+func TestILPBudget(t *testing.T) {
+	bg := context.Background()
+	if got := ILPBudget(bg, 0); got != DefaultILPTimeLimit {
+		t.Fatalf("zero limit: %v, want %v", got, DefaultILPTimeLimit)
+	}
+	if got := ILPBudget(bg, time.Second); got != time.Second {
+		t.Fatalf("no deadline: %v, want 1s", got)
+	}
+	ctx, cancel := context.WithTimeout(bg, time.Minute)
+	defer cancel()
+	if got := ILPBudget(ctx, 0); got > time.Minute || got < 50*time.Second {
+		t.Fatalf("1-minute deadline over the default: %v", got)
+	}
+	if got := ILPBudget(ctx, time.Second); got != time.Second {
+		t.Fatalf("1-minute deadline over 1s: %v, want 1s", got)
+	}
+	past, cancelPast := context.WithDeadline(bg, time.Now().Add(-time.Second))
+	defer cancelPast()
+	if got := ILPBudget(past, 0); got != time.Millisecond {
+		t.Fatalf("past deadline: %v, want 1ms", got)
 	}
 }

@@ -94,7 +94,7 @@ type RunSpec struct {
 	// Params defaults to router.DefaultParams when zero.
 	Params router.Params `json:"params"`
 	Method DVIMethod     `json:"method"`
-	// ILPTimeLimit bounds the exact solve (0 = 10 minutes).
+	// ILPTimeLimit bounds the exact solve (0 = DefaultILPTimeLimit).
 	ILPTimeLimit time.Duration `json:"ilp_time_limit,omitempty"`
 	// ILPNodeLimit caps branch-and-bound nodes per component (0 = no
 	// cap). Unlike the wall-clock limit it is deterministic: the same
@@ -252,21 +252,7 @@ func RunContextArena(ctx context.Context, nl *netlist.Netlist, spec RunSpec, are
 	var sol *dvi.Solution
 	switch spec.Method {
 	case ILPDVI:
-		limit := spec.ILPTimeLimit
-		if limit == 0 {
-			limit = 10 * time.Minute
-		}
-		// A context deadline caps the ILP budget so a per-job timeout
-		// reaches the only unbounded solver in the flow.
-		if dl, ok := ctx.Deadline(); ok {
-			//sadplint:ignore detclock converts the caller's explicit ctx deadline into the ILP budget; no deadline, no clock read
-			if rem := time.Until(dl); rem < limit {
-				limit = rem
-			}
-			if limit <= 0 {
-				limit = time.Millisecond // expired between checks: fail fast, not unbounded
-			}
-		}
+		limit := ILPBudget(ctx, spec.ILPTimeLimit)
 		switch {
 		case spec.Degrade && limit <= time.Millisecond:
 			// No time left for the exact solve (not even to build the
@@ -305,6 +291,31 @@ func RunContextArena(ctx context.Context, nl *netlist.Netlist, spec RunSpec, are
 	row.UV = sol.Uncolorable
 	runVerify(nl, spec, art)
 	return row, art, nil
+}
+
+// DefaultILPTimeLimit is the exact DVI solve's wall-clock budget when
+// a spec or caller leaves it zero.
+const DefaultILPTimeLimit = 10 * time.Minute
+
+// ILPBudget returns the time limit of an exact DVI solve asked to take
+// at most limit (0 = DefaultILPTimeLimit) under ctx. A context deadline
+// caps it, so a per-job timeout reaches the only unbounded solver in
+// the flow; a deadline already past yields one millisecond: fail fast,
+// not unbounded.
+func ILPBudget(ctx context.Context, limit time.Duration) time.Duration {
+	if limit == 0 {
+		limit = DefaultILPTimeLimit
+	}
+	if dl, ok := ctx.Deadline(); ok {
+		//sadplint:ignore detclock converts the caller's explicit ctx deadline into the ILP budget; no deadline, no clock read
+		if rem := time.Until(dl); rem < limit {
+			limit = rem
+		}
+		if limit <= 0 {
+			limit = time.Millisecond
+		}
+	}
+	return limit
 }
 
 // runVerify attaches the independent checker's report to the

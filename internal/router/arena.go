@@ -1,16 +1,11 @@
 package router
 
-import (
-	"repro/internal/dvi"
-	"repro/internal/grid"
-	"repro/internal/netlist"
-	"repro/internal/steiner"
-)
+import "repro/internal/netlist"
 
 // Arena recycles one router's memory across runs. A long-running
 // service routes one job after another on the same worker; without
 // recycling, every job re-allocates the full per-grid state (occupancy
-// cells, cost and price arrays, search scratch, route objects), all of
+// cells, price arrays, search scratch, route objects), all of
 // it short-lived garbage. An arena keeps the previous run's router and
 // New rebinds it in place when the grid shape matches, so steady-state
 // routing allocates close to nothing.
@@ -58,80 +53,27 @@ func (a *Arena) take(nl *netlist.Netlist) *Router {
 	return rt
 }
 
-// reinit rebinds a recycled router to a new netlist and config,
-// reusing every allocation of its previous life. The grid shape must
-// match (take guarantees it). Monotonic epochs — the search scratch's
-// visit stamps and the TPL scan stamps — carry over instead of being
-// zeroed: they are bumped before every use, so stale stamps can never
-// match a new epoch.
-func (rt *Router) reinit(nl *netlist.Netlist, cfg Config) {
-	// Recycle the previous solution's Route objects first: their path
-	// and cache storage feeds the new run's spare pool.
-	for i, r := range rt.routes {
-		if r != nil {
-			r.Reset()
-			rt.spareRoutes = append(rt.spareRoutes, r)
-			rt.routes[i] = nil
-		}
-	}
-	rt.cfg = cfg
-	rt.nl = nl
-	rt.g.Clear(cfg.Scheme)
-	rt.noAStar = false
-	rt.routes = resizeRoutes(rt.routes, len(nl.Nets))
-	rt.ledgers = resizeLedgers(rt.ledgers, len(nl.Nets))
-	rt.feas = dvi.Feasibility{G: rt.g}
-	rt.rng.Seed(cfg.Seed + 1)
-	rt.presFac = cfg.Params.UsagePenalty * CostScale
-	rt.minViaCost = cfg.Params.ViaCost * CostScale
-	rt.turnTab = buildTurnTab(cfg.Scheme, cfg.Params.NonPrefTurnCost*CostScale)
-	clear(rt.pinOwner)
-	for _, n := range nl.Nets {
-		for _, p := range n.Pins {
-			rt.pinOwner[p.Y*nl.W+p.X] = int32(n.ID) + 1
-		}
-	}
-	rt.topos = resizeTopos(rt.topos, len(nl.Nets))
-	clear(rt.steinerOwner)
-	for l := range rt.metalCost {
-		clear(rt.metalCost[l])
-		clear(rt.histMetal[l])
-		clear(rt.metalPrice[l])
-	}
-	for v := range rt.viaCost {
-		clear(rt.viaCost[v])
-		clear(rt.viaConf[v])
-		clear(rt.histVia[v])
-		clear(rt.blockVia[v])
-		clear(rt.viaPrice[v])
-	}
-	rt.ignoreBlocks = false
-	rt.stats = Stats{}
-	rt.crew.handoffs = 0
-	rt.debugLog, rt.debugVictim, rt.debugTPLIter, rt.debugCommit = nil, nil, nil, nil
-}
-
-// resizeTopos returns a nil-filled topology slice of length n, reusing
-// the old backing array when it is large enough. Topologies are pure
-// values of the previous netlist; none survive a rebind.
-func resizeTopos(s []*steiner.Tree, n int) []*steiner.Tree {
+// reuse returns s resized to n zero values, keeping its storage when
+// it is large enough.
+func reuse[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]*steiner.Tree, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
 	return s
 }
 
-// resizeRoutes returns a nil-filled route slice of length n, reusing
-// the old backing array when it is large enough.
-func resizeRoutes(s []*grid.Route, n int) []*grid.Route {
-	if cap(s) < n {
-		return make([]*grid.Route, n)
+// reuseRows returns n rows of np zero values each, keeping the
+// storage of the rows it is given.
+func reuseRows[T any](rows [][]T, n, np int) [][]T {
+	if len(rows) != n {
+		rows = make([][]T, n)
 	}
-	s = s[:n]
-	clear(s)
-	return s
+	for i := range rows {
+		rows[i] = reuse(rows[i], np)
+	}
+	return rows
 }
 
 // resizeLedgers returns a ledger slice of length n with every ledger

@@ -2,8 +2,9 @@ package router
 
 // Arena recycling must be invisible in the output: a router rebuilt
 // from recycled memory produces bit-identical stats and geometry to a
-// freshly allocated one, across netlist changes, scheme changes, seed
-// changes and net-count changes on the same grid shape.
+// freshly allocated one, across netlist, scheme, seed, net-count,
+// consideration, parameter and topology changes on the same grid
+// shape, and after a failed run.
 
 import (
 	"testing"
@@ -16,6 +17,10 @@ type arenaCase struct {
 	nl   *netlist.Netlist
 	cfg  Config
 	name string
+	// failWalled blocks the via site of the last net's first pin before
+	// the recycled run, which must then fail in the first pass (set on
+	// enclosedNetlist). There is no fresh run to compare.
+	failWalled bool
 }
 
 func runFresh(t *testing.T, c arenaCase) *Router {
@@ -72,24 +77,52 @@ func sameSolution(t *testing.T, name string, a, b *Router) {
 // routers vs one recycled arena — and demands identical output at
 // every step. The sequence changes netlists, schemes, seeds and net
 // counts on a matching grid shape, plus one mismatched shape (which
-// silently falls back to fresh allocation).
+// silently falls back to fresh allocation); it switches TPL and DVI
+// consideration off after runs with them on, the cost weights and the
+// topology; and it recycles a router whose run failed with a via site
+// blocked.
 func TestArenaBitIdentical(t *testing.T) {
 	sim := coloring.Scheme{Type: coloring.SIM}
 	sid := coloring.Scheme{Type: coloring.SID}
 	full := func(s coloring.Scheme, seed int64) Config {
 		return Config{Scheme: s, ConsiderDVI: true, ConsiderTPL: true, Seed: seed}
 	}
+	with := func(c Config, edit func(*Config)) Config {
+		edit(&c)
+		return c
+	}
 	cases := []arenaCase{
-		{randomNetlist("a", 26, 26, 34, 3), full(sim, 3), "sim-seed3"},
-		{randomNetlist("b", 26, 26, 34, 8), full(sim, 8), "new-netlist"},
-		{randomNetlist("b", 26, 26, 34, 8), full(sid, 8), "scheme-flip"},
-		{randomNetlist("c", 26, 26, 20, 5), full(sim, 5), "fewer-nets"},
-		{randomNetlist("d", 18, 31, 25, 7), full(sim, 7), "shape-mismatch"},
-		{randomNetlist("e", 26, 26, 40, 11), full(sim, 11), "more-nets"},
-		{randomNetlist("a", 26, 26, 34, 3), full(sim, 4), "seed-change"},
+		{nl: randomNetlist("a", 26, 26, 34, 3), cfg: full(sim, 3), name: "sim-seed3"},
+		{nl: randomNetlist("b", 26, 26, 34, 8), cfg: full(sim, 8), name: "new-netlist"},
+		{nl: randomNetlist("b", 26, 26, 34, 8), cfg: full(sid, 8), name: "scheme-flip"},
+		{nl: randomNetlist("c", 26, 26, 20, 5), cfg: full(sim, 5), name: "fewer-nets"},
+		{nl: randomNetlist("d", 18, 31, 25, 7), cfg: full(sim, 7), name: "shape-mismatch"},
+		{nl: randomNetlist("e", 26, 26, 40, 11), cfg: full(sim, 11), name: "more-nets"},
+		{nl: randomNetlist("a", 26, 26, 34, 3), cfg: full(sim, 4), name: "seed-change"},
+		{nl: randomNetlist("a", 26, 26, 34, 3), cfg: with(full(sim, 3), func(c *Config) { c.ConsiderTPL = false }), name: "tpl-off"},
+		{nl: randomNetlist("b", 26, 26, 34, 8), cfg: with(full(sim, 8), func(c *Config) { c.ConsiderDVI = false }), name: "dvi-off"},
+		{nl: randomNetlist("b", 26, 26, 34, 8), cfg: with(full(sid, 8), func(c *Config) { c.Params = ConferenceParams() }), name: "conference-params"},
+		{nl: randomNetlist("e", 26, 26, 40, 11), cfg: with(full(sim, 11), func(c *Config) { c.Topology = StarTopology }), name: "star-topology"},
+		{nl: enclosedNetlist(), cfg: full(sim, 5), name: "failed-run", failWalled: true},
+		{nl: enclosedNetlist(), cfg: full(sim, 5), name: "after-failed-run"},
 	}
 	arena := NewArena()
 	for _, c := range cases {
+		if c.failWalled {
+			cfg := c.cfg
+			cfg.Arena = arena
+			rt, err := New(c.nl, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			walled := c.nl.Nets[len(c.nl.Nets)-1].Pins[0]
+			rt.blockVia[0][rt.g.PIdx(walled)] = true
+			if err := rt.Run(); err == nil {
+				t.Fatalf("%s: the walled-in net routed", c.name)
+			}
+			arena.Release(rt)
+			continue
+		}
 		fresh := runFresh(t, c)
 		recycled := runArena(t, arena, c)
 		sameSolution(t, c.name, fresh, recycled)
@@ -105,7 +138,7 @@ func TestArenaShapeMismatchKeepsStored(t *testing.T) {
 	nlA := randomNetlist("keep-a", 20, 20, 12, 1)
 	nlB := randomNetlist("keep-b", 24, 16, 12, 1)
 	arena := NewArena()
-	rtA := runArena(t, arena, arenaCase{nlA, Config{Scheme: sim, Seed: 1}, "fill"})
+	rtA := runArena(t, arena, arenaCase{nl: nlA, cfg: Config{Scheme: sim, Seed: 1}, name: "fill"})
 	arena.Release(rtA)
 	if got := arena.take(nlB); got != nil {
 		t.Fatal("mismatched shape handed out recycled memory")

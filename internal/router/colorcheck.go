@@ -13,7 +13,8 @@ import (
 // coloring of each via layer's decomposition graph detects them; any
 // uncolorable via triggers a targeted rip-up-and-reroute. The paper
 // reports this fix-up never fires in practice, and our experiments
-// agree — the code path is nevertheless real and tested.
+// agree: no golden or benchmark circuit reaches it.
+// TestColorFixUpRipsWheel drives it on a hand-built wheel.
 
 // maxColorFixRounds bounds the fix-up loop; the expected round count is
 // zero.

@@ -2,29 +2,17 @@ package router
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
-
-// sortedNetSet returns the set's members in ascending order, for
-// deterministic rip-up processing.
-func sortedNetSet(s map[int32]bool) []int32 {
-	out := make([]int32, 0, len(s))
-	for id := range s {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // resolveCongestion is the negotiated-congestion rip-up-and-reroute of
 // [20]: while any grid point is shared by distinct nets, bump the
 // point's history cost, rip one of the offenders and reroute it under
 // an escalating present-sharing penalty.
 func (rt *Router) resolveCongestion() error {
-	P := rt.cfg.Params
-	for round := 0; ; round++ {
+	for {
 		if err := rt.checkCancel(); err != nil {
 			return err
 		}
@@ -32,44 +20,11 @@ func (rt *Router) resolveCongestion() error {
 		if len(cong) == 0 {
 			return nil
 		}
-		if round%50 == 0 || len(cong) <= 2 {
-			var detail string
-			if len(cong) <= 2 {
-				for _, p := range cong {
-					detail += fmt.Sprintf(" %v:%v", p, rt.g.Metal[p.Layer].AppendNets(nil, p.Pt2()))
-				}
-			}
-			rt.logf("congestion round %d: %d overflows%s", round, len(cong), detail)
-		}
 		if rt.stats.RRIterations >= rt.maxRRIters() {
 			return fmt.Errorf("router: congestion unresolved after %d rip-up iterations (%d overflows left)",
 				rt.stats.RRIterations, len(cong))
 		}
-		// Escalate the sharing penalty so later rounds separate nets
-		// more aggressively. The escalation saturates so the unbounded
-		// history cost eventually dominates route choice — otherwise a
-		// single cheap-but-unresolvable crossing can stay the global
-		// minimum forever.
-		rt.escalatePresFac()
-
-		toRip := map[int32]bool{}
-		for _, p := range cong {
-			pi := rt.g.PIdx(p.Pt2())
-			rt.bumpHistMetal(p.Layer, pi, P.HistInc*CostScale)
-			rt.netBuf = rt.g.Metal[p.Layer].AppendNets(rt.netBuf[:0], p.Pt2())
-			nets := rt.netBuf
-			if len(nets) == 0 {
-				continue
-			}
-			// Rip one offender, rotated pseudo-randomly so no net is
-			// permanently the victim.
-			pick := nets[rt.rng.Intn(len(nets))]
-			if rt.debugVictim != nil {
-				rt.debugVictim(p, pick)
-			}
-			toRip[pick] = true
-		}
-		order := sortedNetSet(toRip)
+		order := rt.congestionVictims(cong)
 		for _, id := range order {
 			rt.ripUp(id)
 		}
@@ -83,8 +38,36 @@ func (rt *Router) resolveCongestion() error {
 	}
 }
 
+// congestionVictims opens a congestion round, in phase 2 and in the
+// TPL phase alike: it escalates the sharing penalty, bumps the history
+// of every congested point and draws one of the point's occupants,
+// rotated pseudo-randomly so no net is permanently the victim. It
+// returns the distinct victims in ascending id order, in a buffer
+// valid until the next round.
+func (rt *Router) congestionVictims(cong []geom.Pt3) []int32 {
+	// Escalating the sharing penalty makes later rounds separate nets
+	// more aggressively.
+	rt.escalatePresFac()
+	hist := rt.cfg.Params.HistInc * CostScale
+	victims := rt.congBuf[:0]
+	for _, p := range cong {
+		rt.bumpHistMetal(p.Layer, rt.g.PIdx(p.Pt2()), hist)
+		rt.netBuf = rt.g.Metal[p.Layer].AppendNets(rt.netBuf[:0], p.Pt2())
+		if nets := rt.netBuf; len(nets) > 0 {
+			victims = append(victims, nets[rt.rng.Intn(len(nets))])
+		}
+	}
+	slices.Sort(victims)
+	victims = slices.Compact(victims)
+	rt.congBuf = victims
+	return victims
+}
+
 // escalatePresFac raises the present-sharing penalty up to a
-// saturation point (50× the base penalty).
+// saturation point (50× the base penalty), so the unbounded history
+// cost eventually dominates route choice — otherwise a single
+// cheap-but-unresolvable crossing could stay the global minimum
+// forever.
 func (rt *Router) escalatePresFac() {
 	P := rt.cfg.Params
 	cap := 50 * P.UsagePenalty * CostScale

@@ -10,19 +10,20 @@ import (
 // The cost assignment scheme (Algorithm 1): after a net is routed,
 // penalty costs are added to the routing graph so later nets avoid
 // harming DVI feasibility (BDC, AMC, CDC) and via-layer TPL
-// decomposability (TPLC). BDC and CDC amounts depend on DVIC
-// feasibility — surrounding state at the time they are computed — so
-// each addition is recorded in the net's ledger and a rip-up reverts
-// exactly what the net contributed. AMC and TPLC amounts depend on the
-// route alone: a rip-up re-derives them from the still-intact route
-// with the opposite sign.
+// decomposability (TPLC). Every cost, like every history bump, goes
+// straight into the per-cell prices the search reads. BDC and CDC
+// amounts depend on DVIC feasibility — surrounding state at the time
+// they are computed — so each addition is recorded in the net's ledger
+// and a rip-up reverts exactly what the net contributed. AMC and TPLC
+// amounts depend on the route alone: a rip-up re-derives them from the
+// still-intact route with the opposite sign.
 
 // costKind discriminates ledger entries.
 type costKind uint8
 
 const (
-	costMetal costKind = iota // metalCost[layer][pidx] += amount
-	costVia                   // viaCost[vlayer][pidx] += amount
+	costMetal costKind = iota // metalPrice[layer][pidx] += amount
+	costVia                   // viaPrice[vlayer][pidx] += amount
 )
 
 type costEntry struct {
@@ -36,29 +37,25 @@ type ledger []costEntry
 
 func (rt *Router) addMetalCost(layer int, p geom.Pt, amount int64, led *ledger) {
 	pi := rt.g.PIdx(p)
-	rt.metalCost[layer][pi] += amount
 	rt.metalPrice[layer][pi] += amount
 	*led = append(*led, costEntry{kind: costMetal, layer: int32(layer), pidx: int32(pi), amount: amount})
 }
 
 func (rt *Router) addViaCost(vlayer int, p geom.Pt, amount int64, led *ledger) {
 	pi := rt.g.PIdx(p)
-	rt.viaCost[vlayer][pi] += amount
 	rt.viaPrice[vlayer][pi] += amount
 	*led = append(*led, costEntry{kind: costVia, layer: int32(vlayer), pidx: int32(pi), amount: amount})
 }
 
 // bumpHistMetal raises a metal point's negotiated-congestion history.
 // History is intentionally never reverted by rip-ups, so it has no
-// ledger entry; the folded price moves with it.
+// ledger entry.
 func (rt *Router) bumpHistMetal(layer int, pi int, amount int64) {
-	rt.histMetal[layer][pi] += amount
 	rt.metalPrice[layer][pi] += amount
 }
 
-// bumpHistVia raises a via site's history, keeping the fold current.
+// bumpHistVia raises a via site's history.
 func (rt *Router) bumpHistVia(vlayer int, pi int, amount int64) {
-	rt.histVia[vlayer][pi] += amount
 	rt.viaPrice[vlayer][pi] += amount
 }
 
@@ -123,42 +120,36 @@ func (rt *Router) routeCosts(r *grid.Route, sign int64) {
 				pi := rt.g.PIdx(q)
 				for _, vl := range [2]int{p.Layer - 1, p.Layer} {
 					if vl >= 0 && vl < rt.g.NumLayers-1 {
-						rt.viaCost[vl][pi] += amc
 						rt.viaPrice[vl][pi] += amc
 					}
 				}
 			}
 		}
 	}
-	if rt.cfg.ConsiderTPL {
-		// TPLC: each via raises the coloring-conflict count of every
-		// via location within same-color pitch; the search prices a
-		// prospective via at γ × count (§III-B).
-		price := sign * P.Gamma * CostScale
+	if tplc := sign * P.Gamma * CostScale; rt.cfg.ConsiderTPL && tplc != 0 {
+		// TPLC: each via raises the price of every via location within
+		// same-color pitch by γ, so the search prices a prospective via
+		// at γ × its coloring-conflict count (§III-B).
 		for _, v := range r.ViaList() {
 			for _, off := range tpl.ConflictOffsets {
 				q := geom.XY(v.X+off.X, v.Y+off.Y)
 				if rt.g.InPlane(q) {
-					pi := rt.g.PIdx(q)
-					rt.viaConf[v.Layer][pi] += int32(sign)
-					rt.viaPrice[v.Layer][pi] += price
+					rt.viaPrice[v.Layer][rt.g.PIdx(q)] += tplc
 				}
 			}
 		}
 	}
 }
 
-// revertNetCosts undoes the net's costs, folds included. The net's
-// route must still be the one its costs were applied for.
+// revertNetCosts undoes the net's costs. The net's route must still be
+// the one its costs were applied for.
 func (rt *Router) revertNetCosts(id int32) {
 	rt.routeCosts(rt.routes[id], -1)
 	for _, e := range rt.ledgers[id] {
 		switch e.kind {
 		case costMetal:
-			rt.metalCost[e.layer][e.pidx] -= e.amount
 			rt.metalPrice[e.layer][e.pidx] -= e.amount
 		case costVia:
-			rt.viaCost[e.layer][e.pidx] -= e.amount
 			rt.viaPrice[e.layer][e.pidx] -= e.amount
 		}
 	}

@@ -11,12 +11,14 @@ import (
 )
 
 // refCosts is a test-only copy of the cost assignment as it was when
-// every addition — AMC and TPLC included — went to the net's ledger and
-// a rip-up reverted the ledger entry by entry. It keeps its own arrays
+// the router kept semantic cost arrays beside its prices, every
+// addition — AMC and TPLC included — went to the net's ledger and a
+// rip-up reverted the ledger entry by entry. It keeps its own arrays
 // and reads the live router's grid and routes.
 type refCosts struct {
 	metalCost, viaCost, metalPrice, viaPrice [][]int64
 	viaConf                                  [][]int32
+	histMetal, histVia                       [][]int64
 	ledgers                                  [][]refEntry
 }
 
@@ -30,14 +32,16 @@ type refEntry struct {
 func newRefCosts(rt *Router) *refCosts {
 	np := rt.g.W * rt.g.H
 	c := &refCosts{ledgers: make([][]refEntry, len(rt.nl.Nets))}
-	for range rt.metalCost {
+	for range rt.metalPrice {
 		c.metalCost = append(c.metalCost, make([]int64, np))
 		c.metalPrice = append(c.metalPrice, make([]int64, np))
+		c.histMetal = append(c.histMetal, make([]int64, np))
 	}
-	for range rt.viaCost {
+	for range rt.viaPrice {
 		c.viaCost = append(c.viaCost, make([]int64, np))
 		c.viaPrice = append(c.viaPrice, make([]int64, np))
 		c.viaConf = append(c.viaConf, make([]int32, np))
+		c.histVia = append(c.histVia, make([]int64, np))
 	}
 	return c
 }
@@ -137,29 +141,29 @@ func (c *refCosts) revert(rt *Router, id int32) {
 
 func sameCosts(t *testing.T, step int, rt *Router, c *refCosts) {
 	t.Helper()
-	for l := range rt.metalCost {
-		for pi := range rt.metalCost[l] {
-			if rt.metalCost[l][pi] != c.metalCost[l][pi] || rt.metalPrice[l][pi] != c.metalPrice[l][pi] {
-				t.Fatalf("step %d: metal layer %d cell %d: cost %d price %d, reference %d %d", step, l, pi,
-					rt.metalCost[l][pi], rt.metalPrice[l][pi], c.metalCost[l][pi], c.metalPrice[l][pi])
+	for l := range rt.metalPrice {
+		for pi := range rt.metalPrice[l] {
+			if rt.metalPrice[l][pi] != c.metalPrice[l][pi] {
+				t.Fatalf("step %d: metal layer %d cell %d: price %d, reference %d (cost %d, history %d)", step, l, pi,
+					rt.metalPrice[l][pi], c.metalPrice[l][pi], c.metalCost[l][pi], c.histMetal[l][pi])
 			}
 		}
 	}
-	for v := range rt.viaCost {
-		for pi := range rt.viaCost[v] {
-			if rt.viaCost[v][pi] != c.viaCost[v][pi] || rt.viaConf[v][pi] != c.viaConf[v][pi] ||
-				rt.viaPrice[v][pi] != c.viaPrice[v][pi] {
-				t.Fatalf("step %d: via layer %d cell %d: cost %d conf %d price %d, reference %d %d %d", step, v, pi,
-					rt.viaCost[v][pi], rt.viaConf[v][pi], rt.viaPrice[v][pi], c.viaCost[v][pi], c.viaConf[v][pi], c.viaPrice[v][pi])
+	for v := range rt.viaPrice {
+		for pi := range rt.viaPrice[v] {
+			if rt.viaPrice[v][pi] != c.viaPrice[v][pi] {
+				t.Fatalf("step %d: via layer %d cell %d: price %d, reference %d (cost %d, conf %d, history %d)", step, v, pi,
+					rt.viaPrice[v][pi], c.viaPrice[v][pi], c.viaCost[v][pi], c.viaConf[v][pi], c.histVia[v][pi])
 			}
 		}
 	}
 }
 
 // TestCostsMatchLedgeredReference: random route/rip sequences, with
-// history bumps between them, keep every cost, conflict count and
-// price equal to the ledgered reference; ripping every net leaves the
-// semantic arrays at zero and each price equal to its history.
+// history bumps between them, keep every price equal to the ledgered
+// reference's; ripping every net leaves the reference's costs and
+// conflict counts at zero and each price equal to the history the test
+// applied.
 func TestCostsMatchLedgeredReference(t *testing.T) {
 	for _, cfg := range []Config{
 		{Scheme: coloring.Scheme{Type: coloring.SIM}, ConsiderDVI: true, ConsiderTPL: true},
@@ -188,11 +192,13 @@ func TestCostsMatchLedgeredReference(t *testing.T) {
 			}
 			routed[id] = !routed[id]
 			if step%5 == 0 {
-				l, pi, a := rng.Intn(len(rt.metalCost)), rng.Intn(np), int64(1+rng.Intn(40))
+				l, pi, a := rng.Intn(len(rt.metalPrice)), rng.Intn(np), int64(1+rng.Intn(40))
 				rt.bumpHistMetal(l, pi, a)
+				ref.histMetal[l][pi] += a
 				ref.metalPrice[l][pi] += a
-				v := rng.Intn(len(rt.viaCost))
+				v := rng.Intn(len(rt.viaPrice))
 				rt.bumpHistVia(v, pi, a)
+				ref.histVia[v][pi] += a
 				ref.viaPrice[v][pi] += a
 			}
 			sameCosts(t, step, rt, ref)
@@ -204,19 +210,19 @@ func TestCostsMatchLedgeredReference(t *testing.T) {
 			}
 		}
 		sameCosts(t, -1, rt, ref)
-		for l := range rt.metalCost {
-			for pi := range rt.metalCost[l] {
-				if rt.metalCost[l][pi] != 0 || rt.metalPrice[l][pi] != rt.histMetal[l][pi] {
-					t.Fatalf("metal layer %d cell %d after full rip-up: cost %d, price %d, history %d",
-						l, pi, rt.metalCost[l][pi], rt.metalPrice[l][pi], rt.histMetal[l][pi])
+		for l := range ref.metalCost {
+			for pi := range ref.metalCost[l] {
+				if ref.metalCost[l][pi] != 0 || rt.metalPrice[l][pi] != ref.histMetal[l][pi] {
+					t.Fatalf("metal layer %d cell %d after full rip-up: reference cost %d, price %d, history %d",
+						l, pi, ref.metalCost[l][pi], rt.metalPrice[l][pi], ref.histMetal[l][pi])
 				}
 			}
 		}
-		for v := range rt.viaCost {
-			for pi := range rt.viaCost[v] {
-				if rt.viaCost[v][pi] != 0 || rt.viaConf[v][pi] != 0 || rt.viaPrice[v][pi] != rt.histVia[v][pi] {
-					t.Fatalf("via layer %d cell %d after full rip-up: cost %d, conf %d, price %d, history %d",
-						v, pi, rt.viaCost[v][pi], rt.viaConf[v][pi], rt.viaPrice[v][pi], rt.histVia[v][pi])
+		for v := range ref.viaCost {
+			for pi := range ref.viaCost[v] {
+				if ref.viaCost[v][pi] != 0 || ref.viaConf[v][pi] != 0 || rt.viaPrice[v][pi] != ref.histVia[v][pi] {
+					t.Fatalf("via layer %d cell %d after full rip-up: reference cost %d, conf %d, price %d, history %d",
+						v, pi, ref.viaCost[v][pi], ref.viaConf[v][pi], rt.viaPrice[v][pi], ref.histVia[v][pi])
 				}
 			}
 		}

@@ -11,7 +11,9 @@ import (
 )
 
 // Route a single L-shaped net with one via and inspect exactly which
-// costs Algorithm 1 assigned where.
+// costs Algorithm 1 assigned where. A lone net meets no congestion and
+// no FVP, so no history is bumped: every price is the cost assigned
+// there.
 func costProbe(t *testing.T, considerDVI, considerTPL bool) *Router {
 	t.Helper()
 	nl := &netlist.Netlist{Name: "probe", W: 20, H: 20, NumLayers: 2, Nets: []*netlist.Net{
@@ -28,20 +30,25 @@ func costProbe(t *testing.T, considerDVI, considerTPL bool) *Router {
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if st := rt.Stats(); st.RRIterations+st.FVPsResolved+st.ColorFixIterations != 0 {
+		t.Fatalf("probe ripped a net, bumping history: %+v", st)
+	}
 	return rt
 }
 
 func TestNoCostsWithoutConsideration(t *testing.T) {
 	rt := costProbe(t, false, false)
-	for vl := range rt.viaCost {
-		for pi, v := range rt.viaCost[vl] {
+	for l := range rt.metalPrice {
+		for pi, v := range rt.metalPrice[l] {
 			if v != 0 {
-				t.Fatalf("viaCost[%d][%d] = %d with all considerations off", vl, pi, v)
+				t.Fatalf("metalPrice[%d][%d] = %d with all considerations off", l, pi, v)
 			}
 		}
-		for pi, v := range rt.viaConf[vl] {
+	}
+	for vl := range rt.viaPrice {
+		for pi, v := range rt.viaPrice[vl] {
 			if v != 0 {
-				t.Fatalf("viaConf[%d][%d] = %d with all considerations off", vl, pi, v)
+				t.Fatalf("viaPrice[%d][%d] = %d with all considerations off", vl, pi, v)
 			}
 		}
 	}
@@ -66,16 +73,16 @@ func TestBDCAssignedAtFeasibleDVICs(t *testing.T) {
 		bdc := P.Alpha * CostScale / int64(len(feas))
 		for _, c := range feas {
 			pi := rt.g.PIdx(c)
-			if rt.viaCost[v.Layer()][pi] < bdc {
-				t.Errorf("via site %v: cost %d < BDC %d", c, rt.viaCost[v.Layer()][pi], bdc)
+			if rt.viaPrice[v.Layer()][pi] < bdc {
+				t.Errorf("via site %v: price %d < BDC %d", c, rt.viaPrice[v.Layer()][pi], bdc)
 			}
-			if rt.metalCost[v.Base.Layer][pi] < bdc {
-				t.Errorf("metal %d at %v: cost %d < BDC %d",
-					v.Base.Layer, c, rt.metalCost[v.Base.Layer][pi], bdc)
+			if rt.metalPrice[v.Base.Layer][pi] < bdc {
+				t.Errorf("metal %d at %v: price %d < BDC %d",
+					v.Base.Layer, c, rt.metalPrice[v.Base.Layer][pi], bdc)
 			}
-			if rt.metalCost[v.Base.Layer+1][pi] < bdc {
-				t.Errorf("metal %d at %v: cost %d < BDC %d",
-					v.Base.Layer+1, c, rt.metalCost[v.Base.Layer+1][pi], bdc)
+			if rt.metalPrice[v.Base.Layer+1][pi] < bdc {
+				t.Errorf("metal %d at %v: price %d < BDC %d",
+					v.Base.Layer+1, c, rt.metalPrice[v.Base.Layer+1][pi], bdc)
 			}
 		}
 	}
@@ -98,7 +105,7 @@ func TestAMCAlongMetal(t *testing.T) {
 				if vl < 0 || vl >= rt.g.NumLayers-1 {
 					continue
 				}
-				if rt.viaCost[vl][rt.g.PIdx(q)] >= P.AMC*CostScale {
+				if rt.viaPrice[vl][rt.g.PIdx(q)] >= P.AMC*CostScale {
 					found = true
 				}
 			}
@@ -128,9 +135,9 @@ func TestCDCAroundDVICs(t *testing.T) {
 				if w == v.Pos() || !rt.g.InPlane(w) {
 					continue
 				}
-				if rt.viaCost[v.Layer()][rt.g.PIdx(w)] < cdc {
-					t.Errorf("conflict-DVIC site %v: cost %d < CDC %d",
-						w, rt.viaCost[v.Layer()][rt.g.PIdx(w)], cdc)
+				if rt.viaPrice[v.Layer()][rt.g.PIdx(w)] < cdc {
+					t.Errorf("conflict-DVIC site %v: price %d < CDC %d",
+						w, rt.viaPrice[v.Layer()][rt.g.PIdx(w)], cdc)
 				}
 			}
 		}
@@ -138,19 +145,19 @@ func TestCDCAroundDVICs(t *testing.T) {
 }
 
 // TPLC: every via location within the same-color pitch of the routed
-// via has its conflict counter raised, and the search prices it at
-// γ × count.
+// via is priced at γ × its conflict count, so at least γ.
 func TestTPLCConflictCounts(t *testing.T) {
 	rt := costProbe(t, false, true)
 	r := rt.Routes()[0]
+	tplc := rt.cfg.Params.Gamma * CostScale
 	for _, v := range dvi.ViasOf(r) {
 		for _, off := range tpl.ConflictOffsets {
 			q := v.Pos().Add(off.X, off.Y)
 			if !rt.g.InPlane(q) {
 				continue
 			}
-			if rt.viaConf[v.Layer()][rt.g.PIdx(q)] < 1 {
-				t.Errorf("no TPLC conflict count at %v near via %v", q, v.Pos())
+			if got := rt.viaPrice[v.Layer()][rt.g.PIdx(q)]; got < tplc {
+				t.Errorf("via site %v near via %v: price %d < TPLC %d", q, v.Pos(), got, tplc)
 			}
 		}
 	}

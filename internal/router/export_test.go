@@ -30,7 +30,7 @@ func SetPlanBlind() (restore func()) {
 func (rt *Router) Handoffs() int { return rt.crew.handoffs }
 
 // CheckCommitFootprints runs the flow on nl with every commit
-// observed: each must change no cost, price, occupancy or
+// observed: each must change no price, occupancy or
 // Steiner-claim cell, and ledger no entry, outside the net's write
 // rect — the footprint the batch validation relies on. It returns the
 // router after the run and the number of commits checked.
@@ -96,14 +96,11 @@ func (f *footprint) take(rt *Router) {
 	}
 	np := rt.g.W * rt.g.H
 	pt := func(i int) geom.Pt { return geom.XY(i%rt.g.W, i/rt.g.W) }
-	for l := range rt.metalCost {
-		add(fmt.Sprintf("metalCost[%d]", l), np, func(i int) int64 { return rt.metalCost[l][i] })
+	for l := range rt.metalPrice {
 		add(fmt.Sprintf("metalPrice[%d]", l), np, func(i int) int64 { return rt.metalPrice[l][i] })
 		add(fmt.Sprintf("metal occupancy[%d]", l), np, func(i int) int64 { return int64(rt.g.Metal[l].Count(pt(i))) })
 	}
-	for v := range rt.viaCost {
-		add(fmt.Sprintf("viaCost[%d]", v), np, func(i int) int64 { return rt.viaCost[v][i] })
-		add(fmt.Sprintf("viaConf[%d]", v), np, func(i int) int64 { return int64(rt.viaConf[v][i]) })
+	for v := range rt.viaPrice {
 		add(fmt.Sprintf("viaPrice[%d]", v), np, func(i int) int64 { return rt.viaPrice[v][i] })
 		add(fmt.Sprintf("via occupancy[%d]", v), np, func(i int) int64 {
 			if rt.g.Vias[v].Has(pt(i)) {

@@ -16,7 +16,7 @@ import (
 
 // TestCommitFootprintsInsideWriteRect: on the golden suites under
 // both SADP schemes, every commit — first pass, congestion reroutes
-// and the TPL phases alike — writes no cost, price, occupancy or
+// and the TPL phases alike — writes no price, occupancy or
 // Steiner-claim cell outside its net's write rect. Widening a cost's
 // reach without widening the spill radius fails here.
 func TestCommitFootprintsInsideWriteRect(t *testing.T) {

@@ -38,21 +38,13 @@ type Router struct {
 	ledgers []ledger
 	feas    dvi.Feasibility
 
-	// Added routing costs, indexed like the grid.
-	metalCost [][]int64 // per routing layer, per point: BDC spill onto metal
-	viaCost   [][]int64 // per via layer, per site: BDC + AMC + CDC
-	viaConf   [][]int32 // per via layer, per site: coloring-conflict count for TPLC
-	histMetal [][]int64 // negotiated-congestion history, metal points
-	histVia   [][]int64 // history, via sites
-	blockVia  [][]bool  // via sites blocked during TPL violation removal
+	// blockVia marks via sites blocked during TPL violation removal.
+	blockVia [][]bool
 
-	// Folded per-point prices, the only cost arrays the search reads:
-	//   metalPrice = metalCost + histMetal
-	//   viaPrice   = viaCost + histVia + Gamma·CostScale·viaConf
-	// Every writer of the semantic arrays above updates the folds in
-	// the same integer operation, so the sums are exact, and the hot
-	// loop touches one cache line where it used to touch two (metal)
-	// or three (via).
+	// The routing costs, indexed like the grid: per routing layer and
+	// per via layer, the sum at each cell of every assigned cost (BDC
+	// on metal; BDC, AMC, CDC and TPLC on vias) and its
+	// negotiated-congestion history. The search reads nothing else.
 	metalPrice [][]int64
 	viaPrice   [][]int64
 
@@ -112,10 +104,12 @@ type Router struct {
 	// victimBuf and ripViasBuf are recycled per-violation working sets
 	// of the TPL rip-up loop (candidate victim nets, ripped via
 	// snapshots); netBuf holds one cell's occupant list for the
-	// congestion victim picks and appendViaOwners.
+	// congestion victim picks and appendViaOwners; congBuf holds one
+	// congestion round's victims.
 	victimBuf  []int32
 	ripViasBuf []geom.Pt3
 	netBuf     []int32
+	congBuf    []int32
 	// dvicBuf is recycled storage for per-via feasible-DVIC queries in
 	// the cost assignment (≤4 entries, rewritten for every via).
 	dvicBuf []geom.Pt
@@ -135,11 +129,6 @@ type Router struct {
 
 	stats Stats
 
-	// debugLog, when set, receives progress lines from the violation
-	// removal loops.
-	debugLog func(format string, args ...interface{})
-	// debugVictim, when set, observes each rip-up victim choice.
-	debugVictim func(p geom.Pt3, id int32)
 	// debugTPLIter, when set, observes the incremental TPL state at the
 	// top of every violation-removal iteration. Tests use it to
 	// cross-check blockVia and the fvps map against full rescans and to
@@ -149,12 +138,6 @@ type Router struct {
 	// (done true) every commit that succeeds. Tests use it to check
 	// that a commit writes nothing outside the net's write rect.
 	debugCommit func(res *netRoute, done bool)
-}
-
-func (rt *Router) logf(format string, args ...interface{}) {
-	if rt.debugLog != nil {
-		rt.debugLog(format, args...)
-	}
 }
 
 // Stats aggregates what the paper's tables report per circuit.
@@ -271,48 +254,61 @@ func New(nl *netlist.Netlist, cfg Config) (*Router, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
-	if rt := cfg.Arena.take(nl); rt != nil {
-		rt.reinit(nl, cfg)
-		return rt, nil
+	rt := cfg.Arena.take(nl)
+	if rt == nil {
+		rt = &Router{}
 	}
-	g := grid.New(nl.W, nl.H, nl.NumLayers, cfg.Scheme)
-	rt := &Router{
-		cfg:     cfg,
-		nl:      nl,
-		g:       g,
-		routes:  make([]*grid.Route, len(nl.Nets)),
-		ledgers: make([]ledger, len(nl.Nets)),
-		feas:    dvi.Feasibility{G: g},
-		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
+	rt.bind(nl, cfg)
+	return rt, nil
+}
+
+// bind prepares the router for a run of nl under cfg. It sizes every
+// per-run array to the netlist: a fresh router allocates it, a
+// recycled one (same grid shape, Arena.take guarantees it) clears what
+// its last run wrote and keeps the storage. Epoch-stamped scratch — the
+// searchers' visit stamps and the TPL scan stamps — is never cleared:
+// every use bumps its epoch first, so a stale stamp cannot match.
+func (rt *Router) bind(nl *netlist.Netlist, cfg Config) {
+	rt.cfg, rt.nl = cfg, nl
+	np := nl.W * nl.H
+	if rt.g == nil {
+		rt.g = grid.New(nl.W, nl.H, nl.NumLayers, cfg.Scheme)
+		rt.rng = rand.New(rand.NewSource(0))
+		rt.scanStamp = make([]uint32, np)
+		rt.searchers = []*searcher{rt.newSearcher()}
+		rt.slots = make([]batchSlot, batchCap)
+	} else {
+		rt.g.Clear(cfg.Scheme)
 	}
+	// The previous solution's Route objects feed the spare pool.
+	for _, r := range rt.routes {
+		if r != nil {
+			r.Reset()
+			rt.spareRoutes = append(rt.spareRoutes, r)
+		}
+	}
+	rt.routes = reuse(rt.routes, len(nl.Nets))
+	rt.ledgers = resizeLedgers(rt.ledgers, len(nl.Nets))
+	rt.topos = reuse(rt.topos, len(nl.Nets))
+	rt.feas = dvi.Feasibility{G: rt.g}
+	rt.rng.Seed(cfg.Seed + 1)
 	rt.presFac = cfg.Params.UsagePenalty * CostScale
 	rt.minViaCost = cfg.Params.ViaCost * CostScale
 	rt.turnTab = buildTurnTab(cfg.Scheme, cfg.Params.NonPrefTurnCost*CostScale)
-	np := nl.W * nl.H
-	rt.pinOwner = make([]int32, np)
+	rt.pinOwner = reuse(rt.pinOwner, np)
 	for _, n := range nl.Nets {
 		for _, p := range n.Pins {
 			rt.pinOwner[p.Y*nl.W+p.X] = int32(n.ID) + 1
 		}
 	}
-	rt.topos = make([]*steiner.Tree, len(nl.Nets))
-	rt.steinerOwner = make([]int32, np)
-	for l := 0; l < nl.NumLayers; l++ {
-		rt.metalCost = append(rt.metalCost, make([]int64, np))
-		rt.histMetal = append(rt.histMetal, make([]int64, np))
-		rt.metalPrice = append(rt.metalPrice, make([]int64, np))
-	}
-	for v := 0; v < nl.NumLayers-1; v++ {
-		rt.viaCost = append(rt.viaCost, make([]int64, np))
-		rt.viaConf = append(rt.viaConf, make([]int32, np))
-		rt.histVia = append(rt.histVia, make([]int64, np))
-		rt.blockVia = append(rt.blockVia, make([]bool, np))
-		rt.viaPrice = append(rt.viaPrice, make([]int64, np))
-	}
-	rt.scanStamp = make([]uint32, np)
-	rt.searchers = []*searcher{rt.newSearcher()}
-	rt.slots = make([]batchSlot, batchCap)
-	return rt, nil
+	rt.steinerOwner = reuse(rt.steinerOwner, np)
+	rt.metalPrice = reuseRows(rt.metalPrice, nl.NumLayers, np)
+	rt.viaPrice = reuseRows(rt.viaPrice, nl.NumLayers-1, np)
+	rt.blockVia = reuseRows(rt.blockVia, nl.NumLayers-1, np)
+	rt.ignoreBlocks, rt.noAStar = false, false
+	rt.stats = Stats{}
+	rt.crew.handoffs = 0
+	rt.debugTPLIter, rt.debugCommit = nil, nil
 }
 
 // initialBucketSpan sizes the bucket ring from the cost parameters:
@@ -339,7 +335,7 @@ func (rt *Router) Grid() *grid.Grid { return rt.g }
 
 // Routes returns the per-net routes after Run.
 //
-//sadplint:scratch the Route objects are arena-recycled, valid until Release/reinit
+//sadplint:scratch the Route objects are arena-recycled, valid until Release
 func (rt *Router) Routes() []*grid.Route { return rt.routes }
 
 // Stats returns the routing statistics after Run.

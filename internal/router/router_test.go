@@ -251,38 +251,34 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestLedgerRevertExact(t *testing.T) {
-	// Routing then ripping every net must return all cost arrays to
-	// zero.
+	// Routing every net once (no history yet) then ripping every net
+	// must return every price to zero.
 	nl := randomNetlist("ledger", 20, 20, 15, 17)
 	cfg := Config{Scheme: coloring.Scheme{Type: coloring.SIM}, ConsiderDVI: true, ConsiderTPL: true}
 	rt, err := New(nl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Run(); err != nil {
+	if _, err := rt.routeInOrder(hpwlOrder(nl.Nets)); err != nil {
 		t.Fatal(err)
+	}
+	if rt.Grid().TotalVias() == 0 {
+		t.Fatal("first pass placed no via")
 	}
 	for i := range nl.Nets {
 		rt.ripUp(int32(i))
 	}
-	for l, arr := range rt.metalCost {
+	for l, arr := range rt.metalPrice {
 		for pi, v := range arr {
 			if v != 0 {
-				t.Fatalf("metalCost[%d][%d] = %d after full rip-up", l, pi, v)
+				t.Fatalf("metalPrice[%d][%d] = %d after full rip-up", l, pi, v)
 			}
 		}
 	}
-	for vl, arr := range rt.viaCost {
+	for vl, arr := range rt.viaPrice {
 		for pi, v := range arr {
 			if v != 0 {
-				t.Fatalf("viaCost[%d][%d] = %d after full rip-up", vl, pi, v)
-			}
-		}
-	}
-	for vl, arr := range rt.viaConf {
-		for pi, v := range arr {
-			if v != 0 {
-				t.Fatalf("viaConf[%d][%d] = %d after full rip-up", vl, pi, v)
+				t.Fatalf("viaPrice[%d][%d] = %d after full rip-up", vl, pi, v)
 			}
 		}
 	}

@@ -60,19 +60,13 @@ func (rt *Router) removeTPLViolations() error {
 	// Initial FVP set (the priority queue's FVP entries), likewise
 	// via-driven: every FVP window holds ≥4 vias, so checking the ≤9
 	// windows around each occupied site finds them all. The map keying
-	// makes the discovery order irrelevant.
+	// makes the discovery order irrelevant, and since no via moves
+	// meanwhile, a window the probe drops was never added.
 	fvps := map[fvpKey]bool{}
 	for vl, lv := range rt.g.Vias {
 		rt.siteBuf = lv.AppendSites(rt.siteBuf[:0])
 		for _, sp := range rt.siteBuf {
-			for dy := -2; dy <= 0; dy++ {
-				for dx := -2; dx <= 0; dx++ {
-					o := sp.Add(dx, dy)
-					if lv.WindowAt(o).IsFVP() {
-						fvps[fvpKey{vl, o}] = true
-					}
-				}
-			}
+			rt.probeFVPs(vl, sp, fvps)
 		}
 	}
 
@@ -82,9 +76,6 @@ func (rt *Router) removeTPLViolations() error {
 		}
 		if rt.debugTPLIter != nil {
 			rt.debugTPLIter(iter, fvps)
-		}
-		if iter%100 == 0 {
-			rt.logf("tplrr iter %d: %d congestions, %d fvp entries", iter, len(rt.g.Congestions()), len(fvps))
 		}
 		// Congestion has priority over FVPs (§III-C), and outranks the
 		// phase budget too: a congested solution is shorted, so its
@@ -108,8 +99,7 @@ func (rt *Router) removeTPLViolations() error {
 			}
 			rt.stats.TPLDegraded = true
 			rt.stats.RemainingFVPs = remaining
-			rt.stats.TPLRRIterations = iter
-			rt.logf("tplrr degraded at iter %d: %d FVPs remain", iter, remaining)
+			rt.stats.TPLRRIterations += iter
 			return nil
 		}
 		// Drop stale FVP entries; pick the lexicographically first live
@@ -138,7 +128,7 @@ func (rt *Router) removeTPLViolations() error {
 				}
 			}
 			if clean {
-				rt.stats.TPLRRIterations = iter
+				rt.stats.TPLRRIterations += iter
 				return nil
 			}
 			continue
@@ -166,21 +156,9 @@ func (rt *Router) removeTPLViolations() error {
 }
 
 // resolveCongestionStep rips and reroutes one offender per congested
-// point (one pass), bumping history and keeping FVP bookkeeping
-// current.
+// point (one pass), keeping FVP bookkeeping current.
 func (rt *Router) resolveCongestionStep(cong []geom.Pt3, fvps map[fvpKey]bool) error {
-	P := rt.cfg.Params
-	rt.escalatePresFac()
-	toRip := map[int32]bool{}
-	for _, p := range cong {
-		pi := rt.g.PIdx(p.Pt2())
-		rt.bumpHistMetal(p.Layer, pi, P.HistInc*CostScale)
-		rt.netBuf = rt.g.Metal[p.Layer].AppendNets(rt.netBuf[:0], p.Pt2())
-		if nets := rt.netBuf; len(nets) > 0 {
-			toRip[nets[rt.rng.Intn(len(nets))]] = true
-		}
-	}
-	order := sortedNetSet(toRip)
+	order := rt.congestionVictims(cong)
 	for _, id := range order {
 		rt.ripUpTracked(id, fvps)
 	}
@@ -273,6 +251,18 @@ func (rt *Router) rerouteTracked(id int32, fvps map[fvpKey]bool) error {
 // refreshAround re-examines the FVP windows containing the changed via
 // site and the blocked state of nearby sites.
 func (rt *Router) refreshAround(vl int, p geom.Pt, fvps map[fvpKey]bool) {
+	rt.probeFVPs(vl, p, fvps)
+	// Blocked-via status can change for sites whose windows overlap
+	// the changed via: Chebyshev distance ≤ 2.
+	area := geom.Rect{MinX: p.X - 2, MinY: p.Y - 2, MaxX: p.X + 2, MaxY: p.Y + 2}.
+		Intersect(rt.g.Bounds())
+	rt.rescanBlockedVias(vl, area)
+}
+
+// probeFVPs re-examines the nine 3×3 windows of via layer vl that
+// contain site p: each one that is an FVP enters fvps, each other one
+// leaves it.
+func (rt *Router) probeFVPs(vl int, p geom.Pt, fvps map[fvpKey]bool) {
 	lv := rt.g.Vias[vl]
 	for dy := -2; dy <= 0; dy++ {
 		for dx := -2; dx <= 0; dx++ {
@@ -285,11 +275,6 @@ func (rt *Router) refreshAround(vl int, p geom.Pt, fvps map[fvpKey]bool) {
 			}
 		}
 	}
-	// Blocked-via status can change for sites whose windows overlap
-	// the changed via: Chebyshev distance ≤ 2.
-	area := geom.Rect{MinX: p.X - 2, MinY: p.Y - 2, MaxX: p.X + 2, MaxY: p.Y + 2}.
-		Intersect(rt.g.Bounds())
-	rt.rescanBlockedVias(vl, area)
 }
 
 // initBlockedVias computes the blocked state of one via layer by

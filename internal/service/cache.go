@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/fault"
@@ -92,8 +91,8 @@ func (c *resultCache) Len() int {
 // different results share a key:
 //   - a zero Params block becomes the Table II defaults;
 //   - ILPTimeLimit and ILPNodeLimit are dropped unless the method is
-//     the ILP (and a zero time limit becomes the documented 10-minute
-//     default).
+//     the ILP (and a zero time limit becomes
+//     bench.DefaultILPTimeLimit, as the flow reads it).
 //
 // ContentAddress exposes the submission content address to the
 // cluster coordinator's upload validator: a worker's result must echo
@@ -114,7 +113,7 @@ func cacheKey(netlistText string, spec bench.RunSpec) (string, error) {
 		norm.ILPTimeLimit = 0
 		norm.ILPNodeLimit = 0
 	} else if norm.ILPTimeLimit == 0 {
-		norm.ILPTimeLimit = 10 * time.Minute
+		norm.ILPTimeLimit = bench.DefaultILPTimeLimit
 	}
 	specJSON, err := json.Marshal(norm)
 	if err != nil {

@@ -26,6 +26,7 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/coloring"
 	"repro/internal/decompose"
 	"repro/internal/dvi"
@@ -125,18 +126,7 @@ func (r *Result) InsertDoubleViasContext(ctx context.Context, m Method, timeLimi
 	if m == Heuristic {
 		return in.SolveHeuristic(dvi.DefaultHeurParams()), nil
 	}
-	if timeLimit == 0 {
-		timeLimit = 10 * time.Minute
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem < timeLimit {
-			timeLimit = rem
-		}
-		if timeLimit <= 0 {
-			timeLimit = time.Millisecond
-		}
-	}
-	return in.SolveILP(dvi.ILPOptions{TimeLimit: timeLimit})
+	return in.SolveILP(dvi.ILPOptions{TimeLimit: bench.ILPBudget(ctx, timeLimit)})
 }
 
 // DVIInstance exposes the post-routing DVI problem for custom
