@@ -16,10 +16,13 @@
 // With -baseline the command is a regression gate: after measuring it
 // compares against the baseline file's most recent run of the same
 // suite. Wirelength and via counts must match exactly (routing is
-// deterministic; a mismatch is a correctness regression, not noise)
-// and the suite's total routing time must stay within -tolerance times
-// the baseline, or the command exits non-zero. CI runs the tiny suite
-// this way on every push.
+// deterministic; a mismatch is a correctness regression, not noise),
+// and so must the search counters (searches and queue pops) whenever
+// the baseline recorded them: equal counters mean the search expanded
+// the same states in the same order, which equal metrics alone do not
+// show. The suite's total routing time must stay within -tolerance
+// times the baseline, or the command exits non-zero. CI runs the tiny
+// and multi-pin suites this way on every push.
 package main
 
 import (
@@ -33,6 +36,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/coloring"
+	"repro/internal/router"
 
 	sadproute "repro"
 )
@@ -60,12 +64,16 @@ type Run struct {
 }
 
 // Circuit is one circuit's result; NsPerRoute is the minimum over the
-// run's iterations (the standard noise-resistant estimator).
+// run's iterations (the standard noise-resistant estimator). Searches
+// and Pops are the router's exact search counters (router.Stats); runs
+// recorded before they existed leave them out.
 type Circuit struct {
 	Name       string `json:"name"`
 	NsPerRoute int64  `json:"ns_per_route"`
 	Wirelength int    `json:"wirelength"`
 	Vias       int    `json:"vias"`
+	Searches   int    `json:"searches,omitempty"`
+	Pops       int64  `json:"pops,omitempty"`
 }
 
 func main() {
@@ -92,7 +100,7 @@ func main() {
 	for _, c := range suite {
 		nl := bench.Generate(c)
 		var best time.Duration
-		var wl, vias int
+		var st router.Stats
 		for i := 0; i < *iters; i++ {
 			start := time.Now()
 			res, err := sadproute.Route(nl, sadproute.Config{
@@ -104,14 +112,16 @@ func main() {
 			if d := time.Since(start); i == 0 || d < best {
 				best = d
 			}
-			wl, vias = res.Stats.Wirelength, res.Stats.Vias
+			st = res.Stats
 		}
 		run.Circuits = append(run.Circuits, Circuit{
 			Name: c.Name, NsPerRoute: best.Nanoseconds(),
-			Wirelength: wl, Vias: vias,
+			Wirelength: st.Wirelength, Vias: st.Vias,
+			Searches: st.Searches, Pops: st.Pops,
 		})
 		run.TotalNsPerRoute += best.Nanoseconds()
-		fmt.Printf("%-8s %12d ns/route  WL %d  #Vias %d\n", c.Name, best.Nanoseconds(), wl, vias)
+		fmt.Printf("%-8s %12d ns/route  WL %d  #Vias %d  searches %d  pops %d\n",
+			c.Name, best.Nanoseconds(), st.Wirelength, st.Vias, st.Searches, st.Pops)
 	}
 
 	if *out != "" || *baseline == "" {
@@ -180,7 +190,8 @@ func writeRun(path string, run Run) error {
 }
 
 // gate compares the measured run against the most recent same-suite
-// run in the baseline file. Metrics must be identical; time may drift
+// run in the baseline file. Metrics must be identical, and so must the
+// search counters where the baseline has them; time may drift
 // up to the tolerance factor (CI machines are noisy — the gate exists
 // to catch order-of-magnitude regressions, not percent-level ones).
 func gate(path string, run Run, tolerance float64) error {
@@ -213,6 +224,10 @@ func gate(path string, run Run, tolerance float64) error {
 		if c.Wirelength != b.Wirelength || c.Vias != b.Vias {
 			return fmt.Errorf("%s: metrics diverged from baseline (wl %d vs %d, vias %d vs %d) — routing is deterministic, this is a correctness regression",
 				c.Name, c.Wirelength, b.Wirelength, c.Vias, b.Vias)
+		}
+		if b.Searches != 0 && (c.Searches != b.Searches || c.Pops != b.Pops) {
+			return fmt.Errorf("%s: search counters diverged from baseline (searches %d vs %d, pops %d vs %d) — the search expands states in a different order",
+				c.Name, c.Searches, b.Searches, c.Pops, b.Pops)
 		}
 	}
 	if limit := int64(float64(base.TotalNsPerRoute) * tolerance); run.TotalNsPerRoute > limit {

@@ -91,7 +91,6 @@ type cell struct {
 type searchScratch struct {
 	cells   []cell
 	epoch   uint32
-	seq     uint32 // push counter: the canonical tie-break among equal keys
 	bq      bucketQueue
 	pathRev []geom.Pt3
 	pathFwd []geom.Pt3
@@ -141,7 +140,6 @@ func (s *searchScratch) reset(win geom.Rect, layers int) {
 		s.epoch = 1
 	}
 	s.bq.reset()
-	s.seq = 0
 }
 
 // pointIdx is the in-window dense index of a 3-D point (no direction
@@ -210,17 +208,17 @@ func (s *searchScratch) statePt(idx int32) (geom.Pt3, int) {
 // pqItem is a queue entry: f is the A* key — the exact cost g from the
 // sources plus the admissible lower bound to the target (g itself when
 // the bound is disabled). g is recovered at pop time by subtracting
-// the bound. xyl packs the state's absolute coordinates and layer so a
-// pop needs no division to recover them (id still encodes the
-// direction state). seq is the push sequence number: the queue orders
-// items by (f, seq), so equal-key ties pop in push order — the
-// canonical order the queue tests pin. Stale entries — whose g exceeds
-// the state's current tentative distance — are skipped on pop.
+// the bound, recomputed exactly. xyl packs the state's absolute
+// coordinates and layer so a pop needs no division to recover them
+// (id still encodes the direction state). rank is the state's tie rank
+// (lowerBound): equal keys pop highest rank first, then in push order.
+// Stale entries — whose g exceeds the state's current tentative
+// distance — are skipped on pop.
 type pqItem struct {
-	f   int64
-	id  int32
-	xyl uint32
-	seq uint32
+	f    int64
+	id   int32
+	xyl  uint32
+	rank uint8
 }
 
 // packXYL fits x and y in 14 bits each and the layer in 4; New
@@ -233,13 +231,11 @@ func unpackXYL(v uint32) geom.Pt3 {
 	return geom.XYL(int(v&0x3fff), int(v>>14&0x3fff), int(v>>28))
 }
 
-// push enqueues a state, assigning the next tie-break sequence
-// number.
+// push enqueues a state with its key and tie rank.
 //
 //sadplint:hotpath queue push runs per relaxed edge of the search
-func (s *searchScratch) push(f int64, id int32, xyl uint32) {
-	s.bq.push(pqItem{f: f, id: id, xyl: xyl, seq: s.seq})
-	s.seq++
+func (s *searchScratch) push(f int64, rank uint8, id int32, xyl uint32) {
+	s.bq.push(pqItem{f: f, id: id, xyl: xyl, rank: rank})
 }
 
 // source is a search start state.
@@ -349,32 +345,94 @@ func buildTurnTab(scheme coloring.Scheme, nonPrefTurnCost int64) (tab [coloring.
 	return tab
 }
 
-// lowerBound is the admissible A* heuristic: every remaining planar
-// unit step costs at least CostScale (the preferred-direction wire
-// cost; non-preferred steps, turn penalties and node costs only add —
-// Params.Validate keeps NonPrefMul ≥ 1 and every other term ≥ 0),
-// and every remaining layer crossing costs at least the base via cost.
-// It is consistent — a planar step changes the Manhattan term by at
-// most CostScale and a via step changes the layer term by exactly the
-// via bound — so the first pop of the target is optimal and the found
-// path cost equals plain Dijkstra's.
-func (s *searcher) lowerBound(p, target geom.Pt3) int64 {
+// lowerBound is the A* heuristic and the state's tie rank. Every
+// remaining planar unit step costs at least CostScale (the
+// preferred-direction wire cost; non-preferred steps, turn penalties
+// and node costs only add — Params.Validate keeps NonPrefMul ≥ 1 and
+// every other term ≥ 0), and every remaining layer crossing costs at
+// least the base via cost. A state that can reach a goal on its own
+// layer — one on a point target's layer, or any state of a column
+// search — also pays for the d tracks that separate it from the goal
+// across its layer's preferred direction: d non-preferred steps, each
+// (NonPrefMul−1)·CostScale dearer than a preferred one, or the vias
+// that avoid them (crossBound).
+//
+// The bound is admissible and consistent: a preferred step changes it
+// by at most CostScale, a non-preferred step by at most
+// NonPrefMul·CostScale, and a via step by at most the base via cost
+// (leaving a point target's layer trades a cross term of at most two
+// vias for one via of layer term). So the first pop of the target is
+// optimal and the found path cost equals plain Dijkstra's.
+//
+// The rank is the cross term's step count (crossBound.at): among
+// equal keys the queue pops the larger cross term first, which is the
+// smaller key under the bound without it, so ties fall back to the
+// order that bound gave.
+func (s *searcher) lowerBound(p, target geom.Pt3) (int64, uint8) {
 	rt := s.rt
 	if rt.noAStar {
-		return 0
+		return 0, 0
 	}
-	md := int64(p.Pt2().ManhattanDist(target.Pt2()))
+	dx, dy := p.X-target.X, p.Y-target.Y
+	if dx < 0 {
+		dx = -dx
+	}
+	if dy < 0 {
+		dy = -dy
+	}
+	h := int64(dx+dy) * CostScale
+	cross := &rt.crossPoint
 	if s.colTarget {
-		// Column target: the nearest goal state is on p's own layer, so
-		// only the planar term bounds the remaining cost. Still
-		// consistent — via steps leave the bound unchanged and cost ≥ 0.
-		return md * CostScale
+		cross = &rt.crossColumn
+	} else if p.Layer != target.Layer {
+		ld := int64(p.Layer - target.Layer)
+		if ld < 0 {
+			ld = -ld
+		}
+		return h + ld*rt.minViaCost, 0
 	}
-	ld := int64(p.Layer - target.Layer)
-	if ld < 0 {
-		ld = -ld
+	d := dy
+	if !rt.g.PrefHorizontal(p.Layer) {
+		d = dx
 	}
-	return md*CostScale + ld*rt.minViaCost
+	x, rank := cross.at(d)
+	return h + x, rank
+}
+
+// crossBound is the cross-preferred term of the A* bound for one kind
+// of target: for a state d tracks across its layer's preferred
+// direction from the goal it is min(d·step, cap), where step is the
+// surcharge of one non-preferred step and cap the vias that avoid them
+// all — two (leave the layer and come back) for a point target, one
+// for a column target, whose goal spans every layer.
+type crossBound struct {
+	step, cap int64
+	// sat is the least d with d·step ≥ cap: the term is flat from sat
+	// tracks on. It is 0 when there is no term (NonPrefMul 1 or a free
+	// via).
+	sat int64
+}
+
+func newCrossBound(step, cap int64) crossBound {
+	if step == 0 || cap == 0 {
+		return crossBound{}
+	}
+	sat := cap / step
+	if cap%step != 0 {
+		sat++
+	}
+	return crossBound{step: step, cap: cap, sat: sat}
+}
+
+// at returns the term for d tracks and its tie rank: d capped at sat
+// and at maxRank, so a larger rank always means a larger term. For
+// the parameter blocks where sat exceeds maxRank, states farther than
+// maxRank tracks share the top rank and pop in push order.
+func (c *crossBound) at(d int) (int64, uint8) {
+	if int64(d) >= c.sat {
+		return c.cap, uint8(min(c.sat, maxRank))
+	}
+	return int64(d) * c.step, uint8(min(d, maxRank))
 }
 
 // dijkstra runs the goal-directed (A*) variant of the modified
@@ -398,7 +456,8 @@ func (sr *searcher) dijkstra(r routeView, sources []source, target geom.Pt3, net
 		id := s.stateIdx(src.p, dirState(src.din))
 		if src.cost < s.distAt(id) {
 			s.setDist(id, src.cost, -1)
-			s.push(src.cost+sr.lowerBound(src.p, target), id, packXYL(src.p))
+			h, rank := sr.lowerBound(src.p, target)
+			s.push(src.cost+h, rank, id, packXYL(src.p))
 		}
 	}
 	P := rt.cfg.Params
@@ -417,11 +476,15 @@ func (sr *searcher) dijkstra(r routeView, sources []source, target geom.Pt3, net
 		p := unpackXYL(it.xyl)
 		ds := int(it.id) % numDirStates
 		pIdx := int(it.id) / numDirStates
-		g := it.f - sr.lowerBound(p, target)
+		h, _ := sr.lowerBound(p, target)
+		g := it.f - h
 		if g > s.cells[it.id].dist {
 			continue // stale
 		}
 		if p == target || (sr.colTarget && p.Pt2() == target.Pt2()) {
+			if checkBound && h != 0 {
+				badGoalBound(p, h)
+			}
 			return s.rebuildPath(it.id), g, true
 		}
 		din := stateDirs[ds]
@@ -464,10 +527,14 @@ func (sr *searcher) dijkstra(r routeView, sources []source, target geom.Pt3, net
 			if k := occ.CountOther(np.Pt2(), net); k > 0 {
 				cost += int64(k) * rt.presFac
 			}
+			if checkBound {
+				sr.checkEdge(p, np, h, cost-g, target)
+			}
 			nid := int32((pIdx+pointDelta[di])*numDirStates + di + 1)
 			if cost < s.distAt(nid) {
 				s.setDist(nid, cost, it.id)
-				s.push(cost+sr.lowerBound(np, target), nid, packXYL(np))
+				h, rank := sr.lowerBound(np, target)
+				s.push(cost+h, rank, nid, packXYL(np))
 			}
 		}
 		// Via moves.
@@ -494,14 +561,36 @@ func (sr *searcher) dijkstra(r routeView, sources []source, target geom.Pt3, net
 			}
 			cost := g + baseViaCost + rt.viaPrice[vl][pi]
 			cost += rt.metalNodeCost(np, net)
+			if checkBound {
+				sr.checkEdge(p, np, h, cost-g, target)
+			}
 			nid := int32((pIdx+nd)*numDirStates + 5 + vi)
 			if cost < s.distAt(nid) {
 				s.setDist(nid, cost, it.id)
-				s.push(cost+sr.lowerBound(np, target), nid, packXYL(np))
+				h, rank := sr.lowerBound(np, target)
+				s.push(cost+h, rank, nid, packXYL(np))
 			}
 		}
 	}
 	return nil, 0, false
+}
+
+// checkBound makes every search assert that its bound is consistent
+// on every edge it relaxes and zero at the goal. Only router tests set
+// it, while no search runs.
+var checkBound = false
+
+// checkEdge panics unless h(u) ≤ c + h(v) on the edge u→v of cost c,
+// given hu = h(u).
+func (sr *searcher) checkEdge(u, v geom.Pt3, hu, c int64, target geom.Pt3) {
+	if hv, _ := sr.lowerBound(v, target); hu > c+hv {
+		panic(fmt.Sprintf("router: A* bound inconsistent on %v→%v (target %v, column %v): h %d > step %d + h %d",
+			u, v, target, sr.colTarget, hu, c, hv))
+	}
+}
+
+func badGoalBound(p geom.Pt3, h int64) {
+	panic(fmt.Sprintf("router: A* bound %d at goal %v", h, p))
 }
 
 // foreignPin reports whether p is another net's pin cell (layer 0

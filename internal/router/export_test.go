@@ -26,6 +26,14 @@ func SetPlanBlind() (restore func()) {
 	return func() { planBlind = false }
 }
 
+// SetBoundCheck makes every search assert the consistency of its A*
+// bound on every relaxed edge, and returns a function that turns the
+// check off again. Call it while no search runs.
+func SetBoundCheck() (restore func()) {
+	checkBound = true
+	return func() { checkBound = false }
+}
+
 // Handoffs reports how many batches the router handed to helpers.
 func (rt *Router) Handoffs() int { return rt.crew.handoffs }
 

@@ -57,9 +57,10 @@ type Router struct {
 	pinOwner []int32
 
 	// ignoreBlocks lifts the blocked-via-site constraint for one
-	// search: the escape hatch when blocking walls off a net's pins.
-	// Any FVP the unblocked route creates re-enters the violation
-	// queue.
+	// reroute, or for a whole TPL-phase congestion round: the escape
+	// hatch when blocking walls off a net's pins or leaves it only a
+	// short (unblockAfter). Any FVP an unblocked route creates
+	// re-enters the violation queue.
 	ignoreBlocks bool
 
 	// searchers[0] is the calling goroutine's working state; the rest
@@ -116,8 +117,11 @@ type Router struct {
 
 	// minViaCost is the precomputed per-layer-crossing term of the A*
 	// lower bound: the base via cost (Params.Validate guarantees it is
-	// not negative).
-	minViaCost int64
+	// not negative). crossPoint and crossColumn are its cross-preferred
+	// terms for point and column targets (lowerBound).
+	minViaCost  int64
+	crossPoint  crossBound
+	crossColumn crossBound
 	// noAStar disables the goal-directed lower bound so the search runs
 	// as plain Dijkstra. Only router tests set it, as the reference the
 	// A* costs are checked against.
@@ -294,6 +298,9 @@ func (rt *Router) bind(nl *netlist.Netlist, cfg Config) {
 	rt.rng.Seed(cfg.Seed + 1)
 	rt.presFac = cfg.Params.UsagePenalty * CostScale
 	rt.minViaCost = cfg.Params.ViaCost * CostScale
+	nonPrefExtra := (cfg.Params.NonPrefMul - 1) * CostScale
+	rt.crossPoint = newCrossBound(nonPrefExtra, 2*rt.minViaCost)
+	rt.crossColumn = newCrossBound(nonPrefExtra, rt.minViaCost)
 	rt.turnTab = buildTurnTab(cfg.Scheme, cfg.Params.NonPrefTurnCost*CostScale)
 	rt.pinOwner = reuse(rt.pinOwner, np)
 	for _, n := range nl.Nets {
@@ -315,11 +322,15 @@ func (rt *Router) bind(nl *netlist.Netlist, cfg Config) {
 // with no accrued history or congestion the largest single-step key
 // increment is bounded by the sum of the per-step cost components
 // (wire step, turn penalty, via cost, and the assigned-cost weights,
-// all in CostScale units). History and congestion penalties can exceed
-// the hint at runtime; the ring then grows once and stays grown.
+// all in CostScale units) plus the largest rise of the A* bound over
+// one step (a non-preferred step or a via, lowerBound). Tie ranks
+// live in per-bucket lanes and add no width. History and congestion
+// penalties can exceed the hint at runtime; the ring then grows once
+// and stays grown.
 func initialBucketSpan(p Params) int64 {
 	sum := p.NonPrefMul + p.NonPrefTurnCost + p.ViaCost +
-		p.Alpha + p.Beta + p.Gamma + p.AMC + p.UsagePenalty
+		p.Alpha + p.Beta + p.Gamma + p.AMC + p.UsagePenalty +
+		max(p.NonPrefMul, p.ViaCost)
 	span := int64(256)
 	for span < sum*CostScale {
 		span <<= 1

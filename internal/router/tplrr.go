@@ -20,6 +20,15 @@ type fvpKey struct {
 	origin geom.Pt
 }
 
+// unblockAfter is how many consecutive TPL-phase congestion rounds run
+// with FVP-blocked via sites still closed. From the next round on, as
+// long as congestion persists, the rounds' reroutes ignore the blocks:
+// nets whose only block-free way out crosses another net's (pins in a
+// corner whose own via sites are blocked) would otherwise trade one
+// short for another forever. Any FVP an unblocked reroute creates
+// re-enters the violation queue.
+const unblockAfter = 16
+
 func fvpKeyLess(a, b fvpKey) bool {
 	if a.vl != b.vl {
 		return a.vl < b.vl
@@ -70,6 +79,7 @@ func (rt *Router) removeTPLViolations() error {
 		}
 	}
 
+	congRounds := 0 // consecutive iterations that found congestion
 	for iter := 0; ; iter++ {
 		if err := rt.checkCancel(); err != nil {
 			return err
@@ -84,11 +94,13 @@ func (rt *Router) removeTPLViolations() error {
 			if iter >= rt.maxTPLRRIters() {
 				return fmt.Errorf("router: congestion unresolved after %d TPL R&R iterations", iter)
 			}
-			if err := rt.resolveCongestionStep(cong, fvps); err != nil {
+			congRounds++
+			if err := rt.resolveCongestionStep(cong, fvps, congRounds > unblockAfter); err != nil {
 				return err
 			}
 			continue
 		}
+		congRounds = 0
 		// Phase budget expired: return the congestion-free best-so-far
 		// with an honest full recount of the remaining FVP windows.
 		//sadplint:ignore detclock guarded by TPLBudget > 0, the explicit wall-clock degradation knob
@@ -156,12 +168,15 @@ func (rt *Router) removeTPLViolations() error {
 }
 
 // resolveCongestionStep rips and reroutes one offender per congested
-// point (one pass), keeping FVP bookkeeping current.
-func (rt *Router) resolveCongestionStep(cong []geom.Pt3, fvps map[fvpKey]bool) error {
+// point (one pass), keeping FVP bookkeeping current. With unblock set
+// the reroutes ignore blocked via sites.
+func (rt *Router) resolveCongestionStep(cong []geom.Pt3, fvps map[fvpKey]bool, unblock bool) error {
 	order := rt.congestionVictims(cong)
 	for _, id := range order {
 		rt.ripUpTracked(id, fvps)
 	}
+	rt.ignoreBlocks = unblock
+	defer func() { rt.ignoreBlocks = false }()
 	for _, id := range order {
 		rt.stats.RRIterations++
 		if err := rt.rerouteTracked(id, fvps); err != nil {
@@ -234,7 +249,7 @@ func (rt *Router) ripUpTracked(id int32, fvps map[fvpKey]bool) {
 // nets instead.
 func (rt *Router) rerouteTracked(id int32, fvps map[fvpKey]bool) error {
 	err := rt.reroute(id)
-	if err != nil {
+	if err != nil && !rt.ignoreBlocks {
 		rt.ignoreBlocks = true
 		err = rt.reroute(id)
 		rt.ignoreBlocks = false

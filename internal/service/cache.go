@@ -85,8 +85,19 @@ func (c *resultCache) Len() int {
 	return c.ll.Len()
 }
 
+// ResultEpoch names the generation of the code that computes results.
+// It is hashed into every content address, so a build whose results
+// differ from an earlier build's for some input never serves or
+// caches under that build's addresses. Bump it in every change that
+// changes a result, the same change that re-records the goldens
+// (internal/bench/testdata); TestResultEpochPinsGoldens holds the two
+// together. Epoch 1 is every build before the epoch entered the key.
+// Epoch 2: the layer-aware A* bound and its tie order.
+const ResultEpoch = 2
+
 // cacheKey derives the content address of a submission: a SHA-256
-// over the raw netlist bytes and a canonicalized spec. Normalizations
+// over ResultEpoch, the raw netlist bytes and a canonicalized spec.
+// Normalizations
 // mirror what the flow itself does, so specs that cannot produce
 // different results share a key:
 //   - a zero Params block becomes the Table II defaults;
@@ -124,6 +135,7 @@ func cacheKey(netlistText string, spec bench.RunSpec) (string, error) {
 		return "", fmt.Errorf("marshal spec: %w", err)
 	}
 	h := sha256.New()
+	fmt.Fprintf(h, "epoch %d\x00", ResultEpoch)
 	h.Write([]byte(netlistText))
 	h.Write([]byte{0})
 	h.Write(specJSON)
