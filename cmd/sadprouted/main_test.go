@@ -9,9 +9,10 @@ import (
 )
 
 // TestSlowChaosSeedStallsEveryJob pins what scripts/cluster_e2e.sh's
-// worker-kill scenario relies on: under -chaos slow at seed 65 the
-// first six jobs a worker runs all stall before routing, so the kill
-// lands while the worker holds a lease.
+// worker-kill and coordinator-crash scenarios rely on: under -chaos
+// slow at seed 65 the first six jobs a worker runs all stall before
+// routing, so a kill lands while the worker holds a lease and before
+// its result can be journaled.
 func TestSlowChaosSeedStallsEveryJob(t *testing.T) {
 	var cfg cluster.WorkerConfig
 	if err := armChaos("slow", 65, &cfg); err != nil {

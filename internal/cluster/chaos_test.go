@@ -63,9 +63,21 @@ func pullJob(t *testing.T, ts *httptest.Server, workerID string) *JobAssignment 
 	return nil
 }
 
-// TestValidateUpload pins the validator's structural tier: every
-// reject class fires on the payload shape it names, and honest
-// payloads pass.
+// garbage is a forged result payload: well-formed JSON that is not an
+// api.Result. A forger holding a lease can checksum its own bytes, so
+// the forged uploads below carry a correct checksum and reach the
+// decode tier.
+var garbage = json.RawMessage(`[1,2,3]`)
+
+// signed is an upload of raw with the checksum of exactly those bytes,
+// as an honest worker sends it.
+func signed(raw json.RawMessage, degraded bool) ResultRequest {
+	return ResultRequest{Outcome: service.Outcome{Result: raw, Degraded: degraded}, Checksum: checksum(raw)}
+}
+
+// TestValidateUpload pins the validator's checksum and structural
+// tiers: every reject class fires on the payload shape it names, and
+// honest payloads pass.
 func TestValidateUpload(t *testing.T) {
 	spec := bench.RunSpec{}
 	key, err := service.ContentAddress(tinyNetlist, spec)
@@ -108,14 +120,16 @@ func TestValidateUpload(t *testing.T) {
 		req    ResultRequest
 		reason string
 	}{
-		{"honest", a, ResultRequest{Result: okPayload()}, ""},
-		{"garbage bytes", a, ResultRequest{Result: json.RawMessage(`[1,2,3]`)}, rejectDecode},
-		{"wrong spec echoed", a, ResultRequest{Result: wrongSpecPayload}, rejectContentAddress},
-		{"degraded flag lie", a, ResultRequest{Result: okPayload(), Degraded: true}, rejectDegradedFlag},
-		{"solution withheld", aSol, ResultRequest{Result: solPayload(nil, 0)}, rejectSolutionMissing},
-		{"solution not routes", aSol, ResultRequest{Result: solPayload(json.RawMessage(`{"bad":1}`), 0)}, rejectSolutionDecode},
-		{"inflated metrics", aSol, ResultRequest{Result: solPayload(json.RawMessage(`[]`), 5)}, rejectMetricRecount},
-		{"empty but honest", aSol, ResultRequest{Result: solPayload(json.RawMessage(`[]`), 0)}, ""},
+		{"honest", a, signed(okPayload(), false), ""},
+		{"checksum missing", a, ResultRequest{Outcome: service.Outcome{Result: okPayload()}}, rejectChecksum},
+		{"bytes changed in flight", a, ResultRequest{Outcome: service.Outcome{Result: okPayload()}, Checksum: checksum(wrongSpecPayload)}, rejectChecksum},
+		{"garbage bytes", a, signed(garbage, false), rejectDecode},
+		{"wrong spec echoed", a, signed(wrongSpecPayload, false), rejectContentAddress},
+		{"degraded flag lie", a, signed(okPayload(), true), rejectDegradedFlag},
+		{"solution withheld", aSol, signed(solPayload(nil, 0), false), rejectSolutionMissing},
+		{"solution not routes", aSol, signed(solPayload(json.RawMessage(`{"bad":1}`), 0), false), rejectSolutionDecode},
+		{"inflated metrics", aSol, signed(solPayload(json.RawMessage(`[]`), 5), false), rejectMetricRecount},
+		{"empty but honest", aSol, signed(solPayload(json.RawMessage(`[]`), 0), false), ""},
 	}
 	for _, tc := range cases {
 		reason, verr := validateUpload(tc.a, &tc.req, false)
@@ -137,7 +151,7 @@ func TestRejectedUploadRequeuesJob(t *testing.T) {
 	var rr ResultResponse
 	code := clusterRPC(t, ts, PathResult, ResultRequest{
 		WorkerID: "evil", JobID: job.ID, Lease: job.Lease, Key: job.Key,
-		Result: json.RawMessage(`[1,2,3]`),
+		Outcome: service.Outcome{Result: garbage}, Checksum: checksum(garbage),
 	}, &rr)
 	if code != http.StatusOK || rr.Status != ResultRejected || rr.Reason != rejectDecode {
 		t.Fatalf("forged upload: code %d status %q reason %q, want 200 rejected/decode", code, rr.Status, rr.Reason)
@@ -175,7 +189,7 @@ func TestWorkerQuarantineAfterRejectBudget(t *testing.T) {
 		var rr ResultResponse
 		clusterRPC(t, ts, PathResult, ResultRequest{
 			WorkerID: "evil", JobID: job.ID, Lease: job.Lease, Key: job.Key,
-			Result: json.RawMessage(`[1,2,3]`),
+			Outcome: service.Outcome{Result: garbage}, Checksum: checksum(garbage),
 		}, &rr)
 		if rr.Status != ResultRejected {
 			t.Fatalf("upload %d: status %q, want rejected", i+1, rr.Status)
@@ -413,7 +427,7 @@ func TestRejectedJobCrashReplay(t *testing.T) {
 	var rr ResultResponse
 	clusterRPC(t, ts, PathResult, ResultRequest{
 		WorkerID: "evil", JobID: job.ID, Lease: job.Lease, Key: job.Key,
-		Result: json.RawMessage(`[1,2,3]`),
+		Outcome: service.Outcome{Result: garbage}, Checksum: checksum(garbage),
 	}, &rr)
 	if rr.Status != ResultRejected {
 		t.Fatalf("status %q, want rejected", rr.Status)

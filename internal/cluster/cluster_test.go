@@ -352,6 +352,9 @@ func TestWorkerPanicRequeuesThenQuarantines(t *testing.T) {
 	if got := svc.Metrics().Quarantined.Load(); got != 1 {
 		t.Fatalf("quarantined %d, want 1", got)
 	}
+	if got := svc.Metrics().Panics.Load(); got != 2 {
+		t.Fatalf("panics %d, want 2 (one per panicking attempt)", got)
+	}
 }
 
 // Satellite 3 (unit form): the coordinator crashes after placing a job
@@ -404,10 +407,10 @@ func TestCoordinatorCrashMidDispatchReplaysJob(t *testing.T) {
 	}
 }
 
-// The external transitions are exactly-once at the service layer: the
+// The seam's transitions are exactly-once at the service layer: the
 // second completion of the same assignment reports false and bumps
 // nothing.
-func TestCompleteExternalExactlyOnce(t *testing.T) {
+func TestCompleteExactlyOnce(t *testing.T) {
 	svc, err := service.New(service.Config{ExternalExec: true, Run: stubRun})
 	if err != nil {
 		t.Fatal(err)
@@ -425,13 +428,13 @@ func TestCompleteExternalExactlyOnce(t *testing.T) {
 	}
 	svc.StartAttempt(a, "w1")
 	raw := json.RawMessage(`{"row":{"ckt":"t"}}`)
-	if !svc.CompleteExternal(a, raw, false, "w1") {
+	if !svc.Complete(a, raw, false, "w1") {
 		t.Fatal("first completion lost")
 	}
-	if svc.CompleteExternal(a, raw, false, "w2") {
+	if svc.Complete(a, raw, false, "w2") {
 		t.Fatal("second completion won")
 	}
-	if svc.FailExternal(a, "late failure", false) {
+	if svc.Fail(a, "late failure", false) {
 		t.Fatal("late failure overrode completion")
 	}
 	if got := svc.Metrics().Completed.Load(); got != 1 {

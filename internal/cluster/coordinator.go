@@ -13,6 +13,9 @@ import (
 	"repro/internal/service/api"
 )
 
+// maxPullWait caps a pull's long-poll window.
+const maxPullWait = 30 * time.Second
+
 // CoordinatorConfig tunes the lease machinery. Zero values take the
 // defaults noted.
 type CoordinatorConfig struct {
@@ -23,11 +26,6 @@ type CoordinatorConfig struct {
 	// SweepEvery is the lease/worker expiry scan period (default
 	// LeaseTTL/4).
 	SweepEvery time.Duration
-	// WorkerTTL is how long a worker counts as live after its last
-	// contact, for the exclusion logic (default 2×LeaseTTL).
-	WorkerTTL time.Duration
-	// MaxPullWait caps a pull's long-poll window (default 30s).
-	MaxPullWait time.Duration
 	// VerifyUploads runs the full internal/verify re-check on every
 	// uploaded solution, on top of the always-on structural
 	// invariants (spec echo, content address, metric recount).
@@ -57,12 +55,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if c.SweepEvery <= 0 {
 		c.SweepEvery = c.LeaseTTL / 4
-	}
-	if c.WorkerTTL <= 0 {
-		c.WorkerTTL = 2 * c.LeaseTTL
-	}
-	if c.MaxPullWait <= 0 {
-		c.MaxPullWait = 30 * time.Second
 	}
 	if c.RejectBudget == 0 {
 		c.RejectBudget = 3
@@ -215,7 +207,7 @@ func (c *Coordinator) sweep(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for id, w := range c.workers {
-		if now.Sub(w.lastSeen) > c.cfg.WorkerTTL {
+		if now.Sub(w.lastSeen) > c.workerTTL() {
 			delete(c.workers, id)
 			c.logf("cluster: worker %s expired (last seen %s ago)", id, now.Sub(w.lastSeen).Round(time.Millisecond))
 		}
@@ -240,24 +232,11 @@ func (c *Coordinator) sweep(now time.Time) {
 		if t.hedgeLease != "" && !now.Before(t.hedgeExpires) {
 			// The hedge worker went silent; the primary is unaffected.
 			c.logf("cluster: job %s hedge lease expired on %s", id, t.hedgeWorker)
-			t.excluded[t.hedgeWorker] = true
-			c.clearHedgeLocked(t)
+			c.dropHedgeLocked(t)
 		}
 		if t.leased && !now.Before(t.expires) {
-			holder := t.worker
-			t.excluded[holder] = true
-			t.leased = false
-			t.worker = ""
-			t.lease = ""
-			c.svc.Metrics().ClusterRequeues.Add(1)
-			c.logf("cluster: job %s lease expired on %s (attempt %d/%d)", id, holder, t.a.Attempts(), c.svc.MaxAttempts())
-			if t.hedgeLease != "" {
-				// The straggler died but its hedge is live: promote it
-				// instead of requeueing — the job never stops running.
-				c.promoteHedgeLocked(id, t)
-				continue
-			}
-			c.requeueLocked(id, t)
+			c.logf("cluster: job %s lease expired on %s (attempt %d/%d)", id, t.worker, t.a.Attempts(), c.svc.MaxAttempts())
+			c.dropPrimaryLocked(id, t)
 			continue
 		}
 		if hedgeAfter > 0 && t.leased && !t.hedgeWanted && t.hedgeLease == "" &&
@@ -283,6 +262,38 @@ func (c *Coordinator) requeueLocked(id string, t *trackedJob) {
 	c.svc.Requeue(t.a)
 	c.pending = append(c.pending, id)
 	c.broadcastLocked()
+}
+
+// dropPrimaryLocked takes a job's primary lease from a holder presumed
+// dead or wrong (lease expired, upload rejected, worker quarantined):
+// the holder is excluded from the job and the requeue counted, then a
+// live hedge is promoted — the job never stops running — or the job is
+// requeued. Callers hold mu.
+func (c *Coordinator) dropPrimaryLocked(id string, t *trackedJob) {
+	t.excluded[t.worker] = true
+	c.svc.Metrics().ClusterRequeues.Add(1)
+	c.releasePrimaryLocked(id, t)
+}
+
+// releasePrimaryLocked clears a job's primary lease and promotes its
+// live hedge or requeues it. Callers hold mu.
+func (c *Coordinator) releasePrimaryLocked(id string, t *trackedJob) {
+	t.leased = false
+	t.worker = ""
+	t.lease = ""
+	if t.hedgeLease != "" {
+		c.promoteHedgeLocked(id, t)
+		return
+	}
+	c.requeueLocked(id, t)
+}
+
+// dropHedgeLocked takes a job's hedge lease from its holder and
+// excludes the holder from the job; the primary runs on. Callers hold
+// mu.
+func (c *Coordinator) dropHedgeLocked(t *trackedJob) {
+	t.excluded[t.hedgeWorker] = true
+	c.clearHedgeLocked(t)
 }
 
 // clearHedgeLocked drops a job's hedge lease (keeping hedgeWanted, so
@@ -321,23 +332,18 @@ func (c *Coordinator) quarantineWorkerLocked(workerID string) {
 	for _, id := range ids {
 		t := c.jobs[id]
 		if t.hedgeLease != "" && t.hedgeWorker == workerID {
-			t.excluded[workerID] = true
-			c.clearHedgeLocked(t)
+			c.dropHedgeLocked(t)
 		}
 		if t.leased && t.worker == workerID {
-			t.excluded[workerID] = true
-			t.leased = false
-			t.worker = ""
-			t.lease = ""
-			c.svc.Metrics().ClusterRequeues.Add(1)
-			if t.hedgeLease != "" {
-				c.promoteHedgeLocked(id, t)
-			} else {
-				c.requeueLocked(id, t)
-			}
+			c.dropPrimaryLocked(id, t)
 		}
 	}
 }
+
+// workerTTL is how long a worker counts as live after its last
+// contact, for the exclusion logic and the workers gauge: two lease
+// TTLs.
+func (c *Coordinator) workerTTL() time.Duration { return 2 * c.cfg.LeaseTTL }
 
 // touchWorkerLocked refreshes a worker's liveness. Callers hold mu.
 func (c *Coordinator) touchWorkerLocked(id string, now time.Time) {
@@ -354,7 +360,7 @@ func (c *Coordinator) touchWorkerLocked(id string, now time.Time) {
 // given one exists. Callers hold mu.
 func (c *Coordinator) otherLiveWorkerLocked(except string, now time.Time) bool {
 	for id, w := range c.workers {
-		if id != except && now.Sub(w.lastSeen) <= c.cfg.WorkerTTL {
+		if id != except && now.Sub(w.lastSeen) <= c.workerTTL() {
 			return true
 		}
 	}
@@ -446,8 +452,8 @@ func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wait := time.Duration(req.WaitMS) * time.Millisecond
-	if wait > c.cfg.MaxPullWait {
-		wait = c.cfg.MaxPullWait
+	if wait > maxPullWait {
+		wait = maxPullWait
 	}
 	deadline := time.Now().Add(wait)
 	for {
@@ -580,7 +586,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		if !fresh {
 			c.svc.Metrics().ClusterStaleResults.Add(1)
 		}
-		if c.svc.CompleteExternal(t.a, req.Result, req.Degraded, req.WorkerID) {
+		if c.svc.Complete(t.a, req.Result, req.Degraded, req.WorkerID) {
 			if freshHedge {
 				c.hist.Observe(req.WorkerID, now.Sub(t.hedgeStarted))
 			} else if freshPrimary {
@@ -603,28 +609,16 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		if freshHedge {
 			// The hedge crashed; the primary is still running — drop
 			// the hedge and let the job be.
-			t.excluded[req.WorkerID] = true
-			c.clearHedgeLocked(t)
+			c.dropHedgeLocked(t)
 			writeJSON(w, http.StatusOK, ResultResponse{Status: ResultAccepted})
 			return
 		}
-		if t.a.Attempts() >= c.svc.MaxAttempts() {
-			msg := fmt.Sprintf("quarantined after %d panicking attempts: %s", t.a.Attempts(), req.Panic)
-			c.svc.QuarantineExternal(t.a, msg)
-			c.dropJobLocked(req.JobID)
+		if c.svc.Panicked(t.a, req.Panic) {
+			// Re-place without exclusion: any worker may take the
+			// retry, as the standalone pool retries on the same one.
+			c.releasePrimaryLocked(req.JobID, t)
 		} else {
-			// Same retry rule as standalone: a panic before the budget
-			// is spent re-places the job (any worker may take it).
-			t.leased = false
-			t.worker = ""
-			t.lease = ""
-			if t.hedgeLease != "" {
-				c.promoteHedgeLocked(req.JobID, t)
-			} else {
-				c.svc.Requeue(t.a)
-				c.pending = append(c.pending, req.JobID)
-				c.broadcastLocked()
-			}
+			c.dropJobLocked(req.JobID)
 		}
 		writeJSON(w, http.StatusOK, ResultResponse{Status: ResultAccepted})
 
@@ -637,12 +631,11 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		if freshHedge && t.leased {
 			// The hedge failed (e.g. its deadline) while the primary
 			// still runs; don't fail a job another execution may finish.
-			t.excluded[req.WorkerID] = true
-			c.clearHedgeLocked(t)
+			c.dropHedgeLocked(t)
 			writeJSON(w, http.StatusOK, ResultResponse{Status: ResultAccepted})
 			return
 		}
-		c.svc.FailExternal(t.a, req.Error, req.Canceled)
+		c.svc.Fail(t.a, req.Error, req.Canceled)
 		c.dropJobLocked(req.JobID)
 		writeJSON(w, http.StatusOK, ResultResponse{Status: ResultAccepted})
 	}
@@ -656,19 +649,9 @@ func (c *Coordinator) rejectUploadLocked(t *trackedJob, req *ResultRequest, fres
 	c.svc.Metrics().ClusterUploadRejects.Add(reason, 1)
 	c.logf("cluster: job %s upload from %s rejected (%s): %v", req.JobID, req.WorkerID, reason, vErr)
 	if freshPrimary {
-		t.excluded[req.WorkerID] = true
-		t.leased = false
-		t.worker = ""
-		t.lease = ""
-		c.svc.Metrics().ClusterRequeues.Add(1)
-		if t.hedgeLease != "" {
-			c.promoteHedgeLocked(req.JobID, t)
-		} else {
-			c.requeueLocked(req.JobID, t)
-		}
+		c.dropPrimaryLocked(req.JobID, t)
 	} else if freshHedge {
-		t.excluded[req.WorkerID] = true
-		c.clearHedgeLocked(t)
+		c.dropHedgeLocked(t)
 	}
 	c.rejects[req.WorkerID]++
 	if c.cfg.RejectBudget >= 0 && c.rejects[req.WorkerID] > c.cfg.RejectBudget && !c.quarantined[req.WorkerID] {
@@ -756,7 +739,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	g := service.ClusterGauges{}
 	for _, wk := range c.workers {
-		if now.Sub(wk.lastSeen) <= c.cfg.WorkerTTL {
+		if now.Sub(wk.lastSeen) <= c.workerTTL() {
 			g.Workers++
 		}
 	}

@@ -3,7 +3,8 @@
 // in internal/cluster (pull, result upload, heartbeat) sleeps through
 // it instead of a flat PollInterval, so transient coordinator restarts
 // back off politely while a fleet of workers doesn't thundering-herd
-// the moment it returns.
+// the moment it returns. Each backoff doubles the previous one up to
+// the cap, and half of it is randomized away.
 //
 // Determinism: the jitter stream is a seeded *rand.Rand derived from
 // the retrier name and an explicit seed (the same construction the
@@ -13,12 +14,11 @@
 //
 // Cancellation: every sleep selects on the caller's context, so a
 // worker shutting down mid-backoff exits immediately instead of
-// blocking in time.Sleep — the bug this package exists to fix.
+// blocking in time.Sleep.
 package retrier
 
 import (
 	"context"
-	"errors"
 	"hash/fnv"
 	"math/rand"
 	"sync"
@@ -31,21 +31,6 @@ type Policy struct {
 	Base time.Duration
 	// Cap bounds any single backoff (default 10s).
 	Cap time.Duration
-	// Multiplier is the exponential growth factor (default 2).
-	Multiplier float64
-	// Jitter in [0,1] is the fraction of each backoff that is
-	// randomized away (default 0.5): the sleep is uniform in
-	// [d·(1−Jitter), d]. Zero jitter is legal but invites synchronized
-	// retry storms; negative disables the default and means none.
-	Jitter float64
-	// MaxAttempts bounds Do's total attempts (first try included).
-	// <= 0 means unbounded: Do retries until the operation succeeds,
-	// returns a Permanent error, or the context ends.
-	MaxAttempts int
-	// OnRetry, when set, observes each retry (called before the sleep
-	// preceding attempt n, with n >= 2) — the hook behind the
-	// cluster_retry_attempts_total metric.
-	OnRetry func(attempt int)
 }
 
 func (p Policy) withDefaults() Policy {
@@ -55,22 +40,10 @@ func (p Policy) withDefaults() Policy {
 	if p.Cap <= 0 {
 		p.Cap = 10 * time.Second
 	}
-	if p.Multiplier <= 1 {
-		p.Multiplier = 2
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.5
-	}
-	if p.Jitter < 0 {
-		p.Jitter = 0
-	}
-	if p.Jitter > 1 {
-		p.Jitter = 1
-	}
 	return p
 }
 
-// Retrier executes operations under a Policy. It is safe for
+// Retrier computes and sleeps backoffs under a Policy. It is safe for
 // concurrent use; the jitter stream is serialized under an internal
 // lock, so concurrent users interleave draws from one deterministic
 // sequence.
@@ -93,28 +66,23 @@ func New(name string, seed int64, p Policy) *Retrier {
 }
 
 // Backoff returns the sleep before retry attempt n (n >= 2; the first
-// attempt has no backoff). It consumes one jitter draw per call.
+// attempt has no backoff): uniform in [d/2, d] for d = Base·2^(n−2),
+// capped at Cap. It consumes one jitter draw per call.
 func (r *Retrier) Backoff(attempt int) time.Duration {
 	if attempt < 2 {
 		return 0
 	}
 	d := float64(r.p.Base)
-	for i := 2; i < attempt; i++ {
-		d *= r.p.Multiplier
-		if d >= float64(r.p.Cap) {
-			break
-		}
+	for i := 2; i < attempt && d < float64(r.p.Cap); i++ {
+		d *= 2
 	}
 	if d > float64(r.p.Cap) {
 		d = float64(r.p.Cap)
 	}
-	if r.p.Jitter > 0 {
-		r.mu.Lock()
-		f := r.rng.Float64()
-		r.mu.Unlock()
-		d -= d * r.p.Jitter * f
-	}
-	return time.Duration(d)
+	r.mu.Lock()
+	f := r.rng.Float64()
+	r.mu.Unlock()
+	return time.Duration(d - d*f/2)
 }
 
 // Sleep blocks for Backoff(attempt) or until ctx ends, returning
@@ -131,62 +99,5 @@ func (r *Retrier) Sleep(ctx context.Context, attempt int) error {
 		return ctx.Err()
 	case <-t.C:
 		return nil
-	}
-}
-
-// permanentError marks an error Do must not retry.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// Permanent wraps an error so Do stops retrying and returns it (its
-// unwrapped form) immediately — the classification for 4xx RPC
-// answers, where retrying the same bytes cannot succeed.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &permanentError{err: err}
-}
-
-// IsPermanent reports whether err carries the Permanent marker.
-func IsPermanent(err error) bool {
-	var pe *permanentError
-	return errors.As(err, &pe)
-}
-
-// Do runs op until it succeeds, returns a Permanent error, the attempt
-// budget is spent, or ctx ends. The first attempt runs immediately;
-// each retry sleeps Backoff first. The returned error is the last
-// operation error (unwrapped of the Permanent marker), or ctx.Err()
-// joined with it when the context ended mid-backoff.
-func (r *Retrier) Do(ctx context.Context, op func(ctx context.Context) error) error {
-	var last error
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			if last != nil {
-				return errors.Join(err, last)
-			}
-			return err
-		}
-		err := op(ctx)
-		if err == nil {
-			return nil
-		}
-		var pe *permanentError
-		if errors.As(err, &pe) {
-			return pe.err
-		}
-		last = err
-		if r.p.MaxAttempts > 0 && attempt >= r.p.MaxAttempts {
-			return last
-		}
-		if r.p.OnRetry != nil {
-			r.p.OnRetry(attempt + 1)
-		}
-		if serr := r.Sleep(ctx, attempt+1); serr != nil {
-			return errors.Join(serr, last)
-		}
 	}
 }

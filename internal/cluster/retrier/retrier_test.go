@@ -8,8 +8,8 @@ import (
 )
 
 func TestBackoffCappedExponential(t *testing.T) {
-	r := New("t", 1, Policy{Base: 100 * time.Millisecond, Cap: time.Second, Multiplier: 2, Jitter: -1})
-	want := []time.Duration{
+	r := New("t", 1, Policy{Base: 100 * time.Millisecond, Cap: time.Second})
+	full := []time.Duration{
 		100 * time.Millisecond, // attempt 2
 		200 * time.Millisecond,
 		400 * time.Millisecond,
@@ -17,9 +17,9 @@ func TestBackoffCappedExponential(t *testing.T) {
 		time.Second, // capped
 		time.Second,
 	}
-	for i, w := range want {
-		if got := r.Backoff(i + 2); got != w {
-			t.Fatalf("Backoff(%d) = %v, want %v", i+2, got, w)
+	for i, d := range full {
+		if got := r.Backoff(i + 2); got < d/2 || got > d {
+			t.Fatalf("Backoff(%d) = %v, want within [%v, %v]", i+2, got, d/2, d)
 		}
 	}
 	if got := r.Backoff(1); got != 0 {
@@ -28,7 +28,7 @@ func TestBackoffCappedExponential(t *testing.T) {
 }
 
 func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
-	p := Policy{Base: 100 * time.Millisecond, Cap: time.Second, Jitter: 0.5}
+	p := Policy{Base: 100 * time.Millisecond, Cap: time.Second}
 	a := New("same", 42, p)
 	b := New("same", 42, p)
 	for n := 2; n < 10; n++ {
@@ -36,7 +36,7 @@ func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
 		if da != db {
 			t.Fatalf("attempt %d: same name+seed diverged: %v vs %v", n, da, db)
 		}
-		full := New("ref", 0, Policy{Base: p.Base, Cap: p.Cap, Jitter: -1}).Backoff(n)
+		full := min(p.Base<<(n-2), p.Cap)
 		if da > full || da < full/2 {
 			t.Fatalf("attempt %d: jittered %v outside [%v, %v]", n, da, full/2, full)
 		}
@@ -48,69 +48,22 @@ func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-func TestDoStopsOnSuccessAndCountsRetries(t *testing.T) {
-	var retries []int
-	r := New("t", 1, Policy{Base: time.Microsecond, OnRetry: func(n int) { retries = append(retries, n) }})
-	calls := 0
-	err := r.Do(context.Background(), func(context.Context) error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("err=%v calls=%d, want nil/3", err, calls)
-	}
-	if len(retries) != 2 || retries[0] != 2 || retries[1] != 3 {
-		t.Fatalf("OnRetry saw %v, want [2 3]", retries)
-	}
-}
-
-func TestDoPermanentStopsImmediately(t *testing.T) {
-	r := New("t", 1, Policy{Base: time.Microsecond})
-	calls := 0
-	sentinel := errors.New("bad request")
-	err := r.Do(context.Background(), func(context.Context) error {
-		calls++
-		return Permanent(sentinel)
-	})
-	if !errors.Is(err, sentinel) || calls != 1 {
-		t.Fatalf("err=%v calls=%d, want sentinel after exactly 1 call", err, calls)
-	}
-	if IsPermanent(err) {
-		t.Fatal("Do must unwrap the Permanent marker")
-	}
-}
-
-func TestDoRespectsMaxAttempts(t *testing.T) {
-	r := New("t", 1, Policy{Base: time.Microsecond, MaxAttempts: 3})
-	calls := 0
-	sentinel := errors.New("down")
-	err := r.Do(context.Background(), func(context.Context) error { calls++; return sentinel })
-	if !errors.Is(err, sentinel) || calls != 3 {
-		t.Fatalf("err=%v calls=%d, want sentinel after exactly 3 calls", err, calls)
-	}
-}
-
-func TestDoCancelableMidBackoff(t *testing.T) {
-	// The satellite fix: a retry loop sleeping a long backoff must
-	// return promptly when the context is canceled.
-	r := New("t", 1, Policy{Base: time.Hour, Jitter: -1})
+// A retry loop sleeping a long backoff returns promptly when its
+// context is canceled.
+func TestSleepCancelableMidBackoff(t *testing.T) {
+	r := New("t", 1, Policy{Base: time.Hour, Cap: time.Hour})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() {
-		done <- r.Do(ctx, func(context.Context) error { return errors.New("always") })
-	}()
+	go func() { done <- r.Sleep(ctx, 2) }()
 	time.Sleep(10 * time.Millisecond) // let it enter the backoff sleep
 	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err=%v, want context.Canceled in chain", err)
+			t.Fatalf("err=%v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Do did not return after cancel — sleep is not context-aware")
+		t.Fatal("Sleep did not return after cancel — it is not context-aware")
 	}
 }
 

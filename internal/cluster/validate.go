@@ -20,7 +20,11 @@ import (
 // checks here; a rejected upload requeues the job and counts against
 // the uploader's reputation.
 //
-// Two tiers:
+// Three tiers:
+//
+//   - The checksum (always on, first): the bytes hash to the SHA-256
+//     the worker sent with them, so bytes that changed in flight are
+//     refused before anything decodes them.
 //
 //   - Structural invariants (always on, cheap): the payload decodes as
 //     an api.Result; the echoed spec re-derives the job's content
@@ -42,6 +46,7 @@ import (
 // Rejection reason classes, the label values of
 // cluster_upload_rejects_total{reason}.
 const (
+	rejectChecksum        = "checksum"
 	rejectDecode          = "decode"
 	rejectSpecEcho        = "spec-echo"
 	rejectContentAddress  = "content-address"
@@ -56,6 +61,9 @@ const (
 // the job they claim to decide. It returns ("", nil) when the payload
 // is acceptable, or a reason class plus a detail error.
 func validateUpload(a *service.Assignment, req *ResultRequest, verifyFull bool) (string, error) {
+	if sum := checksum(req.Result); sum != req.Checksum {
+		return rejectChecksum, fmt.Errorf("result bytes hash to %.12s, upload claims %.12s", sum, req.Checksum)
+	}
 	var res api.Result
 	if err := json.Unmarshal(req.Result, &res); err != nil {
 		return rejectDecode, fmt.Errorf("result payload does not decode: %w", err)

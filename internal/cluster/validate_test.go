@@ -75,7 +75,7 @@ func TestValidateUploadRelaxesTPLOnlyForTPLTimeout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req := ResultRequest{Result: raw, Degraded: len(tc.degraded) > 0}
+		req := signed(raw, len(tc.degraded) > 0)
 		if reason, verr := validateUpload(a, &req, true); reason != tc.reason {
 			t.Errorf("degraded %v: reason %q (%v), want %q", tc.degraded, reason, verr, tc.reason)
 		}
@@ -108,6 +108,25 @@ func uploadJob(tb testing.TB) (*service.Assignment, []byte) {
 		tb.Fatal(err)
 	}
 	return &service.Assignment{ID: "j", Key: key, Netlist: buf.String(), Spec: spec}, raw
+}
+
+// Every single-bit flip of a genuine upload's result bytes is
+// rejected by the checksum tier, including the flips that still decode
+// to an acceptable result: a key renamed to one the decoder skips
+// ("Layer" → "Mayer"), or a digit of a timing field.
+func TestValidateUploadRejectsEveryBitFlip(t *testing.T) {
+	a, genuine := uploadJob(t)
+	sum := checksum(genuine)
+	for i := range genuine {
+		for bit := 0; bit < 8; bit++ {
+			raw := append([]byte(nil), genuine...)
+			raw[i] ^= 1 << bit
+			req := ResultRequest{Outcome: service.Outcome{Result: raw}, Checksum: sum}
+			if reason, err := validateUpload(a, &req, true); reason != rejectChecksum {
+				t.Fatalf("byte %d bit %d: reason %q (%v), want %q", i, bit, reason, err, rejectChecksum)
+			}
+		}
+	}
 }
 
 // FuzzResult feeds arbitrary Result bytes for one fixed job through
@@ -178,7 +197,8 @@ func FuzzResult(f *testing.F) {
 		raw  []byte
 		want string
 	}{{genuine, ""}, {mutant(shift(1, 0, 0)), rejectVerify}, {mutant(shift(-3, 0, 0)), rejectVerify}} {
-		if reason, err := validateUpload(a, &ResultRequest{Result: c.raw}, true); reason != c.want {
+		req := signed(c.raw, false)
+		if reason, err := validateUpload(a, &req, true); reason != c.want {
 			f.Fatalf("validateUpload = %q (%v), want %q", reason, err, c.want)
 		}
 	}
@@ -195,7 +215,9 @@ func FuzzResult(f *testing.F) {
 		f.Add(m, true, false)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, full, degraded bool) {
-		req := ResultRequest{Result: raw, Degraded: degraded}
+		// The checksum is of the bytes fed, so the fuzzer reaches the
+		// decode, recount and verify tiers behind it.
+		req := signed(raw, degraded)
 		reason, err := validateUpload(a, &req, full)
 		if reason != "" {
 			if err == nil {

@@ -31,9 +31,11 @@
 package cluster
 
 import (
-	"encoding/json"
+	"crypto/sha256"
+	"encoding/hex"
 
 	"repro/internal/bench"
+	"repro/internal/service"
 )
 
 // Wire paths. The coordinator mounts them next to the public API; the
@@ -82,29 +84,35 @@ type PullResponse struct {
 	Quarantined bool           `json:"quarantined,omitempty"`
 }
 
-// ResultRequest uploads one finished job. Exactly one of Result,
-// Error or Panic is meaningful: Result carries the marshaled
-// api.Result bytes on success (stored and served verbatim — the
-// coordinator never re-marshals, preserving byte identity), Error a
-// structured failure, Panic a redacted panic message from the
-// worker's recover barrier.
+// ResultRequest uploads one finished job: the service.Outcome of its
+// attempt. Exactly one of Result, Error or Panic is set: Result
+// carries the marshaled api.Result bytes on success (stored and served
+// verbatim — the coordinator never re-marshals, preserving byte
+// identity), Error a structured failure, Panic a redacted panic
+// message from the attempt's recover barrier.
 type ResultRequest struct {
 	WorkerID string `json:"worker_id"`
 	JobID    string `json:"job_id"`
 	Lease    string `json:"lease"`
 	// Key is the job's content address; the coordinator cross-checks it
 	// against its own record before accepting the bytes.
-	Key      string          `json:"key"`
-	Result   json.RawMessage `json:"result,omitempty"`
-	Degraded bool            `json:"degraded,omitempty"`
-	Error    string          `json:"error,omitempty"`
-	// Canceled marks an Error caused by the job deadline.
-	Canceled bool   `json:"canceled,omitempty"`
-	Panic    string `json:"panic,omitempty"`
+	Key string `json:"key"`
+	service.Outcome
+	// Checksum is the hex SHA-256 of Result as the worker produced it.
+	// The decoder skips unknown keys, so a flipped bit in a key name
+	// can decode to a valid, different result; the checksum catches
+	// any change to the bytes themselves.
+	Checksum string `json:"checksum,omitempty"`
 	// SpoolReplay marks an upload replayed from the worker's durable
 	// result spool after a restart (metrics only; the idempotency
 	// contract already makes the replay itself safe).
 	SpoolReplay bool `json:"spool_replay,omitempty"`
+}
+
+// checksum is the hex SHA-256 of a result's bytes.
+func checksum(result []byte) string {
+	sum := sha256.Sum256(result)
+	return hex.EncodeToString(sum[:])
 }
 
 // Result upload verdicts.

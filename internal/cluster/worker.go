@@ -18,7 +18,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/router"
 	"repro/internal/service"
-	"repro/internal/service/api"
 )
 
 // ErrQuarantined is returned by Worker.Run when the coordinator
@@ -305,22 +304,12 @@ func (w *Worker) sleep(ctx context.Context, d time.Duration) {
 	}
 }
 
-// execute runs one assignment under the panic barrier and uploads the
-// outcome. The flow and the marshaling are exactly what a standalone
-// worker does, so the uploaded bytes are the bytes a standalone
-// daemon would have served.
+// execute runs one assignment through service.Execute and uploads the
+// outcome. That is the attempt function the standalone pool runs, so
+// the uploaded bytes are the bytes a standalone daemon would have
+// served.
 func (w *Worker) execute(ctx context.Context, job *JobAssignment, arena *router.Arena) {
 	jobCtx, cancel := context.WithCancel(ctx)
-	if job.TimeoutMS > 0 {
-		limit := time.Duration(job.TimeoutMS) * time.Millisecond
-		if job.Spec.Degrade {
-			// Same 2× backstop as the standalone worker's degrade mode.
-			limit *= 2
-		}
-		var tcancel context.CancelFunc
-		jobCtx, tcancel = context.WithTimeout(jobCtx, limit)
-		defer tcancel()
-	}
 	defer cancel()
 	w.mu.Lock()
 	w.running[job.ID] = &runningJob{lease: job.Lease, cancel: cancel}
@@ -339,21 +328,11 @@ func (w *Worker) execute(ctx context.Context, job *JobAssignment, arena *router.
 	}
 
 	req := ResultRequest{WorkerID: w.cfg.ID, JobID: job.ID, Lease: job.Lease, Key: job.Key}
-	res, err, panicMsg := w.runGuarded(jobCtx, job, arena)
-	switch {
-	case panicMsg != "":
-		req.Panic = panicMsg
-	case err != nil:
-		req.Error = err.Error()
-		req.Canceled = jobCtx.Err() != nil
-	default:
-		raw, merr := json.Marshal(res)
-		if merr != nil {
-			req.Error = fmt.Sprintf("marshal result: %v", merr)
-		} else {
-			req.Result = raw
-			req.Degraded = len(res.Degraded) > 0
-		}
+	if nl, err := netlist.Read(strings.NewReader(job.Netlist)); err != nil {
+		req.Error = fmt.Sprintf("netlist: %v", err)
+	} else {
+		timeout := time.Duration(job.TimeoutMS) * time.Millisecond
+		req.Outcome = service.Execute(jobCtx, nl, job.Spec, timeout, w.cfg.Run, arena, w.cfg.Fault)
 	}
 
 	w.mu.Lock()
@@ -372,6 +351,7 @@ func (w *Worker) execute(ctx context.Context, job *JobAssignment, arena *router.
 		return
 	}
 	if req.Result != nil {
+		req.Checksum = checksum(req.Result)
 		// Durably stage the computed result before the first upload
 		// attempt: from here on, kill -9 loses nothing.
 		if serr := w.spool.Put(&req); serr != nil {
@@ -388,25 +368,6 @@ func (w *Worker) execute(ctx context.Context, job *JobAssignment, arena *router.
 		}
 	}
 	w.upload(ctx, &req)
-}
-
-// runGuarded executes the flow under a recover barrier, mirroring the
-// standalone runAttempt.
-func (w *Worker) runGuarded(ctx context.Context, job *JobAssignment, arena *router.Arena) (res api.Result, err error, panicMsg string) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicMsg = fmt.Sprintf("panic: %v", r)
-		}
-	}()
-	nl, perr := netlist.Read(strings.NewReader(job.Netlist))
-	if perr != nil {
-		return res, fmt.Errorf("netlist: %w", perr), ""
-	}
-	if ferr := w.cfg.Fault.Inject("worker.panic"); ferr != nil {
-		panic(ferr)
-	}
-	res, err = w.cfg.Run(ctx, nl, job.Spec, arena)
-	return
 }
 
 // upload posts the result with retries. Each POST runs on a detached

@@ -78,13 +78,20 @@ func ConferenceParams() Params {
 // use. Params.Validate wraps it with the offending field.
 var ErrInvalidParams = errors.New("router: invalid params")
 
+// MaxParam caps every Params weight; every default is at most 12. The
+// search's bucket ring grows with the step costs: on a 20×20 netlist a
+// via_cost of 2^20 grows one searcher's ring to 2^25 buckets, larger
+// weights overflow the ring's size or its keys, and every weight at
+// the cap peaks at 131 072 buckets (1 024 at the defaults).
+const MaxParam = 1000
+
 // Validate reports whether p is usable by the search. Every field must
-// be non-negative: a negative step cost breaks the bucket queue's
-// monotone keys. NonPrefMul must be at least 1, because the A* lower
-// bound charges CostScale for every remaining planar step, and a
-// cheaper non-preferred step would make that bound inadmissible. The
-// zero block is invalid too. Config applies the zero → DefaultParams
-// rule before New validates.
+// lie in [0, MaxParam]: a negative step cost breaks the bucket queue's
+// monotone keys, and an unbounded one its size. NonPrefMul must be at
+// least 1, because the A* lower bound charges CostScale for every
+// remaining planar step, and a cheaper non-preferred step would make
+// that bound inadmissible. The zero block is invalid too. Config
+// applies the zero → DefaultParams rule before New validates.
 func (p Params) Validate() error {
 	fields := [...]struct {
 		name string
@@ -96,8 +103,8 @@ func (p Params) Validate() error {
 		{"usage_penalty", p.UsagePenalty}, {"hist_inc", p.HistInc},
 	}
 	for _, f := range fields {
-		if f.v < 0 {
-			return fmt.Errorf("%w: %s = %d, want >= 0", ErrInvalidParams, f.name, f.v)
+		if f.v < 0 || f.v > MaxParam {
+			return fmt.Errorf("%w: %s = %d, want 0..%d", ErrInvalidParams, f.name, f.v, MaxParam)
 		}
 	}
 	if p.NonPrefMul < 1 {

@@ -10,8 +10,9 @@ import (
 // TestNewRejectsInvalidParams: an out-of-range parameter block fails
 // New with an error wrapping ErrInvalidParams instead of panicking the
 // search (a negative step cost breaks the bucket queue's monotone
-// keys; NonPrefMul < 1 voids the A* bound). The zero block stands for
-// DefaultParams and stays valid.
+// keys, a huge one its size; NonPrefMul < 1 voids the A* bound). The
+// zero block stands for DefaultParams and stays valid, and so does a
+// block with every weight at MaxParam.
 func TestNewRejectsInvalidParams(t *testing.T) {
 	nl := randomNetlist("params", 20, 20, 8, 4)
 	with := func(edit func(*Params)) Params {
@@ -39,6 +40,18 @@ func TestNewRejectsInvalidParams(t *testing.T) {
 		{"usage_penalty -12", with(func(p *Params) { p.UsagePenalty = -12 }), false},
 		{"hist_inc -3", with(func(p *Params) { p.HistInc = -3 }), false},
 		{"partial block", Params{ViaCost: 4}, false},
+		// Past the cap the search breaks: 2^60 pushes a negative key
+		// into the bucket queue, 2^40 overflows its ring's size, and
+		// 2^20 grows one searcher's ring to 2^25 buckets.
+		{"via_cost 2^60", with(func(p *Params) { p.ViaCost = 1 << 60 }), false},
+		{"via_cost 2^40", with(func(p *Params) { p.ViaCost = 1 << 40 }), false},
+		{"via_cost 2^20", with(func(p *Params) { p.ViaCost = 1 << 20 }), false},
+		{"alpha cap+1", with(func(p *Params) { p.Alpha = MaxParam + 1 }), false},
+		{"all at cap", Params{
+			Alpha: MaxParam, AMC: MaxParam, Beta: MaxParam, Gamma: MaxParam,
+			ViaCost: MaxParam, NonPrefMul: MaxParam, NonPrefTurnCost: MaxParam,
+			UsagePenalty: MaxParam, HistInc: MaxParam,
+		}, true},
 	}
 	arena := NewArena()
 	for _, c := range cases {

@@ -10,11 +10,11 @@ import (
 )
 
 // job is one submission's lifecycle record. The immutable identity
-// fields are set at creation; the mutable state is guarded by mu and
-// done is closed exactly once on reaching a terminal state: the first
-// terminal transition wins and later ones are no-ops, so concurrent
-// finish/fail (e.g. a worker result racing a crash-recovery sweep)
-// cannot double-close or tear the status/result pair.
+// fields are set at creation; the mutable state is guarded by mu. The
+// first terminal transition to claim the job wins and later ones are
+// no-ops, so concurrent completions (e.g. a worker result racing a
+// lease-expiry sweep) cannot double-close done or tear the
+// status/result pair; done closes when the winner publishes.
 type job struct {
 	id   string
 	key  string // content address (cacheKey)
@@ -32,7 +32,7 @@ type job struct {
 	placement string
 	result    json.RawMessage // guarded by mu
 	cacheHit  bool            // guarded by mu
-	terminal  bool            // guarded by mu
+	terminal  bool            // guarded by mu; set by claim, before publish
 	// attempt counts executions of this job (1 on the first run); it
 	// survives restarts via the journal's running records and bounds
 	// both panic retries and crash-recovery re-enqueues. guarded by mu
@@ -84,23 +84,44 @@ func (j *job) attempts() int {
 	return j.attempt
 }
 
-// terminate moves the job to a terminal state exactly once, setting
-// every terminal field under the same lock acquisition so a concurrent
-// response() can never observe a torn status/result pair. It reports
-// whether this call won the transition.
-func (j *job) terminate(status api.JobStatus, result json.RawMessage, errMsg string, cacheHit bool) bool {
+// claim wins the job's terminal transition, exactly once. The job
+// still reads as before (queued or running) until publish: the caller
+// makes the transition durable in between. It reports whether this
+// call won.
+func (j *job) claim() bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.terminal {
-		j.mu.Unlock()
 		return false
 	}
 	j.terminal = true
+	return true
+}
+
+// publish makes a claimed terminal state visible and wakes waiters. It
+// sets every terminal field under one lock acquisition, so a
+// concurrent response() never observes a torn status/result pair. A
+// non-empty placement names the worker that decided the job.
+func (j *job) publish(status api.JobStatus, result json.RawMessage, errMsg, placement string, cacheHit bool) {
+	j.mu.Lock()
 	j.status = status
 	j.result = result
 	j.errMsg = errMsg
 	j.cacheHit = cacheHit
+	if placement != "" {
+		j.placement = placement
+	}
 	j.mu.Unlock()
 	close(j.done)
+}
+
+// terminate claims and publishes in one step, for transitions with
+// nothing to make durable: journal replay and cache hits.
+func (j *job) terminate(status api.JobStatus, result json.RawMessage, errMsg string, cacheHit bool) bool {
+	if !j.claim() {
+		return false
+	}
+	j.publish(status, result, errMsg, "", cacheHit)
 	return true
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/service/api"
@@ -143,4 +144,70 @@ func TestOversizedSubmissionRejected(t *testing.T) {
 	if jr := pollDone(t, ts, sr.ID); jr.Status != api.StatusDone {
 		t.Fatalf("follow-up job = %+v", jr)
 	}
+}
+
+// A terminal transition is durable before anyone can see it: with the
+// journal's append held, a job the seam completes, fails or
+// quarantines still reads as running and still holds its single-flight
+// key, and reads terminal only once its record is on disk.
+func TestTransitionJournaledBeforeVisible(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		status api.JobStatus
+		decide func(*Server, *Assignment) bool
+	}{
+		{"complete", api.StatusDone, func(s *Server, a *Assignment) bool {
+			return s.Complete(a, json.RawMessage(`{"row":{"ckt":"t"}}`), false, "w1")
+		}},
+		{"fail", api.StatusFailed, func(s *Server, a *Assignment) bool { return s.Fail(a, "boom", false) }},
+		{"quarantine", api.StatusQuarantined, func(s *Server, a *Assignment) bool { return s.Quarantine(a, "poison") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mustNew(t, Config{ExternalExec: true, DataDir: t.TempDir(), Run: stubRun})
+			defer s.Shutdown(context.Background())
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			_, sr, _ := doSubmit(t, ts, tinyNetlist, bench.RunSpec{})
+			a, err := s.Dequeue(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.StartAttempt(a, "w1")
+
+			s.journal.mu.Lock()
+			decided := make(chan bool, 1)
+			go func() { decided <- tc.decide(s, a) }()
+			// Give the transition time to become visible, were it going
+			// to before its append.
+			time.Sleep(50 * time.Millisecond)
+			if jr := getJob(t, ts, sr.ID); jr.Status != api.StatusRunning {
+				t.Errorf("with the append held the job reads %q, want running", jr.Status)
+			}
+			if _, dup, _ := doSubmit(t, ts, tinyNetlist, bench.RunSpec{}); !dup.Deduped || dup.ID != sr.ID {
+				t.Errorf("with the append held a resubmission got %+v, want it coalesced onto %s", dup, sr.ID)
+			}
+			s.journal.mu.Unlock()
+			if !<-decided {
+				t.Fatal("the transition lost its own gate")
+			}
+			if jr := getJob(t, ts, sr.ID); jr.Status != tc.status {
+				t.Fatalf("after the append the job reads %q, want %q", jr.Status, tc.status)
+			}
+		})
+	}
+}
+
+// getJob is one GET /v1/jobs/{id}.
+func getJob(t *testing.T, ts *httptest.Server, id string) api.JobResponse {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var jr api.JobResponse
+	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+		t.Fatal(err)
+	}
+	return jr
 }

@@ -35,9 +35,9 @@ type Metrics struct {
 	Failed    atomic.Int64
 	// Canceled counts jobs aborted by the per-job timeout or shutdown.
 	Canceled atomic.Int64
-	// Panics counts worker panics caught by the per-attempt recover();
-	// each is converted to a structured failure instead of killing the
-	// daemon.
+	// Panics counts panicking attempts, in-process or on a cluster
+	// worker: Execute recovers each into a structured outcome instead
+	// of killing the process, and Panicked counts it.
 	Panics atomic.Int64
 	// Quarantined counts jobs isolated after panicking on every
 	// allowed attempt.
@@ -164,7 +164,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 	counter("sadprouted_jobs_replayed_total", "Jobs re-enqueued from the journal at boot.", m.Replayed.Load())
 	counter("sadprouted_journal_errors_total", "Journal append failures.", m.JournalErrors.Load())
 	gauge("sadprouted_queue_depth", "Jobs waiting in the FIFO queue.", int64(g.QueueDepth))
-	gauge("sadprouted_jobs_inflight", "Jobs currently being routed.", int64(g.Inflight))
+	gauge("sadprouted_jobs_inflight", "Jobs dequeued for execution and not yet terminal.", int64(g.Inflight))
 	gauge("sadprouted_cache_entries", "Entries in the result cache.", int64(g.CacheSize))
 	d := int64(0)
 	if g.Draining {

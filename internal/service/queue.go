@@ -5,15 +5,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"time"
 
+	"repro/internal/bench"
+	"repro/internal/fault"
+	"repro/internal/netlist"
 	"repro/internal/router"
-	"repro/internal/service/api"
 )
 
-// startWorkers launches the fixed worker pool. Each worker pulls jobs
-// off the bounded FIFO channel until Shutdown closes it; because the
-// workers keep draining after close, every job that was accepted with
-// 202 is driven to a terminal state before Shutdown returns.
+// startWorkers launches the fixed worker pool: the in-process placer
+// on the dispatch seam. Each worker Dequeues until Shutdown closes the
+// queue; because the workers keep draining after close, every job that
+// was accepted with 202 is driven to a terminal state before Shutdown
+// returns.
 //
 // Each worker owns one router arena: back-to-back jobs on the same
 // grid shape reuse the previous job's routing state wholesale instead
@@ -26,125 +30,99 @@ func (s *Server) startWorkers() {
 		go func() {
 			defer s.wg.Done()
 			arena := router.NewArena()
-			for j := range s.queue {
-				s.runJob(j, arena)
+			for {
+				// No deadline: the pool drains the queue until it
+				// closes, even after Shutdown cancels in-flight work.
+				a, err := s.Dequeue(context.Background())
+				if err != nil {
+					return // ErrDraining: the queue is closed and empty
+				}
+				s.place(a, arena)
 			}
 		}()
 	}
 }
 
-// runJob drives one job to a terminal state. Each attempt runs under
-// its own recover(): a panic anywhere in the routing/ILP stack is
-// converted to a structured failure instead of killing the daemon,
-// retried while attempts remain, and quarantined once the budget is
-// spent so a poison job cannot crash-loop the service.
-func (s *Server) runJob(j *job, arena *router.Arena) {
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-
+// place drives one assignment to a terminal state in-process. It takes
+// the same steps as a cluster placement, without the wire: a panicking
+// attempt retries inline while Panicked allows it.
+func (s *Server) place(a *Assignment, arena *router.Arena) {
 	for {
-		attempt := j.beginAttempt()
-		s.journalAppend(journalRecord{Type: recRunning, ID: j.id, Key: j.key, Attempt: attempt})
-		res, err, panicMsg := s.runAttempt(j, arena)
-
-		if panicMsg != "" {
-			s.metrics.Panics.Add(1)
-			if attempt < s.cfg.MaxAttempts {
-				s.logf("job %s: panic on attempt %d/%d, retrying: %s", j.id, attempt, s.cfg.MaxAttempts, firstLine(panicMsg))
+		s.StartAttempt(a, "")
+		out := Execute(s.baseCtx, a.j.nl, a.Spec, s.cfg.JobTimeout, s.run, arena, s.fault)
+		switch {
+		case out.Panic != "":
+			if s.Panicked(a, out.Panic) {
 				continue
 			}
-			msg := fmt.Sprintf("quarantined after %d panicking attempts: %s", attempt, panicMsg)
-			s.mu.Lock()
-			s.quarantined[j.key] = quarInfo{id: j.id, msg: msg}
-			s.mu.Unlock()
-			s.journalAppend(journalRecord{Type: recQuarantined, ID: j.id, Key: j.key, Attempt: attempt, Error: msg})
-			s.metrics.Quarantined.Add(1)
-			s.metrics.Failed.Add(1)
-			j.quarantine(msg)
-			s.logf("job %s quarantined: %s", j.id, firstLine(panicMsg))
-			break
-		}
-
-		// Reach the terminal state (and, on success, populate the cache)
-		// BEFORE releasing the single-flight key: a concurrent identical
-		// submission must either coalesce onto this job or hit the cache —
-		// never land in a gap between the two and route again.
-		switch {
-		case err != nil:
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				s.metrics.Canceled.Add(1)
-			}
-			s.metrics.Failed.Add(1)
-			s.journalAppend(journalRecord{Type: recFailed, ID: j.id, Key: j.key, Attempt: attempt, Error: err.Error()})
-			j.fail(err.Error())
-			s.logf("job %s failed: %v", j.id, err)
+		case out.Error != "":
+			s.Fail(a, out.Error, out.Canceled)
 		default:
-			raw, merr := json.Marshal(res)
-			if merr != nil {
-				s.metrics.Failed.Add(1)
-				msg := fmt.Sprintf("marshal result: %v", merr)
-				s.journalAppend(journalRecord{Type: recFailed, ID: j.id, Key: j.key, Attempt: attempt, Error: msg})
-				j.fail(msg)
-				break
-			}
-			degraded := len(res.Degraded) > 0
-			if degraded {
-				// Degraded output is budget- (hence timing-) dependent:
-				// keep it out of the content-addressed cache so a retry
-				// under better conditions can produce the full result.
-				s.metrics.Degraded.Add(1)
-			} else {
-				s.cache.Add(j.key, raw)
-			}
-			s.metrics.Completed.Add(1)
-			s.journalAppend(journalRecord{Type: recDone, ID: j.id, Key: j.key, Attempt: attempt, Result: raw, Degraded: degraded})
-			j.finish(raw, false)
-			s.logf("job %s done: ckt=%s wl=%d vias=%d dv=%d uv=%d degraded=%v",
-				j.id, res.Row.CKT, res.Row.WL, res.Row.Vias, res.Row.DV, res.Row.UV, res.Degraded)
+			s.Complete(a, out.Result, out.Degraded, "")
 		}
-		break
+		return
 	}
-
-	s.releaseKey(j)
 }
 
-// runAttempt executes one attempt of the flow under the panic
-// barrier. A caught panic is reported as a redacted message rather
-// than an error so the caller can tell crashes from ordinary
-// failures. The "worker.panic" fault site is the chaos hook for this
-// path.
-func (s *Server) runAttempt(j *job, arena *router.Arena) (res api.Result, err error, panicMsg string) {
+// Outcome is what one attempt of a job produced. Exactly one of
+// Result, Error and Panic is set. It travels as JSON inside a cluster
+// worker's result upload.
+type Outcome struct {
+	// Result is the marshaled api.Result: the bytes that are journaled,
+	// cached and served.
+	Result json.RawMessage `json:"result,omitempty"`
+	// Degraded marks a Result that lists a degradation; it is never
+	// cached.
+	Degraded bool   `json:"degraded,omitempty"`
+	Error    string `json:"error,omitempty"`
+	// Canceled marks an Error caused by the job deadline or shutdown.
+	Canceled bool `json:"canceled,omitempty"`
+	// Panic is the recovered panic with its redacted stack.
+	Panic string `json:"panic,omitempty"`
+}
+
+// Execute runs one attempt of the flow and marshals what it produced.
+// It is the one attempt function: the in-process pool and every
+// cluster worker call it, so both placers run and marshal a job the
+// same way. timeout bounds the flow (zero means none); a degrade-mode
+// spec gets twice that, a backstop behind its phase budgets
+// (applyDegradeDefaults). A panic anywhere in the routing/ILP stack,
+// or at the "worker.panic" fault site, is recovered into
+// Outcome.Panic with a redacted stack instead of killing the process.
+func Execute(ctx context.Context, nl *netlist.Netlist, spec bench.RunSpec, timeout time.Duration, run RunFunc, arena *router.Arena, flt *fault.Injector) (out Outcome) {
 	defer func() {
 		if r := recover(); r != nil {
-			panicMsg = fmt.Sprintf("panic: %v\n%s", r, redactedStack())
+			out = Outcome{Panic: fmt.Sprintf("panic: %v\n%s", r, redactedStack())}
 		}
 	}()
-	ctx := s.baseCtx
-	if s.cfg.JobTimeout > 0 {
-		limit := s.cfg.JobTimeout
-		if j.spec.Degrade {
-			// Degrade mode replaces the hard deadline with per-phase
-			// budgets (applyDegradeDefaults); the context keeps a 2×
-			// backstop so a runaway phase without a budget still ends.
-			limit *= 2
+	if timeout > 0 {
+		if spec.Degrade {
+			timeout *= 2
 		}
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, limit)
+		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	j.setRunning()
-	s.metrics.Routed.Add(1)
-	if ferr := s.fault.Inject("worker.panic"); ferr != nil {
+	if ferr := flt.Inject("worker.panic"); ferr != nil {
 		panic(ferr)
 	}
-	res, err = s.run(ctx, j.nl, j.spec, arena)
-	return
+	res, err := run(ctx, nl, spec, arena)
+	if err != nil {
+		canceled := errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
+		return Outcome{Error: err.Error(), Canceled: canceled}
+	}
+	raw, err := json.Marshal(res)
+	if err != nil {
+		return Outcome{Error: fmt.Sprintf("marshal result: %v", err)}
+	}
+	return Outcome{Result: raw, Degraded: len(res.Degraded) > 0}
 }
 
-// journalAppend is the worker-side append: a failure is counted and
-// logged but does not change the job's outcome — the in-memory state
-// remains authoritative for this life of the daemon, and the attempt
-// bound keeps replay of under-recorded jobs finite.
+// journalAppend is the append for every record after the submit
+// record: a failure is counted and logged but does not change the
+// job's outcome — the in-memory state remains authoritative for this
+// life of the daemon, and the attempt bound keeps replay of
+// under-recorded jobs finite.
 func (s *Server) journalAppend(rec journalRecord) {
 	if err := s.journal.append(rec); err != nil {
 		s.metrics.JournalErrors.Add(1)

@@ -48,6 +48,10 @@ import (
 // result, and must not retain the router past the call.
 type RunFunc func(ctx context.Context, nl *netlist.Netlist, spec bench.RunSpec, arena *router.Arena) (api.Result, error)
 
+// maxNets bounds the net count per submission: the netlist is
+// user-supplied input, and the router allocates per net.
+const maxNets = 200000
+
 // Config sizes the service. Zero values take the defaults noted.
 type Config struct {
 	// QueueSize bounds the FIFO of accepted-but-not-started jobs
@@ -72,8 +76,6 @@ type Config struct {
 	// (default 16M): the grid allocates per cell, and the netlist is
 	// user-supplied input.
 	MaxGridCells int
-	// MaxNets bounds the net count per submission (default 200000).
-	MaxNets int
 	// DataDir, when set, enables the durable job journal: accepted
 	// jobs are WAL-logged and replayed on the next start, so queued
 	// and in-flight work survives kill -9.
@@ -88,11 +90,10 @@ type Config struct {
 	// failures.
 	DegradeByDefault bool
 	// ExternalExec disables the in-process worker pool: accepted jobs
-	// stay on the queue until an external placer (the cluster
-	// coordinator) Dequeues them and drives them to a terminal state
-	// through StartAttempt/CompleteExternal and friends. Everything
-	// else — validation, single-flight, cache, quarantine, journal —
-	// behaves identically.
+	// stay on the queue until another placer (the cluster coordinator)
+	// Dequeues them and drives them through the same dispatch seam
+	// (dispatch.go). Everything else — validation, single-flight,
+	// cache, quarantine, journal — behaves identically.
 	ExternalExec bool
 	// Fault, when non-nil, arms the deterministic fault-injection
 	// sites (journal appends, worker execution, cache operations).
@@ -122,9 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxGridCells <= 0 {
 		c.MaxGridCells = 16 << 20
-	}
-	if c.MaxNets <= 0 {
-		c.MaxNets = 200000
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 2
@@ -265,7 +263,7 @@ func (s *Server) recover(jobs []*replayedJob) error {
 			// never reached a terminal record).
 			if rj.attempt >= s.cfg.MaxAttempts {
 				rj.status = api.StatusFailed
-				rj.errMsg = fmt.Sprintf("interrupted: job did not complete within %d attempts", s.cfg.MaxAttempts)
+				rj.errMsg = s.interrupted()
 				j.fail(rj.errMsg)
 				s.logf("job %s: %s", rj.id, rj.errMsg)
 				s.store.Add(j)
@@ -425,8 +423,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			nl.W, nl.H, nl.NumLayers, cells, s.cfg.MaxGridCells)
 		return
 	}
-	if len(nl.Nets) > s.cfg.MaxNets {
-		writeError(w, http.StatusUnprocessableEntity, "netlist: %d nets exceed limit %d", len(nl.Nets), s.cfg.MaxNets)
+	if len(nl.Nets) > maxNets {
+		writeError(w, http.StatusUnprocessableEntity, "netlist: %d nets exceed limit %d", len(nl.Nets), maxNets)
 		return
 	}
 	// Routing parameters are checked as the router will see them: a

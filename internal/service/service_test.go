@@ -442,8 +442,11 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 	// Out-of-range routing parameters are refused before they take a
-	// queue slot, including a partial block that leaves non_pref_mul 0.
+	// queue slot, including a partial block that leaves non_pref_mul 0
+	// and a via cost (2^40) that would overflow the search's bucket
+	// ring.
 	for _, params := range []string{
+		`{"alpha":8,"amc":1,"beta":4,"gamma":4,"via_cost":1099511627776,"non_pref_mul":4,"non_pref_turn_cost":2,"usage_penalty":12,"hist_inc":3}`,
 		`{"alpha":-40,"amc":1,"beta":4,"gamma":4,"via_cost":4,"non_pref_mul":4,"non_pref_turn_cost":2,"usage_penalty":12,"hist_inc":3}`,
 		`{"alpha":8,"amc":1,"beta":4,"gamma":4,"via_cost":-50,"non_pref_mul":4,"non_pref_turn_cost":2,"usage_penalty":12,"hist_inc":3}`,
 		`{"alpha":8,"amc":1,"beta":4,"gamma":4,"via_cost":4,"non_pref_mul":-3,"non_pref_turn_cost":2,"usage_penalty":12,"hist_inc":3}`,

@@ -33,13 +33,14 @@ WORK=${WORK:-$(mktemp -d /tmp/cluster-e2e.XXXXXX)}
 # div-s is the job the fault scenarios kill mid-flight; the other -s
 # circuits are fillers that make the re-placement shuffle non-trivial.
 # No circuit is slow enough to be caught running by polling alone, so
-# the worker-kill scenario holds its leases with a fault site (see
+# both kill scenarios hold their leases with a fault site (see
 # SLOW_SEED).
 CIRCUITS=${CIRCUITS:-"ecc-s efc-s ctl-s div-s"}
-# Worker A runs with -chaos slow at this seed. The preset stalls a job
+# Worker A (worker-kill scenario) and worker C (coordinator-crash
+# scenario) run with -chaos slow at this seed. The preset stalls a job
 # for 2 s before running it with probability 1/2 per job; seed 65 makes
 # its first six draws all stall (cmd/sadprouted's
-# TestSlowChaosSeedStallsEveryJob pins that), so every job A takes is
+# TestSlowChaosSeedStallsEveryJob pins that), so every job they take is
 # leased and idle for 2 s.
 SLOW_SEED=65
 SCENARIOS=${SCENARIOS:-"kill crash chaos"}
@@ -157,10 +158,14 @@ rm -f "$WORK/coord2.addr"
   -data-dir "$WORK/coord2-data" -lease-ttl 2s -quiet > "$WORK/coord2.log" 2>&1 &
 COORD_PID=$!; PIDS+=("$COORD_PID")
 ADDR=$(wait_addr "$WORK/coord2.addr")
-"$BIN" -mode worker -coordinator-addr "http://$ADDR" -worker-id wC -workers 1 -quiet > "$WORK/wC.log" 2>&1 &
+"$BIN" -mode worker -coordinator-addr "http://$ADDR" -worker-id wC -workers 1 \
+  -chaos slow -chaos-seed "$SLOW_SEED" -quiet > "$WORK/wC.log" 2>&1 &
 WC_PID=$!; PIDS+=("$WC_PID")
 
 JOB=$(submit "$ADDR" div-s)
+# wC stalls the job 2 s before routing it, so the kill lands before
+# any result is journaled: replay must run the job again, and the
+# completion counter below reads 1.
 for _ in $(seq 300); do
   [ "$(job_status "$ADDR" "$JOB")" = running ] && break
   sleep 0.05
