@@ -72,7 +72,7 @@ var garbage = json.RawMessage(`[1,2,3]`)
 // signed is an upload of raw with the checksum of exactly those bytes,
 // as an honest worker sends it.
 func signed(raw json.RawMessage, degraded bool) ResultRequest {
-	return ResultRequest{Outcome: service.Outcome{Result: raw, Degraded: degraded}, Checksum: checksum(raw)}
+	return ResultRequest{Outcome: service.Outcome{Result: raw, Degraded: degraded}, Checksum: service.Checksum(raw)}
 }
 
 // TestValidateUpload pins the validator's checksum and structural
@@ -122,7 +122,7 @@ func TestValidateUpload(t *testing.T) {
 	}{
 		{"honest", a, signed(okPayload(), false), ""},
 		{"checksum missing", a, ResultRequest{Outcome: service.Outcome{Result: okPayload()}}, rejectChecksum},
-		{"bytes changed in flight", a, ResultRequest{Outcome: service.Outcome{Result: okPayload()}, Checksum: checksum(wrongSpecPayload)}, rejectChecksum},
+		{"bytes changed in flight", a, ResultRequest{Outcome: service.Outcome{Result: okPayload()}, Checksum: service.Checksum(wrongSpecPayload)}, rejectChecksum},
 		{"garbage bytes", a, signed(garbage, false), rejectDecode},
 		{"wrong spec echoed", a, signed(wrongSpecPayload, false), rejectContentAddress},
 		{"degraded flag lie", a, signed(okPayload(), true), rejectDegradedFlag},
@@ -151,7 +151,7 @@ func TestRejectedUploadRequeuesJob(t *testing.T) {
 	var rr ResultResponse
 	code := clusterRPC(t, ts, PathResult, ResultRequest{
 		WorkerID: "evil", JobID: job.ID, Lease: job.Lease, Key: job.Key,
-		Outcome: service.Outcome{Result: garbage}, Checksum: checksum(garbage),
+		Outcome: service.Outcome{Result: garbage}, Checksum: service.Checksum(garbage),
 	}, &rr)
 	if code != http.StatusOK || rr.Status != ResultRejected || rr.Reason != rejectDecode {
 		t.Fatalf("forged upload: code %d status %q reason %q, want 200 rejected/decode", code, rr.Status, rr.Reason)
@@ -189,7 +189,7 @@ func TestWorkerQuarantineAfterRejectBudget(t *testing.T) {
 		var rr ResultResponse
 		clusterRPC(t, ts, PathResult, ResultRequest{
 			WorkerID: "evil", JobID: job.ID, Lease: job.Lease, Key: job.Key,
-			Outcome: service.Outcome{Result: garbage}, Checksum: checksum(garbage),
+			Outcome: service.Outcome{Result: garbage}, Checksum: service.Checksum(garbage),
 		}, &rr)
 		if rr.Status != ResultRejected {
 			t.Fatalf("upload %d: status %q, want rejected", i+1, rr.Status)
@@ -427,7 +427,7 @@ func TestRejectedJobCrashReplay(t *testing.T) {
 	var rr ResultResponse
 	clusterRPC(t, ts, PathResult, ResultRequest{
 		WorkerID: "evil", JobID: job.ID, Lease: job.Lease, Key: job.Key,
-		Outcome: service.Outcome{Result: garbage}, Checksum: checksum(garbage),
+		Outcome: service.Outcome{Result: garbage}, Checksum: service.Checksum(garbage),
 	}, &rr)
 	if rr.Status != ResultRejected {
 		t.Fatalf("status %q, want rejected", rr.Status)

@@ -483,3 +483,52 @@ func TestClusterMetricsExposition(t *testing.T) {
 		}
 	}
 }
+
+// TestControlBodiesBounded: a 2 MiB pull and a 2 MiB heartbeat, on the
+// listener that also serves the public API, are each answered 413
+// without being decoded, and the coordinator then grants a normal pull.
+func TestControlBodiesBounded(t *testing.T) {
+	_, _, ts := newCluster(t, service.Config{}, CoordinatorConfig{})
+	post := func(path string, body []byte) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	huge := []byte(`{"worker_id":"` + strings.Repeat("w", 2<<20) + `"}`)
+	for _, path := range []string{PathPull, PathHeartbeat} {
+		resp := post(path, huge)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("2 MiB body to %s answered %d, want 413", path, resp.StatusCode)
+		}
+	}
+	sr := submit(t, ts, tinyNetlist, bench.RunSpec{})
+	b, err := json.Marshal(PullRequest{WorkerID: "w", WaitMS: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := post(PathPull, b)
+	defer resp.Body.Close()
+	var pr PullResponse
+	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || pr.Job == nil || pr.Job.ID != sr.ID {
+		t.Fatalf("pull after the oversized bodies: status %d, %+v; want job %s", resp.StatusCode, pr, sr.ID)
+	}
+	// End the leased job so the coordinator's shutdown need not wait.
+	j := pr.Job
+	b, err = json.Marshal(ResultRequest{WorkerID: "w", JobID: j.ID, Lease: j.Lease, Key: j.Key, Outcome: service.Outcome{Error: "test over"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := post(PathResult, b)
+	up.Body.Close()
+	if jr := pollTerminal(t, ts, sr.ID, 5*time.Second); jr.Status != api.StatusFailed {
+		t.Fatalf("job after the error upload: %+v", jr)
+	}
+}

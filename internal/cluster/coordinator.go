@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -15,6 +16,31 @@ import (
 
 // maxPullWait caps a pull's long-poll window.
 const maxPullWait = 30 * time.Second
+
+// maxControlBody bounds a pull or heartbeat request body, which
+// arrives on the listener that also serves the public API: a pull is a
+// worker id and a wait, a heartbeat one lease per slot. Result uploads
+// carry a result of no computable size and are not bounded.
+const maxControlBody = 1 << 20
+
+// decodeControl decodes a pull or heartbeat body of at most
+// maxControlBody bytes into v, whose worker id workerID points at. It
+// reports false once it has answered the request: 413, as POST
+// /v1/jobs answers, for a larger body, and 400 with msg for a
+// malformed one or an empty worker id.
+func decodeControl(w http.ResponseWriter, r *http.Request, v any, workerID *string, msg string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBody)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, api.ErrorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
+	case err != nil || *workerID == "":
+		writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: msg})
+	default:
+		return true
+	}
+	return false
+}
 
 // CoordinatorConfig tunes the lease machinery. Zero values take the
 // defaults noted.
@@ -447,8 +473,7 @@ func (c *Coordinator) assignmentLocked(t *trackedJob, lease string, attempt int)
 // handlePull answers a worker's long-poll for work.
 func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 	var req PullRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.WorkerID == "" {
-		writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "bad pull request"})
+	if !decodeControl(w, r, &req, &req.WorkerID, "bad pull request") {
 		return
 	}
 	wait := time.Duration(req.WaitMS) * time.Millisecond
@@ -675,8 +700,7 @@ func (c *Coordinator) dropJobLocked(id string) {
 // no longer holds so it can cancel those executions.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.WorkerID == "" {
-		writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "bad heartbeat"})
+	if !decodeControl(w, r, &req, &req.WorkerID, "bad heartbeat") {
 		return
 	}
 	now := time.Now()

@@ -61,7 +61,7 @@ const (
 // the job they claim to decide. It returns ("", nil) when the payload
 // is acceptable, or a reason class plus a detail error.
 func validateUpload(a *service.Assignment, req *ResultRequest, verifyFull bool) (string, error) {
-	if sum := checksum(req.Result); sum != req.Checksum {
+	if sum := service.Checksum(req.Result); sum != req.Checksum {
 		return rejectChecksum, fmt.Errorf("result bytes hash to %.12s, upload claims %.12s", sum, req.Checksum)
 	}
 	var res api.Result

@@ -116,7 +116,7 @@ func uploadJob(tb testing.TB) (*service.Assignment, []byte) {
 // ("Layer" → "Mayer"), or a digit of a timing field.
 func TestValidateUploadRejectsEveryBitFlip(t *testing.T) {
 	a, genuine := uploadJob(t)
-	sum := checksum(genuine)
+	sum := service.Checksum(genuine)
 	for i := range genuine {
 		for bit := 0; bit < 8; bit++ {
 			raw := append([]byte(nil), genuine...)

@@ -31,9 +31,6 @@
 package cluster
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-
 	"repro/internal/bench"
 	"repro/internal/service"
 )
@@ -98,7 +95,7 @@ type ResultRequest struct {
 	// against its own record before accepting the bytes.
 	Key string `json:"key"`
 	service.Outcome
-	// Checksum is the hex SHA-256 of Result as the worker produced it.
+	// Checksum is service.Checksum of Result as the worker produced it.
 	// The decoder skips unknown keys, so a flipped bit in a key name
 	// can decode to a valid, different result; the checksum catches
 	// any change to the bytes themselves.
@@ -107,12 +104,6 @@ type ResultRequest struct {
 	// result spool after a restart (metrics only; the idempotency
 	// contract already makes the replay itself safe).
 	SpoolReplay bool `json:"spool_replay,omitempty"`
-}
-
-// checksum is the hex SHA-256 of a result's bytes.
-func checksum(result []byte) string {
-	sum := sha256.Sum256(result)
-	return hex.EncodeToString(sum[:])
 }
 
 // Result upload verdicts.

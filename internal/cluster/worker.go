@@ -351,7 +351,7 @@ func (w *Worker) execute(ctx context.Context, job *JobAssignment, arena *router.
 		return
 	}
 	if req.Result != nil {
-		req.Checksum = checksum(req.Result)
+		req.Checksum = service.Checksum(req.Result)
 		// Durably stage the computed result before the first upload
 		// attempt: from here on, kill -9 loses nothing.
 		if serr := w.spool.Put(&req); serr != nil {

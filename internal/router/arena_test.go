@@ -7,6 +7,8 @@ package router
 // shape, and after a failed run.
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/coloring"
@@ -17,10 +19,10 @@ type arenaCase struct {
 	nl   *netlist.Netlist
 	cfg  Config
 	name string
-	// failWalled blocks the via site of the last net's first pin before
-	// the recycled run, which must then fail in the first pass (set on
-	// enclosedNetlist). There is no fresh run to compare.
-	failWalled bool
+	// cancel makes the recycled run fail: it is canceled at its first
+	// TPL-phase commit, once helpers have taken a batch, and released
+	// with FVPs open. There is no fresh run to compare.
+	cancel bool
 }
 
 func runFresh(t *testing.T, c arenaCase) *Router {
@@ -79,8 +81,8 @@ func sameSolution(t *testing.T, name string, a, b *Router) {
 // counts on a matching grid shape, plus one mismatched shape (which
 // silently falls back to fresh allocation); it switches TPL and DVI
 // consideration off after runs with them on, the cost weights and the
-// topology; and it recycles a router whose run failed with a via site
-// blocked.
+// topology; and it recycles a router whose run was canceled in the TPL
+// phase after its helpers had started.
 func TestArenaBitIdentical(t *testing.T) {
 	sim := coloring.Scheme{Type: coloring.SIM}
 	sid := coloring.Scheme{Type: coloring.SID}
@@ -103,24 +105,15 @@ func TestArenaBitIdentical(t *testing.T) {
 		{nl: randomNetlist("b", 26, 26, 34, 8), cfg: with(full(sim, 8), func(c *Config) { c.ConsiderDVI = false }), name: "dvi-off"},
 		{nl: randomNetlist("b", 26, 26, 34, 8), cfg: with(full(sid, 8), func(c *Config) { c.Params = ConferenceParams() }), name: "conference-params"},
 		{nl: randomNetlist("e", 26, 26, 40, 11), cfg: with(full(sim, 11), func(c *Config) { c.Topology = StarTopology }), name: "star-topology"},
-		{nl: enclosedNetlist(), cfg: full(sim, 5), name: "failed-run", failWalled: true},
-		{nl: enclosedNetlist(), cfg: full(sim, 5), name: "after-failed-run"},
+		{nl: randomNetlist("f", 30, 30, 46, 33), cfg: full(sim, 33), name: "failed-run", cancel: true},
+		// Sparse, so no via of it re-probes the windows the canceled
+		// run left in its FVP set: a set bind kept would be picked.
+		{nl: randomNetlist("g", 30, 30, 10, 17), cfg: full(sim, 17), name: "after-failed-run"},
 	}
 	arena := NewArena()
 	for _, c := range cases {
-		if c.failWalled {
-			cfg := c.cfg
-			cfg.Arena = arena
-			rt, err := New(c.nl, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			walled := c.nl.Nets[len(c.nl.Nets)-1].Pins[0]
-			rt.blockVia[0][rt.g.PIdx(walled)] = true
-			if err := rt.Run(); err == nil {
-				t.Fatalf("%s: the walled-in net routed", c.name)
-			}
-			arena.Release(rt)
+		if c.cancel {
+			runCanceled(t, arena, c)
 			continue
 		}
 		fresh := runFresh(t, c)
@@ -129,6 +122,39 @@ func TestArenaBitIdentical(t *testing.T) {
 		checkSolution(t, recycled, c.nl)
 		arena.Release(recycled)
 	}
+}
+
+// runCanceled runs c through the arena with batches planned blind and
+// handed to helpers, cancels the run at its first TPL-phase commit
+// once they have taken one, and releases the router.
+func runCanceled(t *testing.T, a *Arena, c arenaCase) {
+	t.Helper()
+	defer SetHelperMinArea(0)()
+	defer SetPlanBlind()()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cancel := make(chan struct{})
+	cfg := c.cfg
+	cfg.Arena, cfg.Cancel = a, cancel
+	rt, err := New(c.nl, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	rt.debugCommit = func(*netRoute, bool) {
+		if rt.Handoffs() > 0 && rt.tplPhase {
+			select {
+			case <-cancel:
+			default:
+				close(cancel)
+			}
+		}
+	}
+	if err := rt.Run(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("%s: got %v, want ErrCanceled", c.name, err)
+	}
+	if len(rt.fvps) == 0 {
+		t.Fatalf("%s: canceled with no FVP open", c.name)
+	}
+	a.Release(rt)
 }
 
 // TestArenaShapeMismatchKeepsStored verifies the arena holds onto a

@@ -11,7 +11,8 @@ import (
 )
 
 // The batch engine routes a sequence of nets in order — the first pass
-// in HPWL order, each congestion round in net-id order — with the
+// in HPWL order, each congestion round of phase 2 and of the TPL phase
+// in net-id order, an FVP victim or color fix-up net alone — with the
 // searches of consecutive, far-apart nets run concurrently, and every
 // output byte-identical to routing them one at a time.
 //
@@ -40,11 +41,13 @@ var helperMinArea = 64 * 64
 // Tests set it.
 var planBlind = false
 
-// spillRadius is the farthest, in Chebyshev distance, a commit writes
-// from its route's points and Steiner claims: occupancy at the points
-// themselves, AMC one planar step away, BDC at a via's DVICs, CDC at
-// the DVICs of those DVICs, and TPLC at the same-color conflict
-// offsets.
+// spillRadius is the farthest, in Chebyshev distance, a commit changes
+// what a search reads from its route's points and Steiner claims:
+// occupancy at the points themselves, AMC one planar step away, BDC at
+// a via's DVICs, CDC at the DVICs of those DVICs, TPLC at the
+// same-color conflict offsets, and in the TPL phase the FVP blocks,
+// which a via changes at every site within tpl.ProbeRadius (the search
+// asks WouldCreateFVP, which reads that far beyond its window).
 var spillRadius = func() int {
 	cheb := func(p geom.Pt) int { return max(p.X, -p.X, p.Y, -p.Y) }
 	r := 0
@@ -57,7 +60,7 @@ var spillRadius = func() int {
 	for _, o := range tpl.ConflictOffsets {
 		r = max(r, cheb(o)) // TPLC
 	}
-	return r
+	return max(r, tpl.ProbeRadius) // FVP blocks
 }()
 
 // batchSlot is one net of a batch: its predicted footprint while the
@@ -71,9 +74,10 @@ type batchSlot struct {
 
 // routeInOrder routes and commits the nets of ids, none of them
 // currently routed, in order, a batch at a time. It polls Config.Cancel
-// before each batch and returns ErrCanceled with id −1. On a routing
-// error it returns the failing net and the error, every earlier net
-// committed.
+// before each batch and returns ErrCanceled with id −1. In the TPL
+// phase a net the FVP blocks wall in is routed once more, at its turn,
+// without them. On a routing error it returns the failing net and the
+// error, every earlier net committed.
 func (rt *Router) routeInOrder(ids []int32) (int32, error) {
 	for len(ids) > 0 {
 		if err := rt.checkCancel(); err != nil {
@@ -91,7 +95,18 @@ func (rt *Router) routeInOrder(ids []int32) (int32, error) {
 				rt.searchers[0].route(res.id, r, res)
 			}
 			if err := rt.commit(res); err != nil {
-				return res.id, err
+				if !rt.tplPhase || rt.ignoreBlocks {
+					return res.id, err
+				}
+				// Any FVP the unblocked route creates enters the FVP
+				// set and is resolved by moving other nets instead.
+				rt.ignoreBlocks = true
+				rt.searchers[0].route(res.id, rt.takeRoute(), res)
+				err = rt.commit(res)
+				rt.ignoreBlocks = false
+				if err != nil {
+					return res.id, err
+				}
 			}
 			batch[j].write = rt.writeRect(res)
 		}

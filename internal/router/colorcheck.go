@@ -33,7 +33,6 @@ func (rt *Router) ensureColorable() error {
 			return fmt.Errorf("router: %d uncolorable vias remain after %d color fix rounds",
 				len(uncolorable), round)
 		}
-		fvps := map[fvpKey]bool{}
 		ripped := map[int32]bool{}
 		for _, v := range uncolorable {
 			// Make the offending via site expensive and move one of
@@ -52,14 +51,16 @@ func (rt *Router) ensureColorable() error {
 			}
 			ripped[id] = true
 			rt.stats.ColorFixIterations++
-			rt.ripUpTracked(id, fvps)
-			if err := rt.rerouteTracked(id, fvps); err != nil {
-				return fmt.Errorf("router: color fix reroute of net %d: %w", id, err)
+			rt.ripUp(id)
+			if err := rt.rerouteNet(id, "color fix reroute"); err != nil {
+				return err
 			}
 		}
 		// The reroutes must not reintroduce FVPs or congestion; fall
-		// back to the violation-removal loop if they did.
-		if len(fvps) > 0 || len(rt.g.Congestions()) > 0 {
+		// back to the violation-removal loop if they did. The FVP set
+		// was empty when the round began (the TPL phase ends only
+		// then), and the reroutes kept it exact.
+		if len(rt.fvps) > 0 || len(rt.g.Congestions()) > 0 {
 			if err := rt.removeTPLViolations(); err != nil {
 				return err
 			}

@@ -87,11 +87,14 @@ func TestColorFixUpRipsWheel(t *testing.T) {
 		t.Fatal("the wheel is colorable")
 	}
 
-	// An earlier TPL phase's count, which a re-entry must add to.
+	// The state an earlier TPL phase leaves: its flag on, the FVP set
+	// exact (empty: the wheel holds no FVP), and its count, which a
+	// re-entry must add to.
+	rt.tplPhase = true
 	const earlier = 7
 	rt.stats.TPLRRIterations = earlier
 	calls, entries := 0, 0
-	rt.debugTPLIter = func(iter int, _ map[fvpKey]bool) {
+	rt.debugTPLIter = func(iter int) {
 		calls++
 		if iter == 0 {
 			entries++

@@ -24,27 +24,19 @@ func (rt *Router) resolveCongestion() error {
 			return fmt.Errorf("router: congestion unresolved after %d rip-up iterations (%d overflows left)",
 				rt.stats.RRIterations, len(cong))
 		}
-		order := rt.congestionVictims(cong)
-		for _, id := range order {
-			rt.ripUp(id)
-		}
-		rt.stats.RRIterations += len(order)
-		if id, err := rt.routeInOrder(order); err != nil {
-			if id < 0 {
-				return err
-			}
-			return fmt.Errorf("router: congestion reroute of net %d: %w", id, err)
+		if err := rt.congestionRound(cong); err != nil {
+			return err
 		}
 	}
 }
 
-// congestionVictims opens a congestion round, in phase 2 and in the
-// TPL phase alike: it escalates the sharing penalty, bumps the history
-// of every congested point and draws one of the point's occupants,
-// rotated pseudo-randomly so no net is permanently the victim. It
-// returns the distinct victims in ascending id order, in a buffer
-// valid until the next round.
-func (rt *Router) congestionVictims(cong []geom.Pt3) []int32 {
+// congestionRound is one round of negotiated congestion R&R, in phase
+// 2 and in the TPL phase alike. It escalates the sharing penalty,
+// bumps the history of every congested point and draws one of the
+// point's occupants, rotated pseudo-randomly so no net is permanently
+// the victim. Then it rips the distinct victims and reroutes them in
+// ascending id order through the batch engine.
+func (rt *Router) congestionRound(cong []geom.Pt3) error {
 	// Escalating the sharing penalty makes later rounds separate nets
 	// more aggressively.
 	rt.escalatePresFac()
@@ -60,7 +52,28 @@ func (rt *Router) congestionVictims(cong []geom.Pt3) []int32 {
 	slices.Sort(victims)
 	victims = slices.Compact(victims)
 	rt.congBuf = victims
-	return victims
+	for _, id := range victims {
+		rt.ripUp(id)
+	}
+	rt.stats.RRIterations += len(victims)
+	id, err := rt.routeInOrder(victims)
+	return netError("congestion reroute", id, err)
+}
+
+// rerouteNet routes and commits one ripped net as a one-net batch.
+func (rt *Router) rerouteNet(id int32, phase string) error {
+	ids := [1]int32{id}
+	id, err := rt.routeInOrder(ids[:])
+	return netError(phase, id, err)
+}
+
+// netError names the net a routing phase failed on; a cancellation
+// (id −1) passes through as it is.
+func netError(phase string, id int32, err error) error {
+	if err == nil || id < 0 {
+		return err
+	}
+	return fmt.Errorf("router: %s of net %d: %w", phase, id, err)
 }
 
 // escalatePresFac raises the present-sharing penalty up to a

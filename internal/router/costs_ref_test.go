@@ -185,7 +185,7 @@ func TestCostsMatchLedgeredReference(t *testing.T) {
 				ref.revert(rt, id)
 				rt.ripUp(id)
 			} else {
-				if err := rt.reroute(id); err != nil {
+				if err := rt.rerouteNet(id, "reroute"); err != nil {
 					t.Fatal(err)
 				}
 				ref.apply(rt, id)

@@ -1,11 +1,13 @@
 package router
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/coloring"
 	"repro/internal/dvi"
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/netlist"
 	"repro/internal/tpl"
 )
@@ -163,28 +165,110 @@ func TestTPLCConflictCounts(t *testing.T) {
 	}
 }
 
-// Fig 10 / Algorithm 2 line 2: with TPL consideration, via sites whose
-// use would create an FVP are blocked during the TPL R&R phase.
-func TestBlockedViaSites(t *testing.T) {
-	nl := randomNetlist("blk", 24, 24, 40, 3)
-	rt, err := New(nl, Config{Scheme: coloring.Scheme{Type: coloring.SIM}, ConsiderTPL: true})
-	if err != nil {
-		t.Fatal(err)
+// fvpSiteCircuit builds three nets whose hand-built routes hold vias
+// at site+(−1,−1), site+(0,−1) and site+(−1,0), each climbing at its
+// pin and running on layer 1 to a via at its far pin, so a fourth via
+// at site completes FVP windows. The last net, "t", runs from site ten
+// tracks north: its cheapest path climbs at site and follows layer 1's
+// preferred direction. With walled set, two more nets put pins east
+// and north of site, so that with the other two pins to its west and
+// south, t can leave its pin only by the via at site.
+func fvpSiteCircuit(site geom.Pt, walled bool) (*netlist.Netlist, [][]geom.Pt3) {
+	nl := &netlist.Netlist{Name: "fvpsite", W: 24, H: 24, NumLayers: 2}
+	var paths [][]geom.Pt3
+	add := func(path []geom.Pt3) {
+		id := len(nl.Nets)
+		pins := []geom.Pt{path[0].Pt2(), path[len(path)-1].Pt2()}
+		nl.Nets = append(nl.Nets, &netlist.Net{ID: id, Name: "n" + itoa(id), Pins: pins})
+		paths = append(paths, path)
 	}
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
+	for _, b := range []struct{ dx, dy, dir int }{{-1, -1, -1}, {0, -1, -1}, {-1, 0, 1}} {
+		p := site.Add(b.dx, b.dy)
+		path := []geom.Pt3{geom.XYL(p.X, p.Y, 0)}
+		for k := 0; k <= 6; k++ {
+			path = append(path, geom.XYL(p.X, p.Y+b.dir*k, 1))
+		}
+		add(append(path, geom.XYL(p.X, p.Y+b.dir*6, 0)))
 	}
-	// After the run, the blocked set must be exactly the
-	// would-create-FVP predicate on unoccupied sites.
-	for vl, lv := range rt.g.Vias {
-		for y := 0; y < nl.H; y++ {
-			for x := 0; x < nl.W; x++ {
-				p := geom.XY(x, y)
-				want := !lv.Has(p) && lv.WouldCreateFVP(p)
-				if got := rt.blockVia[vl][rt.g.PIdx(p)]; got != want {
-					t.Fatalf("blockVia[%d]%v = %v, want %v", vl, p, got, want)
-				}
+	if walled {
+		for _, dx := range []int{1, -1} {
+			// East on row site.Y from site+(1,0); west on the row above
+			// from site+(0,1).
+			p := site.Add(max(dx, 0), max(-dx, 0))
+			var path []geom.Pt3
+			for k := 0; k <= 4; k++ {
+				path = append(path, geom.XYL(p.X+dx*k, p.Y, 0))
 			}
+			add(path)
+		}
+	}
+	nl.Nets = append(nl.Nets, &netlist.Net{ID: len(nl.Nets), Name: "t", Pins: []geom.Pt{site, site.Add(0, 10)}})
+	return nl, paths
+}
+
+// Fig 10 / Algorithm 2 line 2: in the TPL phase the search refuses a
+// via site whose use would create an FVP, by asking the via layer
+// (tpl.LayerVias.WouldCreateFVP) at every via it considers. In the
+// first pass, and while the blocks are lifted, it does not. A net the
+// blocks wall in fails its blocked attempt and routeInOrder routes it
+// again without them. Either way an FVP a route creates in the TPL
+// phase enters the FVP set, and leaves it when the route is ripped.
+func TestFVPBlocksAreAQuery(t *testing.T) {
+	site := geom.XY(11, 11)
+	for _, tc := range []struct {
+		name    string
+		walled  bool
+		tpl     bool // enter the TPL phase before routing t
+		lifted  bool // ignoreBlocks
+		wantVia bool // t climbs at site
+	}{
+		{name: "first pass", wantVia: true},
+		{name: "TPL phase", tpl: true},
+		{name: "TPL phase, blocks lifted", tpl: true, lifted: true, wantVia: true},
+		{name: "TPL phase, walled in", walled: true, tpl: true, wantVia: true},
+	} {
+		nl, paths := fvpSiteCircuit(site, tc.walled)
+		rt, err := New(nl, Config{Scheme: coloring.Scheme{Type: coloring.SIM}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, path := range paths {
+			r := grid.NewRoute(int32(id))
+			r.AddPath(path)
+			rt.routes[id] = r
+			rt.g.AddRoute(r)
+		}
+		if !rt.g.Vias[0].WouldCreateFVP(site) {
+			t.Fatalf("%s: a via at %v would create no FVP", tc.name, site)
+		}
+		if tc.tpl {
+			// Nothing to resolve: the phase only turns its blocks on.
+			if err := rt.removeTPLViolations(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		rt.ignoreBlocks = tc.lifted
+		id := int32(len(nl.Nets) - 1)
+		if err := rt.rerouteNet(id, "reroute"); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rt.ignoreBlocks != tc.lifted {
+			t.Fatalf("%s: ignoreBlocks is %v after the reroute", tc.name, rt.ignoreBlocks)
+		}
+		if got := slices.Contains(rt.routes[id].ViaList(), geom.XYL(site.X, site.Y, 0)); got != tc.wantVia {
+			t.Fatalf("%s: t climbs at %v: %v, want %v (vias %v)", tc.name, site, got, tc.wantVia, rt.routes[id].ViaList())
+		}
+		fvps := len(rt.g.Vias[0].AllFVPs())
+		if (fvps > 0) != tc.wantVia {
+			t.Fatalf("%s: %d FVP windows after routing t", tc.name, fvps)
+		}
+		if tc.tpl && len(rt.fvps) != fvps {
+			t.Fatalf("%s: the FVP set holds %d windows, the grid %d", tc.name, len(rt.fvps), fvps)
+		}
+		// Ripping t removes the windows its via completed.
+		rt.ripUp(id)
+		if len(rt.fvps) != 0 {
+			t.Fatalf("%s: the FVP set holds %d windows after t was ripped", tc.name, len(rt.fvps))
 		}
 	}
 }

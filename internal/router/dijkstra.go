@@ -463,6 +463,9 @@ func (sr *searcher) dijkstra(r routeView, sources []source, target geom.Pt3, net
 	P := rt.cfg.Params
 	nonPrefStep := P.NonPrefMul * CostScale
 	baseViaCost := P.ViaCost * CostScale
+	// In the TPL phase a via site whose use would create an FVP is
+	// blocked (Fig 10), unless the blocks are lifted.
+	blockFVPs := rt.tplPhase && !rt.ignoreBlocks
 	// Neighbor state ids derive incrementally from the popped point
 	// index: one point step is ±1 (x), ±wW (y) or ±wW·wH (layer) in
 	// the dense window layout. pointDelta is ordered like
@@ -556,7 +559,7 @@ func (sr *searcher) dijkstra(r routeView, sources []source, target geom.Pt3, net
 				nd = -layerDelta
 			}
 			pi := gp
-			if rt.blockVia[vl][pi] && !rt.ignoreBlocks {
+			if blockFVPs && rt.g.Vias[vl].WouldCreateFVP(p.Pt2()) {
 				continue
 			}
 			cost := g + baseViaCost + rt.viaPrice[vl][pi]

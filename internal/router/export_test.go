@@ -38,8 +38,8 @@ func SetBoundCheck() (restore func()) {
 func (rt *Router) Handoffs() int { return rt.crew.handoffs }
 
 // CheckCommitFootprints runs the flow on nl with every commit
-// observed: each must change no price, occupancy or
-// Steiner-claim cell, and ledger no entry, outside the net's write
+// observed: each must change no price, occupancy, Steiner-claim cell
+// or FVP block answer, and ledger no entry, outside the net's write
 // rect — the footprint the batch validation relies on. It returns the
 // router after the run and the number of commits checked.
 func CheckCommitFootprints(nl *netlist.Netlist, cfg Config) (*Router, int, error) {
@@ -118,6 +118,14 @@ func (f *footprint) take(rt *Router) {
 		})
 	}
 	add("steinerOwner", np, func(i int) int64 { return int64(rt.steinerOwner[i]) })
+	for v, lv := range rt.g.Vias {
+		add(fmt.Sprintf("FVP block[%d]", v), np, func(i int) int64 {
+			if lv.WouldCreateFVP(pt(i)) {
+				return 1
+			}
+			return 0
+		})
+	}
 }
 
 // diff reports the first cell that differs between f and g outside w.

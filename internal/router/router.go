@@ -38,9 +38,6 @@ type Router struct {
 	ledgers []ledger
 	feas    dvi.Feasibility
 
-	// blockVia marks via sites blocked during TPL violation removal.
-	blockVia [][]bool
-
 	// The routing costs, indexed like the grid: per routing layer and
 	// per via layer, the sum at each cell of every assigned cost (BDC
 	// on metal; BDC, AMC, CDC and TPLC on vias) and its
@@ -56,21 +53,29 @@ type Router struct {
 	// another net's terminal is a short no negotiation can fix.
 	pinOwner []int32
 
-	// ignoreBlocks lifts the blocked-via-site constraint for one
-	// reroute, or for a whole TPL-phase congestion round: the escape
-	// hatch when blocking walls off a net's pins or leaves it only a
-	// short (unblockAfter). Any FVP an unblocked route creates
-	// re-enters the violation queue.
+	// tplPhase is set on entry to the TPL phase (removeTPLViolations)
+	// and stays set through the color fix-up. While it is set, the
+	// search refuses every via site whose use would create an FVP
+	// (Fig 10) — it asks tpl.LayerVias.WouldCreateFVP, so the blocks
+	// are a query, never a stored state — and ripUp and commit keep
+	// fvps exact.
+	tplPhase bool
+	// ignoreBlocks lifts the FVP blocks for one reroute, or for a whole
+	// TPL-phase congestion round: the escape hatch when blocking walls
+	// off a net's pins or leaves it only a short (unblockAfter). Any FVP
+	// an unblocked route creates enters fvps.
 	ignoreBlocks bool
+	// fvps is the TPL phase's violation set: every 3×3 window of a via
+	// layer that holds a forbidden via pattern, nothing else. It is the
+	// only incremental TPL state.
+	fvps map[fvpKey]bool
 
 	// searchers[0] is the calling goroutine's working state; the rest
 	// belong to batch helpers (batch.go). They survive arena reuse; the
 	// helper goroutines do not.
 	searchers []*searcher
-	// slots holds the current batch; one is the outcome buffer of a
-	// single reroute.
+	// slots holds the current batch.
 	slots []batchSlot
-	one   netRoute
 	crew  crew
 
 	// Rip-up/reroute recycling: ripped Route objects (with their path,
@@ -93,24 +98,16 @@ type Router struct {
 	// deterministic routing order, so the reservation set — and with it
 	// every topology — is reproducible.
 	steinerOwner []int32
-	// scanStamp/scanEpoch deduplicate the via-driven blocked-site
-	// discovery (initBlockedVias): overlapping 5×5 neighborhoods of
-	// nearby vias share cells, and each cell is examined once per
-	// epoch.
-	scanStamp []uint32
-	scanEpoch uint32
-	// siteBuf is recycled storage for occupied-via-site snapshots
-	// (tpl.AppendSites) taken during TPL bookkeeping.
+	// siteBuf is recycled storage for the occupied-via-site snapshot
+	// (tpl.AppendSites) of the TPL phase's initial FVP discovery.
 	siteBuf []geom.Pt
-	// victimBuf and ripViasBuf are recycled per-violation working sets
-	// of the TPL rip-up loop (candidate victim nets, ripped via
-	// snapshots); netBuf holds one cell's occupant list for the
+	// victimBuf is the recycled candidate list of the TPL rip-up loop's
+	// victim picks; netBuf holds one cell's occupant list for the
 	// congestion victim picks and appendViaOwners; congBuf holds one
 	// congestion round's victims.
-	victimBuf  []int32
-	ripViasBuf []geom.Pt3
-	netBuf     []int32
-	congBuf    []int32
+	victimBuf []int32
+	netBuf    []int32
+	congBuf   []int32
 	// dvicBuf is recycled storage for per-via feasible-DVIC queries in
 	// the cost assignment (≤4 entries, rewritten for every via).
 	dvicBuf []geom.Pt
@@ -133,11 +130,11 @@ type Router struct {
 
 	stats Stats
 
-	// debugTPLIter, when set, observes the incremental TPL state at the
-	// top of every violation-removal iteration. Tests use it to
-	// cross-check blockVia and the fvps map against full rescans and to
-	// run the independent verifier per iteration.
-	debugTPLIter func(iter int, fvps map[fvpKey]bool)
+	// debugTPLIter, when set, is called at the top of every
+	// violation-removal iteration. Tests use it to cross-check fvps and
+	// the congestion sets against full rescans and to run the
+	// independent verifier per iteration.
+	debugTPLIter func(iter int)
 	// debugCommit, when set, is called before (done false) and after
 	// (done true) every commit that succeeds. Tests use it to check
 	// that a commit writes nothing outside the net's write rect.
@@ -183,11 +180,13 @@ type Stats struct {
 	// committed attempt.
 	Searches int
 	Pops     int64
-	// BatchedNets counts nets routed in batches of two or more (first
-	// pass and congestion reroutes); Redone counts the speculative
-	// routes among them that read a cell an earlier net of their batch
-	// wrote, and were routed again in order. Both are independent of
-	// GOMAXPROCS.
+	// BatchedNets counts nets routed in batches of two or more: the
+	// first pass and the congestion rounds of phase 2 and of the TPL
+	// phase (an FVP victim or a color fix-up net reroutes as a one-net
+	// batch, which neither counter counts). Redone counts the
+	// speculative routes among them that read a cell an earlier net of
+	// their batch wrote, and were routed again in order. Both are
+	// independent of GOMAXPROCS.
 	BatchedNets int
 	Redone      int
 }
@@ -270,15 +269,15 @@ func New(nl *netlist.Netlist, cfg Config) (*Router, error) {
 // per-run array to the netlist: a fresh router allocates it, a
 // recycled one (same grid shape, Arena.take guarantees it) clears what
 // its last run wrote and keeps the storage. Epoch-stamped scratch — the
-// searchers' visit stamps and the TPL scan stamps — is never cleared:
-// every use bumps its epoch first, so a stale stamp cannot match.
+// searchers' visit stamps — is never cleared: every use bumps its epoch
+// first, so a stale stamp cannot match.
 func (rt *Router) bind(nl *netlist.Netlist, cfg Config) {
 	rt.cfg, rt.nl = cfg, nl
 	np := nl.W * nl.H
 	if rt.g == nil {
 		rt.g = grid.New(nl.W, nl.H, nl.NumLayers, cfg.Scheme)
 		rt.rng = rand.New(rand.NewSource(0))
-		rt.scanStamp = make([]uint32, np)
+		rt.fvps = map[fvpKey]bool{}
 		rt.searchers = []*searcher{rt.newSearcher()}
 		rt.slots = make([]batchSlot, batchCap)
 	} else {
@@ -311,8 +310,8 @@ func (rt *Router) bind(nl *netlist.Netlist, cfg Config) {
 	rt.steinerOwner = reuse(rt.steinerOwner, np)
 	rt.metalPrice = reuseRows(rt.metalPrice, nl.NumLayers, np)
 	rt.viaPrice = reuseRows(rt.viaPrice, nl.NumLayers-1, np)
-	rt.blockVia = reuseRows(rt.blockVia, nl.NumLayers-1, np)
-	rt.ignoreBlocks, rt.noAStar = false, false
+	clear(rt.fvps)
+	rt.tplPhase, rt.ignoreBlocks, rt.noAStar = false, false, false
 	rt.stats = Stats{}
 	rt.crew.handoffs = 0
 	rt.debugTPLIter, rt.debugCommit = nil, nil
@@ -562,6 +561,7 @@ func (rt *Router) commit(res *netRoute) error {
 		}
 		rt.routes[id] = res.r
 		rt.g.AddRoute(res.r)
+		rt.trackFVPs(res.r)
 	}
 	if t := res.built; t != nil {
 		for _, s := range t.Steiner {
@@ -691,7 +691,7 @@ func coversTarget(r *grid.Route, node geom.Pt, junction bool, layers int) bool {
 
 // ripUp removes a net's route, cost contributions and occupancy. The
 // Route object is recycled for the next route — no caller retains a
-// ripped route (ripUpTracked copies the via list it needs first).
+// ripped route.
 func (rt *Router) ripUp(id int32) {
 	r := rt.routes[id]
 	if r == nil || r.Empty() {
@@ -699,14 +699,8 @@ func (rt *Router) ripUp(id int32) {
 	}
 	rt.revertNetCosts(id)
 	rt.g.RemoveRoute(r)
+	rt.trackFVPs(r)
 	rt.routes[id] = nil
 	r.Reset()
 	rt.spareRoutes = append(rt.spareRoutes, r)
-}
-
-// reroute routes a net that is not currently routed on the calling
-// goroutine and commits it.
-func (rt *Router) reroute(id int32) error {
-	rt.searchers[0].route(id, rt.takeRoute(), &rt.one)
-	return rt.commit(&rt.one)
 }

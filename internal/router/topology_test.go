@@ -139,7 +139,7 @@ func TestTopologyCachedAcrossRipUp(t *testing.T) {
 		// Rip and reroute: the cache must hand back the same tree.
 		rt.ripUp(int32(id))
 		before := tree
-		if err := rt.reroute(int32(id)); err != nil {
+		if err := rt.rerouteNet(int32(id), "reroute"); err != nil {
 			t.Fatalf("reroute net %d: %v", id, err)
 		}
 		if rt.topos[id] != before {

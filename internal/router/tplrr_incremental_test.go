@@ -1,12 +1,12 @@
 package router
 
 // Equivalence tests for the incremental TPL rip-up bookkeeping: at
-// every iteration of removeTPLViolations the via-driven/incremental
-// state (blockVia, the fvps violation map, the overflow sets behind
-// Congestions) must match full from-scratch rescans, and every
-// congestion-free intermediate solution must pass the independent
-// verifier. This keeps the incremental state honest — a drift would
-// silently change routing results long before it broke a final check.
+// every iteration of removeTPLViolations the FVP set and the overflow
+// sets behind Congestions must match full from-scratch rescans, and
+// every congestion-free intermediate solution must pass the
+// independent verifier. This keeps the incremental state honest — a
+// drift would silently change routing results long before it broke a
+// final check.
 
 import (
 	"testing"
@@ -18,32 +18,22 @@ import (
 
 // crossCheckTPLState compares the incremental TPL bookkeeping against
 // whole-grid reference scans.
-func crossCheckTPLState(t *testing.T, rt *Router, iter int, fvps map[fvpKey]bool) {
+func crossCheckTPLState(t *testing.T, rt *Router, iter int) {
 	t.Helper()
 	g := rt.Grid()
-	// blockVia must equal a from-scratch recomputation everywhere:
-	// occupied sites unblocked, empty sites blocked exactly when a via
-	// there would create an FVP.
+	// ripUp and commit keep the FVP set exact: it holds every live FVP
+	// window and nothing else.
+	live := 0
 	for vl, lv := range g.Vias {
-		for y := 0; y < g.H; y++ {
-			for x := 0; x < g.W; x++ {
-				p := geom.XY(x, y)
-				want := !lv.Has(p) && lv.WouldCreateFVP(p)
-				if got := rt.blockVia[vl][y*g.W+x]; got != want {
-					t.Fatalf("iter %d: blockVia[%d] at %v = %v, full rescan says %v", iter, vl, p, got, want)
-				}
+		for _, o := range lv.AllFVPs() {
+			live++
+			if !rt.fvps[fvpKey{vl, o}] {
+				t.Fatalf("iter %d: FVP at %v layer %d missing from the FVP set", iter, o, vl)
 			}
 		}
 	}
-	// The fvps map may hold stale entries (they are dropped lazily at
-	// pick time), but it must never miss a live FVP: superset of the
-	// full scan.
-	for vl, lv := range g.Vias {
-		for _, o := range lv.AllFVPs() {
-			if !fvps[fvpKey{vl, o}] {
-				t.Fatalf("iter %d: FVP at %v layer %d missing from incremental set", iter, o, vl)
-			}
-		}
+	if len(rt.fvps) != live {
+		t.Fatalf("iter %d: FVP set holds %d windows, the full scan finds %d", iter, len(rt.fvps), live)
 	}
 	// Congestions (incremental overflow sets) must equal the reference
 	// whole-grid overflow scan, including order.
@@ -81,9 +71,9 @@ func TestTPLIncrementalMatchesFullRescan(t *testing.T) {
 			t.Fatal(err)
 		}
 		iters := 0
-		rt.debugTPLIter = func(iter int, fvps map[fvpKey]bool) {
+		rt.debugTPLIter = func(iter int) {
 			iters++
-			crossCheckTPLState(t, rt, iter, fvps)
+			crossCheckTPLState(t, rt, iter)
 			// Every congestion-free intermediate state is a complete
 			// (if not yet FVP-free) solution; the independent verifier
 			// must accept its geometry and SADP turn legality.
@@ -105,35 +95,5 @@ func TestTPLIncrementalMatchesFullRescan(t *testing.T) {
 	}
 	if totalWork == 0 {
 		t.Fatal("stress circuits produced no TPL work; the cross-checks never exercised a dirty state")
-	}
-}
-
-// TestTPLInitViaDriven checks the via-driven initializer directly on
-// re-entry: after a full routing run the grid carries arbitrary via
-// patterns, and initBlockedVias must reproduce the whole-grid rescan
-// exactly.
-func TestTPLInitViaDriven(t *testing.T) {
-	nl := randomNetlist("tplinit", 26, 26, 36, 9)
-	rt := route(t, nl, Config{
-		Scheme:      coloring.Scheme{Type: coloring.SIM},
-		ConsiderDVI: true, ConsiderTPL: true,
-		Seed: 9,
-	})
-	g := rt.Grid()
-	for vl := range g.Vias {
-		// Reference: full-area rescan.
-		rt.rescanBlockedVias(vl, g.Bounds())
-		want := append([]bool(nil), rt.blockVia[vl]...)
-		// Poison the array where vias justify a block, then re-init.
-		for i := range rt.blockVia[vl] {
-			rt.blockVia[vl][i] = false
-		}
-		rt.initBlockedVias(vl)
-		for i := range want {
-			if rt.blockVia[vl][i] != want[i] {
-				t.Fatalf("layer %d: blockVia[%d] = %v, rescan says %v",
-					vl, i, rt.blockVia[vl][i], want[i])
-			}
-		}
 	}
 }

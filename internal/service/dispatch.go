@@ -164,6 +164,9 @@ func (s *Server) settle(j *job, rec journalRecord, canceled bool) bool {
 		return false
 	}
 	rec.ID, rec.Key, rec.Attempt = j.id, j.key, j.attempts()
+	if rec.Type == recDone {
+		rec.Checksum = doneChecksum(rec.ID, rec.Key, rec.Result)
+	}
 	s.journalAppend(rec)
 	status := api.StatusFailed
 	switch rec.Type {

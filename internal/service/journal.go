@@ -3,6 +3,8 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -20,7 +22,8 @@ import (
 // content-addressed payload, so the job can be re-run from the log
 // alone), running (with the attempt number), and the terminal states
 // (done carries the marshaled result so finished jobs answer GETs and
-// re-warm the result cache after a restart).
+// re-warm the result cache after a restart, each guarded by a
+// checksum over its id, key and result bytes).
 //
 // Recovery reads the log on boot, tolerating a torn final line (the
 // signature of dying mid-append), folds the records per job, and
@@ -53,6 +56,9 @@ type journalRecord struct {
 	Spec    *bench.RunSpec `json:"spec,omitempty"`
 	// Result is the marshaled api.Result (done records only).
 	Result json.RawMessage `json:"result,omitempty"`
+	// Checksum is doneChecksum of a done record's ID, Key and Result.
+	// Replay serves and caches a done record only when it matches.
+	Checksum string `json:"checksum,omitempty"`
 	// Degraded marks a done record whose result was produced in a
 	// degraded mode; replay keeps it answerable but out of the result
 	// cache (degraded output is timing-dependent, a later full-fidelity
@@ -214,6 +220,30 @@ func (jl *journal) Close() error {
 	return jl.f.Close()
 }
 
+// Checksum is the hex SHA-256 of the concatenated parts. It guards
+// result bytes wherever they rest or travel outside the process: a
+// cluster upload's checksum covers the bytes alone, a journal done
+// record's its id, key and bytes (doneChecksum).
+func Checksum(parts ...[]byte) string {
+	h := sha256.New()
+	for _, p := range parts {
+		h.Write(p)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// doneChecksum is the checksum of a done record. Neither a job id nor
+// a content address holds a newline, so the framing is unambiguous.
+func doneChecksum(id, key string, result []byte) string {
+	return Checksum([]byte(id+"\n"+key+"\n"), result)
+}
+
+// badDoneRecord is the verdict of a journaled done job whose record
+// fails its checksum: damaged on disk, or written before done records
+// carried one. Such a job is never served or cached, and a
+// resubmission routes afresh.
+const badDoneRecord = "interrupted: journaled result does not match its checksum"
+
 // replayedJob is the folded per-job state of a journal replay.
 type replayedJob struct {
 	id       string
@@ -224,6 +254,7 @@ type replayedJob struct {
 	hasSpec  bool
 	status   api.JobStatus // terminal status, or "" while live
 	result   json.RawMessage
+	checksum string
 	degraded bool
 	errMsg   string
 	worker   string // last recorded placement
@@ -270,6 +301,7 @@ func foldJournal(recs []journalRecord) []*replayedJob {
 			rj := get(rec)
 			rj.status = api.StatusDone
 			rj.result = rec.Result
+			rj.checksum = rec.Checksum
 			rj.degraded = rec.Degraded
 		case recFailed:
 			rj := get(rec)
@@ -292,7 +324,7 @@ func compactRecords(jobs []*replayedJob) []journalRecord {
 	for _, rj := range jobs {
 		switch rj.status {
 		case api.StatusDone:
-			out = append(out, journalRecord{Type: recDone, ID: rj.id, Key: rj.key, Attempt: rj.attempt, Result: rj.result, Degraded: rj.degraded})
+			out = append(out, journalRecord{Type: recDone, ID: rj.id, Key: rj.key, Attempt: rj.attempt, Result: rj.result, Checksum: rj.checksum, Degraded: rj.degraded})
 		case api.StatusFailed:
 			out = append(out, journalRecord{Type: recFailed, ID: rj.id, Key: rj.key, Attempt: rj.attempt, Error: rj.errMsg})
 		case api.StatusQuarantined:

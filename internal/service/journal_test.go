@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -94,11 +96,12 @@ func TestReplayCompletesLiveJob(t *testing.T) {
 
 // Terminal journal records restore finished jobs for polling, re-warm
 // the cache (except degraded results), and re-arm the quarantine
-// registry.
+// registry. A done record without a checksum, as written before done
+// records carried one, fails with the fixed verdict and is not cached.
 func TestReplayTerminalStates(t *testing.T) {
 	dir := t.TempDir()
 	spec := bench.RunSpec{Method: bench.HeurDVI}
-	nlDone, nlDeg, nlQuar := netlistVariant(10), netlistVariant(11), netlistVariant(12)
+	nlDone, nlDeg, nlQuar, nlOld := netlistVariant(10), netlistVariant(11), netlistVariant(12), netlistVariant(13)
 	mk := func(text string) string {
 		k, err := cacheKey(text, spec)
 		if err != nil {
@@ -107,11 +110,15 @@ func TestReplayTerminalStates(t *testing.T) {
 		return k
 	}
 	res := json.RawMessage(`{"row":{"ckt":"t10","wl":7}}`)
+	done := func(id, key string, degraded bool) journalRecord {
+		return journalRecord{Type: recDone, ID: id, Key: key, Result: res, Checksum: doneChecksum(id, key, res), Degraded: degraded}
+	}
 	writeJournal(t, dir,
-		journalRecord{Type: recDone, ID: "j000001-done00000000", Key: mk(nlDone), Result: res},
-		journalRecord{Type: recDone, ID: "j000002-degraded0000", Key: mk(nlDeg), Result: res, Degraded: true},
+		done("j000001-done00000000", mk(nlDone), false),
+		done("j000002-degraded0000", mk(nlDeg), true),
 		journalRecord{Type: recFailed, ID: "j000003-failed000000", Key: "unused-key", Error: "boom"},
 		journalRecord{Type: recQuarantined, ID: "j000004-poison000000", Key: mk(nlQuar), Error: "poison"},
+		journalRecord{Type: recDone, ID: "j000005-unchecked000", Key: mk(nlOld), Result: res},
 	)
 	s := mustNew(t, Config{Workers: 1, QueueSize: 8, DataDir: dir, Run: stubRun})
 	defer s.Shutdown(context.Background())
@@ -139,6 +146,9 @@ func TestReplayTerminalStates(t *testing.T) {
 	if jr := get("j000004-poison000000"); jr.Status != api.StatusQuarantined || jr.Error != "poison" {
 		t.Fatalf("quarantined replay = %+v", jr)
 	}
+	if jr := get("j000005-unchecked000"); jr.Status != api.StatusFailed || jr.Error != badDoneRecord {
+		t.Fatalf("unchecked done replay = %+v", jr)
+	}
 
 	// Full-fidelity done result re-warms the cache: identical payload
 	// answers 200 with the byte-identical stored result.
@@ -155,6 +165,11 @@ func TestReplayTerminalStates(t *testing.T) {
 	code, sr, _ = doSubmit(t, ts, nlQuar, spec)
 	if code != http.StatusOK || sr.Status != api.StatusQuarantined || sr.ID != "j000004-poison000000" {
 		t.Fatalf("resubmit of quarantined payload = %d %+v", code, sr)
+	}
+	// An unchecked done result was not cached: its payload routes again.
+	code, _, _ = doSubmit(t, ts, nlOld, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("resubmit of the unchecked done payload answered %d, want 202 (re-run)", code)
 	}
 }
 
@@ -255,7 +270,8 @@ func TestJournalCompaction(t *testing.T) {
 	writeJournal(t, dir,
 		journalRecord{Type: recSubmit, ID: "j000001-finished0000", Key: keyA, Netlist: netlistVariant(20), Spec: &spec},
 		journalRecord{Type: recRunning, ID: "j000001-finished0000", Key: keyA, Attempt: 1},
-		journalRecord{Type: recDone, ID: "j000001-finished0000", Key: keyA, Attempt: 1, Result: res},
+		journalRecord{Type: recDone, ID: "j000001-finished0000", Key: keyA, Attempt: 1, Result: res,
+			Checksum: doneChecksum("j000001-finished0000", keyA, res)},
 		journalRecord{Type: recSubmit, ID: "j000002-live00000000", Key: keyB, Netlist: netlistVariant(21), Spec: &spec},
 	)
 	recs, err := readJournal(filepath.Join(dir, journalFileName))
@@ -266,8 +282,8 @@ func TestJournalCompaction(t *testing.T) {
 	if len(compact) != 2 {
 		t.Fatalf("compacted to %d records, want 2: %+v", len(compact), compact)
 	}
-	if compact[0].Type != recDone || compact[0].Netlist != "" {
-		t.Fatalf("terminal job compacted to %+v, want payload-free done record", compact[0])
+	if compact[0].Type != recDone || compact[0].Netlist != "" || compact[0].Checksum != recs[2].Checksum {
+		t.Fatalf("terminal job compacted to %+v, want payload-free done record keeping its checksum", compact[0])
 	}
 	if compact[1].Type != recSubmit || compact[1].Netlist != netlistVariant(21) {
 		t.Fatalf("live job compacted to %+v, want full submit record", compact[1])
@@ -409,4 +425,88 @@ func TestReplayRejectsCorruptSubmission(t *testing.T) {
 	if tried == 0 {
 		t.Fatal("no substitution tried")
 	}
+}
+
+// TestJournalTortureServesOnlyRecordedBytes journals one done job of
+// examples/tiny.net, then boots once from a copy of that journal with
+// one bit flipped at each byte offset, and once from a copy truncated
+// there. No boot may serve a done job other than the recorded one with
+// other than the recorded bytes, or cache anything but those bytes
+// under the recorded key.
+func TestJournalTortureServesOnlyRecordedBytes(t *testing.T) {
+	text, err := os.ReadFile(filepath.Join("..", "..", "examples", "tiny.net"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := bench.RunSpec{ConsiderDVI: true, ConsiderTPL: true, Method: bench.HeurDVI}
+	key, err := cacheKey(string(text), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s := mustNew(t, Config{Workers: 1, QueueSize: 4, DataDir: dir})
+	ts := httptest.NewServer(s.Handler())
+	code, sr, _ := doSubmit(t, ts, string(text), spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit answered %d", code)
+	}
+	jr := pollDone(t, ts, sr.ID)
+	ts.Close()
+	s.Shutdown(context.Background())
+	if jr.Status != api.StatusDone {
+		t.Fatalf("job = %+v, want done", jr)
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, journalFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Boots route nothing: whatever they serve comes from the journal.
+	noRun := func(context.Context, *netlist.Netlist, bench.RunSpec, *router.Arena) (api.Result, error) {
+		return api.Result{}, errors.New("torture boots do not route")
+	}
+	bootDir := t.TempDir()
+	path := filepath.Join(bootDir, journalFileName)
+	served := 0
+	boot := func(what string, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Workers: 1, QueueSize: 4, DataDir: bootDir, Run: noRun})
+		if err != nil {
+			t.Fatalf("%s: boot failed: %v", what, err)
+		}
+		defer s.Shutdown(context.Background())
+		s.store.mu.Lock()
+		for id, j := range s.store.jobs {
+			r := j.response()
+			if r.Status != api.StatusDone {
+				continue
+			}
+			if id != sr.ID || !bytes.Equal(r.Result, jr.Result) {
+				t.Errorf("%s: boot serves job %s done with %d result bytes, not the recorded job", what, id, len(r.Result))
+			} else {
+				served++
+			}
+		}
+		s.store.mu.Unlock()
+		s.cache.mu.Lock()
+		for k, el := range s.cache.items {
+			if k != key || !bytes.Equal(el.Value.(*cacheEntry).val, jr.Result) {
+				t.Errorf("%s: boot caches %d bytes under key %.12s, not the recorded result", what, len(el.Value.(*cacheEntry).val), k)
+			}
+		}
+		s.cache.mu.Unlock()
+	}
+	boot("intact journal", wal)
+	if served != 1 {
+		t.Fatal("the intact journal does not serve its done job")
+	}
+	for k := range wal {
+		flipped := bytes.Clone(wal)
+		flipped[k] ^= 1 << (k % 8)
+		boot(fmt.Sprintf("bit %d of byte %d flipped", k%8, k), flipped)
+		boot(fmt.Sprintf("truncated at byte %d", k), wal[:k])
+	}
+	t.Logf("%d-byte journal: %d of %d corrupted boots served the recorded job", len(wal), served-1, 2*len(wal))
 }

@@ -245,6 +245,11 @@ func (s *Server) recover(jobs []*replayedJob) error {
 		j := newJob(rj.id, rj.key, nil, rj.spec)
 		j.attempt = rj.attempt
 		j.placement = rj.worker
+		if rj.status == api.StatusDone && rj.checksum != doneChecksum(rj.id, rj.key, rj.result) {
+			// Compaction keeps the verdict, so the job fails once.
+			rj.status, rj.errMsg = api.StatusFailed, badDoneRecord
+			s.logf("job %s: %s", rj.id, badDoneRecord)
+		}
 		switch rj.status {
 		case api.StatusDone:
 			j.finish(rj.result, false)

@@ -186,6 +186,11 @@ func (lv *LayerVias) HasFVP() bool {
 	return false
 }
 
+// ProbeRadius is the farthest, in Chebyshev distance, WouldCreateFVP
+// reads from its site: the nine 3×3 windows containing p span p's 5×5
+// neighbourhood.
+const ProbeRadius = 2
+
 // WouldCreateFVP reports whether inserting one additional via at p
 // would create at least one FVP window. Used for via-site blocking in
 // the TPL violation removal R&R (Fig 10) and for the DVI kill rule.
