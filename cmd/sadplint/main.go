@@ -30,8 +30,6 @@ func main() {
 	flagFlags := flag.Bool("flags", false, "print analyzer flags in JSON (go vet protocol)")
 	flagList := flag.Bool("list", false, "list the analyzers and exit")
 	flagJSON := flag.Bool("json", false, "standalone mode: print diagnostics as a JSON array")
-	flagBaseline := flag.String("baseline", "", "standalone mode: subtract the diagnostics recorded in this file")
-	flagUpdate := flag.Bool("update-baseline", false, "standalone mode: rewrite -baseline with the current diagnostics and exit 0")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: sadplint [packages]   (standalone, e.g. sadplint ./...)\n")
 		fmt.Fprintf(os.Stderr, "       go vet -vettool=$(command -v sadplint) ./...\n\nanalyzers:\n")
@@ -64,7 +62,7 @@ func main() {
 		runUnit(args[0])
 		return
 	}
-	runStandalone(args, *flagJSON, *flagBaseline, *flagUpdate)
+	runStandalone(args, *flagJSON)
 }
 
 // runUnit is one `go vet` compilation unit.
@@ -85,11 +83,7 @@ func runUnit(cfg string) {
 }
 
 // runStandalone loads whole packages from source.
-func runStandalone(patterns []string, asJSON bool, baselinePath string, updateBaseline bool) {
-	if updateBaseline && baselinePath == "" {
-		fmt.Fprintf(os.Stderr, "sadplint: -update-baseline requires -baseline <file>\n")
-		os.Exit(2)
-	}
+func runStandalone(patterns []string, asJSON bool) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -107,22 +101,6 @@ func runStandalone(patterns []string, asJSON bool, baselinePath string, updateBa
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sadplint: %v\n", err)
 		os.Exit(1)
-	}
-	if updateBaseline {
-		if err := lint.WriteBaseline(baselinePath, diags, wd); err != nil {
-			fmt.Fprintf(os.Stderr, "sadplint: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sadplint: wrote %d diagnostics to %s\n", len(diags), baselinePath)
-		return
-	}
-	if baselinePath != "" {
-		base, err := lint.LoadBaseline(baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sadplint: %v\n", err)
-			os.Exit(1)
-		}
-		diags = base.Filter(diags, wd)
 	}
 	if asJSON {
 		data, err := lint.DiagnosticsJSON(diags, wd)

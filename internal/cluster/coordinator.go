@@ -91,35 +91,47 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	return c
 }
 
+// lease is one worker's hold on a job.
+type lease struct {
+	worker string
+	token  string
+	// expires is the lease deadline; heartbeats push it forward.
+	expires time.Time
+	// started stamps the placement, for the latency histogram.
+	started time.Time
+}
+
 // trackedJob is the coordinator's view of one live (non-terminal)
 // job. Every field, including the map, is touched only inside the
 // owning Coordinator's critical sections on its mu.
 type trackedJob struct {
-	a      *service.Assignment
-	leased bool
-	worker string // current lease holder while leased
-	lease  string
-	// expires is the lease deadline; heartbeats push it forward.
-	expires time.Time
-	// started stamps the current placement, for the latency histogram.
-	started time.Time
-	// excluded names workers whose lease on this job expired (or whose
-	// upload of it was rejected); the grant loop avoids them while
-	// another live worker exists.
-	excluded map[string]bool
-
-	// Hedged straggler re-dispatch: a second, concurrent lease on the
-	// same job. hedgeWanted marks the job as running past the hedging
-	// threshold; the grant loop turns that into a hedge lease on a
-	// different worker. The primary and hedge race; the first valid
+	a *service.Assignment
+	// leases are the job's live placements: index 0 the primary, index
+	// 1 a hedge — hedged straggler re-dispatch, a second concurrent
+	// lease on a different worker. The two race; the first valid
 	// upload decides the job (determinism makes the loser's bytes
 	// identical anyway) and the exactly-once terminate gate no-ops the
-	// second.
-	hedgeWanted  bool
-	hedgeWorker  string
-	hedgeLease   string
-	hedgeExpires time.Time
-	hedgeStarted time.Time
+	// second. Dropping index 0 promotes the hedge; a job with no lease
+	// is pending.
+	leases []lease
+	// excluded names workers blamed for losing a lease on this job
+	// (expired, rejected, quarantined, a failed hedge); the grant loop
+	// avoids them while another live worker exists.
+	excluded map[string]bool
+	// hedgeWanted marks the placement as running past the hedging
+	// threshold; the grant loop turns that into a hedge lease.
+	hedgeWanted bool
+}
+
+// leaseOf returns the index of the lease worker holds on t under
+// token, or -1 when it holds none (expired, dropped or never granted).
+func (t *trackedJob) leaseOf(worker, token string) int {
+	for i, l := range t.leases {
+		if l.worker == worker && l.token == token {
+			return i
+		}
+	}
+	return -1
 }
 
 // workerInfo is the liveness record of one worker.
@@ -248,99 +260,64 @@ func (c *Coordinator) sweep(now time.Time) {
 			hedgeAfter = time.Duration(c.cfg.HedgeMultiple * med * float64(time.Second))
 		}
 	}
-	ids := make([]string, 0, len(c.jobs))
-	for id := range c.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sortedKeys(c.jobs) {
 		t := c.jobs[id]
-		if t.hedgeLease != "" && !now.Before(t.hedgeExpires) {
-			// The hedge worker went silent; the primary is unaffected.
-			c.logf("cluster: job %s hedge lease expired on %s", id, t.hedgeWorker)
-			c.dropHedgeLocked(t)
+		// The hedge first: a silent hedge worker leaves the primary
+		// unaffected, a silent primary's lease passes to a live hedge.
+		for i := len(t.leases) - 1; i >= 0; i-- {
+			if l := t.leases[i]; !now.Before(l.expires) {
+				c.logf("cluster: job %s lease %d expired on %s (attempt %d/%d)", id, i, l.worker, t.a.Attempts(), c.svc.MaxAttempts())
+				c.dropLeaseLocked(id, t, i, true)
+			}
 		}
-		if t.leased && !now.Before(t.expires) {
-			c.logf("cluster: job %s lease expired on %s (attempt %d/%d)", id, t.worker, t.a.Attempts(), c.svc.MaxAttempts())
-			c.dropPrimaryLocked(id, t)
-			continue
-		}
-		if hedgeAfter > 0 && t.leased && !t.hedgeWanted && t.hedgeLease == "" &&
-			now.Sub(t.started) > hedgeAfter && t.a.Attempts() < c.svc.MaxAttempts() {
+		if hedgeAfter > 0 && len(t.leases) == 1 && !t.hedgeWanted &&
+			now.Sub(t.leases[0].started) > hedgeAfter && t.a.Attempts() < c.svc.MaxAttempts() {
 			t.hedgeWanted = true
-			c.logf("cluster: job %s on %s running %s (> %s), hedging", id, t.worker,
-				now.Sub(t.started).Round(time.Millisecond), hedgeAfter.Round(time.Millisecond))
+			c.logf("cluster: job %s on %s running %s (> %s), hedging", id, t.leases[0].worker,
+				now.Sub(t.leases[0].started).Round(time.Millisecond), hedgeAfter.Round(time.Millisecond))
 			c.broadcastLocked()
 		}
 	}
 }
 
-// requeueLocked returns a job whose lease fields are already cleared
-// to the pending list, or fails it when the attempt budget is spent —
-// the same verdict as crash-interrupted jobs on journal replay.
-// Callers hold mu.
+// requeueLocked returns a job left with no lease to the pending list,
+// or fails it when the attempt budget is spent — the same verdict as
+// crash-interrupted jobs on journal replay. The next placement starts
+// unhedged: only its own running time may call for a hedge. Callers
+// hold mu.
 func (c *Coordinator) requeueLocked(id string, t *trackedJob) {
 	if t.a.Attempts() >= c.svc.MaxAttempts() {
 		c.svc.FailInterrupted(t.a)
 		delete(c.jobs, id)
 		return
 	}
+	t.hedgeWanted = false
 	c.svc.Requeue(t.a)
 	c.pending = append(c.pending, id)
 	c.broadcastLocked()
 }
 
-// dropPrimaryLocked takes a job's primary lease from a holder presumed
-// dead or wrong (lease expired, upload rejected, worker quarantined):
-// the holder is excluded from the job and the requeue counted, then a
-// live hedge is promoted — the job never stops running — or the job is
-// requeued. Callers hold mu.
-func (c *Coordinator) dropPrimaryLocked(id string, t *trackedJob) {
-	t.excluded[t.worker] = true
-	c.svc.Metrics().ClusterRequeues.Add(1)
-	c.releasePrimaryLocked(id, t)
-}
-
-// releasePrimaryLocked clears a job's primary lease and promotes its
-// live hedge or requeues it. Callers hold mu.
-func (c *Coordinator) releasePrimaryLocked(id string, t *trackedJob) {
-	t.leased = false
-	t.worker = ""
-	t.lease = ""
-	if t.hedgeLease != "" {
-		c.promoteHedgeLocked(id, t)
-		return
+// dropLeaseLocked ends lease i of job id. A blamed holder — presumed
+// dead or wrong: its lease expired, its upload was rejected, it was
+// quarantined, or its hedge failed or panicked — is excluded from the
+// job, and the requeue counted when it held the primary. Dropping the
+// primary promotes a live hedge, so the job never stops running (it
+// keeps hedgeWanted, so a still-slow job can be re-hedged); a job left
+// with no lease is requeued. Callers hold mu.
+func (c *Coordinator) dropLeaseLocked(id string, t *trackedJob, i int, blame bool) {
+	if blame {
+		t.excluded[t.leases[i].worker] = true
+		if i == 0 {
+			c.svc.Metrics().ClusterRequeues.Add(1)
+		}
 	}
-	c.requeueLocked(id, t)
-}
-
-// dropHedgeLocked takes a job's hedge lease from its holder and
-// excludes the holder from the job; the primary runs on. Callers hold
-// mu.
-func (c *Coordinator) dropHedgeLocked(t *trackedJob) {
-	t.excluded[t.hedgeWorker] = true
-	c.clearHedgeLocked(t)
-}
-
-// clearHedgeLocked drops a job's hedge lease (keeping hedgeWanted, so
-// a still-slow primary can be re-hedged). Callers hold mu.
-func (c *Coordinator) clearHedgeLocked(t *trackedJob) {
-	t.hedgeWorker = ""
-	t.hedgeLease = ""
-	t.hedgeExpires = time.Time{}
-	t.hedgeStarted = time.Time{}
-}
-
-// promoteHedgeLocked makes a job's live hedge lease its primary after
-// the original holder died or was rejected. Callers hold mu.
-func (c *Coordinator) promoteHedgeLocked(id string, t *trackedJob) {
-	t.leased = true
-	t.worker = t.hedgeWorker
-	t.lease = t.hedgeLease
-	t.expires = t.hedgeExpires
-	t.started = t.hedgeStarted
-	c.clearHedgeLocked(t)
-	c.logf("cluster: job %s hedge on %s promoted to primary", id, t.worker)
+	t.leases = append(t.leases[:i], t.leases[i+1:]...)
+	switch {
+	case len(t.leases) == 0:
+		c.requeueLocked(id, t)
+	case i == 0:
+		c.logf("cluster: job %s hedge on %s promoted to primary", id, t.leases[0].worker)
+	}
 }
 
 // quarantineWorkerLocked bars a worker that exhausted its rejection
@@ -350,18 +327,12 @@ func (c *Coordinator) quarantineWorkerLocked(workerID string) {
 	c.quarantined[workerID] = true
 	c.svc.Metrics().ClusterWorkerQuarantines.Add(1)
 	c.logf("cluster: worker %s quarantined after %d rejected uploads", workerID, c.rejects[workerID])
-	ids := make([]string, 0, len(c.jobs))
-	for id := range c.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sortedKeys(c.jobs) {
 		t := c.jobs[id]
-		if t.hedgeLease != "" && t.hedgeWorker == workerID {
-			c.dropHedgeLocked(t)
-		}
-		if t.leased && t.worker == workerID {
-			c.dropPrimaryLocked(id, t)
+		for i := len(t.leases) - 1; i >= 0; i-- {
+			if t.leases[i].worker == workerID {
+				c.dropLeaseLocked(id, t, i, true)
+			}
 		}
 	}
 }
@@ -394,77 +365,58 @@ func (c *Coordinator) otherLiveWorkerLocked(except string, now time.Time) bool {
 }
 
 // tryGrantLocked places the oldest grantable pending job on the
-// worker and returns the assignment, or nil when nothing fits. A job
-// whose excluded set names this worker is skipped only while another
-// live worker could take it — with no alternative, granting to a
-// previously-failed holder beats starving the job (the attempt bound
-// still terminates it). Callers hold mu.
+// worker and returns the assignment; failing that, it hedges the
+// first straggler, in job-id order, that the worker may take; it
+// returns nil when nothing fits. A pending job whose excluded set
+// names this worker is skipped only while another live worker could
+// take it — with no alternative, granting to a previously-failed
+// holder beats starving the job (the attempt bound still terminates
+// it). A hedge never goes to an excluded worker or the primary's
+// holder. Callers hold mu.
 func (c *Coordinator) tryGrantLocked(workerID string, now time.Time) *JobAssignment {
 	for i, id := range c.pending {
 		t, ok := c.jobs[id]
-		if !ok || t.leased {
-			continue // stale pending entry; compacted below
+		if !ok || len(t.leases) > 0 {
+			continue // defensive: pending holds only live, unleased jobs
 		}
 		if t.excluded[workerID] && c.otherLiveWorkerLocked(workerID, now) {
 			continue
 		}
 		c.pending = append(c.pending[:i], c.pending[i+1:]...)
-		c.leaseSeq++
-		t.leased = true
-		t.worker = workerID
-		t.lease = fmt.Sprintf("L%08d", c.leaseSeq)
-		t.expires = now.Add(c.cfg.LeaseTTL)
-		t.started = now
-		attempt := c.svc.StartAttempt(t.a, workerID)
-		return c.assignmentLocked(t, t.lease, attempt)
+		return c.grantLocked(t, workerID, now)
 	}
-	return c.tryGrantHedgeLocked(workerID, now)
-}
-
-// tryGrantHedgeLocked places a hedge lease: a second concurrent
-// execution of a job the sweeper flagged as a straggler, on a worker
-// other than the current holder. Consumes an attempt like any other
-// placement, so the journal and the attempt bound stay truthful.
-// Callers hold mu.
-func (c *Coordinator) tryGrantHedgeLocked(workerID string, now time.Time) *JobAssignment {
 	if c.cfg.HedgeMultiple <= 0 {
 		return nil
 	}
-	ids := make([]string, 0, len(c.jobs))
-	for id := range c.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sortedKeys(c.jobs) {
 		t := c.jobs[id]
-		if !t.hedgeWanted || !t.leased || t.hedgeLease != "" ||
-			t.worker == workerID || t.excluded[workerID] ||
+		if !t.hedgeWanted || len(t.leases) != 1 ||
+			t.leases[0].worker == workerID || t.excluded[workerID] ||
 			t.a.Attempts() >= c.svc.MaxAttempts() {
 			continue
 		}
-		c.leaseSeq++
-		t.hedgeWorker = workerID
-		t.hedgeLease = fmt.Sprintf("L%08d", c.leaseSeq)
-		t.hedgeExpires = now.Add(c.cfg.LeaseTTL)
-		t.hedgeStarted = now
-		attempt := c.svc.StartAttempt(t.a, workerID)
 		c.svc.Metrics().ClusterHedged.Add(1)
-		c.logf("cluster: job %s hedged on %s (primary %s)", id, workerID, t.worker)
-		return c.assignmentLocked(t, t.hedgeLease, attempt)
+		c.logf("cluster: job %s hedged on %s (primary %s)", id, workerID, t.leases[0].worker)
+		return c.grantLocked(t, workerID, now)
 	}
 	return nil
 }
 
-// assignmentLocked renders the wire assignment for one granted lease.
-// Callers hold mu.
-func (c *Coordinator) assignmentLocked(t *trackedJob, lease string, attempt int) *JobAssignment {
+// grantLocked gives the worker a new lease on t — the primary of a
+// pending job or a straggler's hedge — and renders its wire
+// assignment. Every placement consumes an attempt, so the journal and
+// the attempt bound stay truthful. Callers hold mu.
+func (c *Coordinator) grantLocked(t *trackedJob, workerID string, now time.Time) *JobAssignment {
+	c.leaseSeq++
+	l := lease{worker: workerID, token: fmt.Sprintf("L%08d", c.leaseSeq), expires: now.Add(c.cfg.LeaseTTL), started: now}
+	t.leases = append(t.leases, l)
 	return &JobAssignment{
 		ID:         t.a.ID,
 		Key:        t.a.Key,
 		Netlist:    t.a.Netlist,
 		Spec:       t.a.Spec,
-		Lease:      lease,
-		Attempt:    attempt,
+		Lease:      l.token,
+		Attempt:    c.svc.StartAttempt(t.a, workerID),
 		LeaseTTLMS: int(c.cfg.LeaseTTL / time.Millisecond),
 		TimeoutMS:  int(c.svc.JobTimeout() / time.Millisecond),
 	}
@@ -543,7 +495,8 @@ func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 //     no-op;
 //   - tracked job, stale lease, error/panic payload → "stale" no-op:
 //     a presumed-dead worker must not fail a job another worker may
-//     still complete.
+//     still complete; for the same reason a hedge's error or panic
+//     only drops the hedge.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req ResultRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.WorkerID == "" || req.JobID == "" {
@@ -596,26 +549,24 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, ResultResponse{Status: ResultDuplicate})
 		return
 	}
-	freshPrimary := t.leased && t.lease == req.Lease && t.worker == req.WorkerID
-	freshHedge := t.hedgeLease != "" && t.hedgeLease == req.Lease && t.hedgeWorker == req.WorkerID
-	fresh := freshPrimary || freshHedge
+	// i is the uploader's lease: fresh when i ≥ 0, the primary's at 0,
+	// a hedge's above.
+	i := t.leaseOf(req.WorkerID, req.Lease)
 
 	if reason != "" {
-		c.rejectUploadLocked(t, &req, freshPrimary, freshHedge, reason, vErr)
+		c.rejectUploadLocked(t, &req, i, reason, vErr)
 		writeJSON(w, http.StatusOK, ResultResponse{Status: ResultRejected, Reason: reason})
 		return
 	}
 
 	switch {
 	case success:
-		if !fresh {
+		if i < 0 {
 			c.svc.Metrics().ClusterStaleResults.Add(1)
 		}
 		if c.svc.Complete(t.a, req.Result, req.Degraded, req.WorkerID) {
-			if freshHedge {
-				c.hist.Observe(req.WorkerID, now.Sub(t.hedgeStarted))
-			} else if freshPrimary {
-				c.hist.Observe(req.WorkerID, now.Sub(t.started))
+			if i >= 0 {
+				c.hist.Observe(req.WorkerID, now.Sub(t.leases[i].started))
 			}
 			c.dropJobLocked(req.JobID)
 			writeJSON(w, http.StatusOK, ResultResponse{Status: ResultAccepted})
@@ -625,41 +576,28 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		c.dropJobLocked(req.JobID)
 		writeJSON(w, http.StatusOK, ResultResponse{Status: ResultDuplicate})
 
+	case i < 0:
+		c.svc.Metrics().ClusterStaleResults.Add(1)
+		writeJSON(w, http.StatusOK, ResultResponse{Status: ResultStale})
+
+	case i > 0:
+		// The hedge crashed or failed (e.g. its deadline) while the
+		// primary still runs; drop the hedge and don't fail a job
+		// another execution may finish.
+		c.dropLeaseLocked(req.JobID, t, i, true)
+		writeJSON(w, http.StatusOK, ResultResponse{Status: ResultAccepted})
+
 	case req.Panic != "":
-		if !fresh {
-			c.svc.Metrics().ClusterStaleResults.Add(1)
-			writeJSON(w, http.StatusOK, ResultResponse{Status: ResultStale})
-			return
-		}
-		if freshHedge {
-			// The hedge crashed; the primary is still running — drop
-			// the hedge and let the job be.
-			c.dropHedgeLocked(t)
-			writeJSON(w, http.StatusOK, ResultResponse{Status: ResultAccepted})
-			return
-		}
 		if c.svc.Panicked(t.a, req.Panic) {
 			// Re-place without exclusion: any worker may take the
 			// retry, as the standalone pool retries on the same one.
-			c.releasePrimaryLocked(req.JobID, t)
+			c.dropLeaseLocked(req.JobID, t, 0, false)
 		} else {
 			c.dropJobLocked(req.JobID)
 		}
 		writeJSON(w, http.StatusOK, ResultResponse{Status: ResultAccepted})
 
 	default:
-		if !fresh {
-			c.svc.Metrics().ClusterStaleResults.Add(1)
-			writeJSON(w, http.StatusOK, ResultResponse{Status: ResultStale})
-			return
-		}
-		if freshHedge && t.leased {
-			// The hedge failed (e.g. its deadline) while the primary
-			// still runs; don't fail a job another execution may finish.
-			c.dropHedgeLocked(t)
-			writeJSON(w, http.StatusOK, ResultResponse{Status: ResultAccepted})
-			return
-		}
 		c.svc.Fail(t.a, req.Error, req.Canceled)
 		c.dropJobLocked(req.JobID)
 		writeJSON(w, http.StatusOK, ResultResponse{Status: ResultAccepted})
@@ -667,16 +605,14 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // rejectUploadLocked applies the consequences of a rejected upload:
-// the per-reason counter, the job's re-placement away from the
-// uploader, the uploader's reputation charge and — past the budget —
+// the per-reason counter, the end of the uploader's lease i (when
+// fresh), the uploader's reputation charge and — past the budget —
 // its quarantine. Callers hold mu.
-func (c *Coordinator) rejectUploadLocked(t *trackedJob, req *ResultRequest, freshPrimary, freshHedge bool, reason string, vErr error) {
+func (c *Coordinator) rejectUploadLocked(t *trackedJob, req *ResultRequest, i int, reason string, vErr error) {
 	c.svc.Metrics().ClusterUploadRejects.Add(reason, 1)
 	c.logf("cluster: job %s upload from %s rejected (%s): %v", req.JobID, req.WorkerID, reason, vErr)
-	if freshPrimary {
-		c.dropPrimaryLocked(req.JobID, t)
-	} else if freshHedge {
-		c.dropHedgeLocked(t)
+	if i >= 0 {
+		c.dropLeaseLocked(req.JobID, t, i, true)
 	}
 	c.rejects[req.WorkerID]++
 	if c.cfg.RejectBudget >= 0 && c.rejects[req.WorkerID] > c.cfg.RejectBudget && !c.quarantined[req.WorkerID] {
@@ -705,25 +641,17 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	now := time.Now()
 	var resp HeartbeatResponse
-	ids := make([]string, 0, len(req.Jobs))
-	for id := range req.Jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	c.mu.Lock()
 	c.touchWorkerLocked(req.WorkerID, now)
-	for _, id := range ids {
-		t, ok := c.jobs[id]
-		switch {
-		case ok && t.leased && t.worker == req.WorkerID && t.lease == req.Jobs[id]:
-			t.expires = now.Add(c.cfg.LeaseTTL)
-			resp.Renewed = append(resp.Renewed, id)
-		case ok && t.hedgeLease != "" && t.hedgeWorker == req.WorkerID && t.hedgeLease == req.Jobs[id]:
-			t.hedgeExpires = now.Add(c.cfg.LeaseTTL)
-			resp.Renewed = append(resp.Renewed, id)
-		default:
-			resp.Lost = append(resp.Lost, id)
+	for _, id := range sortedKeys(req.Jobs) {
+		if t, ok := c.jobs[id]; ok {
+			if i := t.leaseOf(req.WorkerID, req.Jobs[id]); i >= 0 {
+				t.leases[i].expires = now.Add(c.cfg.LeaseTTL)
+				resp.Renewed = append(resp.Renewed, id)
+				continue
+			}
 		}
+		resp.Lost = append(resp.Lost, id)
 	}
 	// Fold the worker's cumulative retry counters into the cluster
 	// exposition as deltas. A count below the last seen one means the
@@ -735,12 +663,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 			last = make(map[string]int64)
 			c.lastRetries[req.WorkerID] = last
 		}
-		rpcs := make([]string, 0, len(req.RetryAttempts))
-		for rpc := range req.RetryAttempts {
-			rpcs = append(rpcs, rpc)
-		}
-		sort.Strings(rpcs)
-		for _, rpc := range rpcs {
+		for _, rpc := range sortedKeys(req.RetryAttempts) {
 			n := req.RetryAttempts[rpc]
 			prev := last[rpc]
 			if n < prev {
@@ -768,8 +691,8 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for _, t := range c.jobs {
-		if t.leased {
-			g.LeasesActive++
+		if len(t.leases) > 0 {
+			g.LeasesActive++ // jobs, not leases: a hedge adds none
 		}
 	}
 	c.mu.Unlock()
@@ -823,6 +746,18 @@ stop:
 	c.mu.Unlock()
 	c.wg.Wait()
 	return c.svc.Shutdown(ctx)
+}
+
+// sortedKeys returns m's keys in ascending order, so that a pass over
+// jobs or a worker's report decides the same way on every coordinator
+// fed the same event history.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func isTerminal(s api.JobStatus) bool {

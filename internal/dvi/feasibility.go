@@ -138,16 +138,3 @@ func ViasOf(r *grid.Route) []Via {
 	}
 	return out
 }
-
-// CollectVias gathers every via of a routing solution. Routes may be
-// nil (unrouted nets are skipped).
-func CollectVias(routes []*grid.Route) []Via {
-	var out []Via
-	for _, r := range routes {
-		if r == nil || r.Empty() {
-			continue
-		}
-		out = append(out, ViasOf(r)...)
-	}
-	return out
-}

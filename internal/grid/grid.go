@@ -90,9 +90,6 @@ func (g *Grid) InPlane(p geom.Pt) bool {
 // PIdx returns the dense index of a 2-D point.
 func (g *Grid) PIdx(p geom.Pt) int { return p.Y*g.W + p.X }
 
-// Idx returns the dense index of a 3-D point.
-func (g *Grid) Idx(p geom.Pt3) int { return p.Layer*g.W*g.H + p.Y*g.W + p.X }
-
 // NumPoints returns the total number of 3-D grid points.
 func (g *Grid) NumPoints() int { return g.W * g.H * g.NumLayers }
 

@@ -38,6 +38,7 @@ func FuzzRead(f *testing.F) {
 		"netlist t 16 16 3\nnet a 1 1 9 2 4 7 12 12 2 9 14 3\nnet b 0 5 8 8\n", // 6-pin + 2-pin
 		"netlist t 12 12 2\nnet a 1 1 5 1 1 1\n",                               // duplicate among k pins
 		"netlist t 12 12 2\nnet a 1 1 5 1 5 12\n",                              // k-pin with one pin out of grid
+		"netlist t 12 12 2\nnet a 1 1 5 1\nnet b 5 1 7 7\n",                    // two nets share a pin
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -50,15 +51,15 @@ func FuzzRead(f *testing.F) {
 		if err := nl.Validate(); err != nil {
 			t.Fatalf("Read accepted a netlist that fails Validate: %v\ninput: %q", err, s)
 		}
+		seen := map[[2]int]bool{} // over the whole netlist: no pin repeats or is shared
 		for _, n := range nl.Nets {
 			if len(n.Pins) < 2 {
 				t.Fatalf("accepted net %q with %d pins\ninput: %q", n.Name, len(n.Pins), s)
 			}
-			seen := map[[2]int]bool{}
 			for _, p := range n.Pins {
 				k := [2]int{p.X, p.Y}
 				if seen[k] {
-					t.Fatalf("accepted net %q with duplicate pin %v\ninput: %q", n.Name, p, s)
+					t.Fatalf("accepted net %q with a repeated or shared pin %v\ninput: %q", n.Name, p, s)
 				}
 				seen[k] = true
 			}

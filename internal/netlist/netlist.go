@@ -33,6 +33,11 @@ var (
 	// downstream dedup would mask the mistake, so the boundary rejects
 	// them.
 	ErrDuplicatePin = errors.New("net lists the same pin twice")
+	// ErrSharedPin reports two nets listing the same pin location. The
+	// router would hold that cell for both nets, a congestion no
+	// rip-up resolves, and spend its whole congestion budget before
+	// failing; the boundary rejects it instead.
+	ErrSharedPin = errors.New("nets share a pin")
 )
 
 // Net is a single net: a set of pin locations to be connected.
@@ -74,8 +79,8 @@ type Netlist struct {
 
 // Validate checks structural sanity: positive dimensions, at least two
 // routing layers, every pin in bounds, every net with at least two
-// pins and no duplicate pins (ErrTooFewPins / ErrDuplicatePin), and
-// consistent net IDs.
+// pins, every pin listed once in the whole netlist (ErrTooFewPins /
+// ErrDuplicatePin / ErrSharedPin), and consistent net IDs.
 func (nl *Netlist) Validate() error {
 	if nl.W <= 0 || nl.H <= 0 {
 		return fmt.Errorf("netlist %s: invalid grid %dx%d", nl.Name, nl.W, nl.H)
@@ -83,19 +88,22 @@ func (nl *Netlist) Validate() error {
 	if nl.NumLayers < 2 {
 		return fmt.Errorf("netlist %s: need >=2 routing layers, have %d", nl.Name, nl.NumLayers)
 	}
+	owner := make(map[geom.Pt]int, nl.NumPins()) // pin → index of the net listing it
 	for i, n := range nl.Nets {
 		if n.ID != i {
 			return fmt.Errorf("netlist %s: net %q has ID %d at index %d", nl.Name, n.Name, n.ID, i)
 		}
-		seen := map[geom.Pt]bool{}
 		for _, p := range n.Pins {
 			if p.X < 0 || p.X >= nl.W || p.Y < 0 || p.Y >= nl.H {
 				return fmt.Errorf("netlist %s: net %q pin %v out of grid", nl.Name, n.Name, p)
 			}
-			if seen[p] {
-				return fmt.Errorf("netlist %s: net %q pin %v: %w", nl.Name, n.Name, p, ErrDuplicatePin)
+			if j, ok := owner[p]; ok {
+				if j == i {
+					return fmt.Errorf("netlist %s: net %q pin %v: %w", nl.Name, n.Name, p, ErrDuplicatePin)
+				}
+				return fmt.Errorf("netlist %s: net %q pin %v is also a pin of net %q: %w", nl.Name, n.Name, p, nl.Nets[j].Name, ErrSharedPin)
 			}
-			seen[p] = true
+			owner[p] = i
 		}
 		if len(n.Pins) < 2 {
 			return fmt.Errorf("netlist %s: net %q has %d pins: %w", nl.Name, n.Name, len(n.Pins), ErrTooFewPins)

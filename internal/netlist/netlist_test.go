@@ -39,6 +39,7 @@ func TestValidateErrors(t *testing.T) {
 		{"coincident pins", func(nl *Netlist) {
 			nl.Nets[0].Pins = []geom.Pt{geom.XY(1, 1), geom.XY(1, 1)}
 		}},
+		{"shared pin", func(nl *Netlist) { nl.Nets[1].Pins[0] = nl.Nets[0].Pins[1] }},
 		{"bad ID", func(nl *Netlist) { nl.Nets[1].ID = 5 }},
 	}
 	for _, c := range cases {
@@ -73,12 +74,22 @@ func TestValidateTypedErrors(t *testing.T) {
 		t.Fatalf("duplicate among 3 pins: got %v, want ErrDuplicatePin", err)
 	}
 
+	// A pin of another net is refused apart from a repeated one.
+	nl = sample()
+	nl.Nets[1].Pins[2] = nl.Nets[0].Pins[0]
+	if err := nl.Validate(); !errors.Is(err, ErrSharedPin) || errors.Is(err, ErrDuplicatePin) {
+		t.Fatalf("shared pin: got %v, want ErrSharedPin", err)
+	}
+
 	// The same sentinels surface from the parser.
 	if _, err := Read(strings.NewReader("netlist t 8 8 2\nnet a 1 1\n")); !errors.Is(err, ErrTooFewPins) {
 		t.Fatalf("Read single pin: got %v, want ErrTooFewPins", err)
 	}
 	if _, err := Read(strings.NewReader("netlist t 8 8 2\nnet a 1 1 2 2 1 1\n")); !errors.Is(err, ErrDuplicatePin) {
 		t.Fatalf("Read duplicate pin: got %v, want ErrDuplicatePin", err)
+	}
+	if _, err := Read(strings.NewReader("netlist t 8 8 2\nnet a 1 1 2 2\nnet b 3 3 2 2\n")); !errors.Is(err, ErrSharedPin) {
+		t.Fatalf("Read shared pin: got %v, want ErrSharedPin", err)
 	}
 }
 
@@ -180,7 +191,7 @@ func TestSortNetsByHPWL(t *testing.T) {
 		Nets: []*Net{
 			{ID: 0, Name: "long", Pins: []geom.Pt{geom.XY(0, 0), geom.XY(15, 15)}},
 			{ID: 1, Name: "short", Pins: []geom.Pt{geom.XY(3, 3), geom.XY(4, 3)}},
-			{ID: 2, Name: "mid", Pins: []geom.Pt{geom.XY(0, 0), geom.XY(5, 5)}},
+			{ID: 2, Name: "mid", Pins: []geom.Pt{geom.XY(1, 0), geom.XY(6, 5)}},
 		},
 	}
 	nl.SortNetsByHPWL()

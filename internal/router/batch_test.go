@@ -25,30 +25,20 @@ func waitGoroutines(t *testing.T, path string, base int) {
 	}
 }
 
-// stuckNetlist is a random netlist plus one net that starts at the
-// first pin of a two-pin net: both routes hold that cell on layer 0, a
-// congestion no rip-up can resolve, so Run fails once the congestion
-// phase's iteration cap is spent.
+// stuckNetlist interleaves ten pairs of two-pin nets on a 40×1
+// two-layer grid: a_k joins (4k,0) to (4k+2,0) and b_k joins (4k+1,0)
+// to (4k+3,0). Each net of a pair must cross the other's pin column,
+// on layer 0 through the pin itself or on layer 1 over the other's
+// crossing, so every pair overlaps somewhere: a congestion no rip-up
+// can resolve, and Run fails once the congestion phase's iteration cap
+// is spent. The netlist itself is valid; no two nets share a pin.
 func stuckNetlist() *netlist.Netlist {
-	nl := randomNetlist("stuck", 20, 20, 12, 3)
-	used := map[geom.Pt]bool{}
-	for _, n := range nl.Nets {
-		for _, p := range n.Pins {
-			used[p] = true
+	nl := &netlist.Netlist{Name: "stuck", W: 40, H: 1, NumLayers: 2}
+	for k := 0; k < 10; k++ {
+		for _, x := range []int{4 * k, 4*k + 1} {
+			nl.Nets = append(nl.Nets, &netlist.Net{ID: len(nl.Nets), Name: "n" + itoa(len(nl.Nets)), Pins: []geom.Pt{geom.XY(x, 0), geom.XY(x+2, 0)}})
 		}
 	}
-	var shared geom.Pt
-	for _, n := range nl.Nets {
-		if len(n.Pins) == 2 {
-			shared = n.Pins[0]
-			break
-		}
-	}
-	free := geom.XY(0, 0)
-	for used[free] {
-		free = free.Add(1, 0)
-	}
-	nl.Nets = append(nl.Nets, &netlist.Net{ID: len(nl.Nets), Name: "stuck", Pins: []geom.Pt{shared, free}})
 	return nl
 }
 

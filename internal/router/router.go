@@ -498,8 +498,8 @@ func (s *searcher) route(id int32, r *grid.Route, out *netRoute) {
 	r.Net = id
 	*out = netRoute{id: id, r: r}
 	net := s.rt.nl.Nets[id]
-	// Pins are distinct: New rejects netlists with duplicates
-	// (netlist.ErrDuplicatePin).
+	// Pins are distinct: New rejects a netlist that repeats a pin or
+	// shares one between nets (netlist.ErrDuplicatePin, ErrSharedPin).
 	pins := s.pinBuf[:0]
 	for _, p := range net.Pins {
 		pins = append(pins, geom.XYL(p.X, p.Y, 0))

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -288,20 +289,14 @@ func TestLedgerRevertExact(t *testing.T) {
 }
 
 func TestUnroutableNetlistErrors(t *testing.T) {
-	// A 1x2 grid cannot route two parallel nets without overlap... use
-	// a pathological case: two nets needing the same single column.
+	// Two nets sharing pin (0,0) would be permanently congested; New
+	// refuses them before any routing round is spent.
 	nl := &netlist.Netlist{Name: "tiny", W: 2, H: 2, NumLayers: 2, Nets: []*netlist.Net{
 		{ID: 0, Name: "a", Pins: []geom.Pt{geom.XY(0, 0), geom.XY(0, 1)}},
 		{ID: 1, Name: "b", Pins: []geom.Pt{geom.XY(0, 0), geom.XY(1, 1)}},
 	}}
-	rt, err := New(nl, Config{Scheme: coloring.Scheme{Type: coloring.SIM}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Nets share pin (0,0): permanently congested; must error, not
-	// hang.
-	if err := rt.Run(); err == nil {
-		t.Skip("router legalized shared-pin nets; acceptable")
+	if _, err := New(nl, Config{Scheme: coloring.Scheme{Type: coloring.SIM}}); !errors.Is(err, netlist.ErrSharedPin) {
+		t.Fatalf("New: got %v, want netlist.ErrSharedPin", err)
 	}
 }
 

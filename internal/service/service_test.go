@@ -417,6 +417,9 @@ func TestSubmitValidation(t *testing.T) {
 	if code := post(mustJSON("netlist x 0 0 2\n", `{}`)); code != http.StatusUnprocessableEntity {
 		t.Fatalf("invalid netlist: status %d", code)
 	}
+	if code := post(mustJSON("netlist x 8 8 2\nnet a 1 1 5 1\nnet b 5 1 2 6\n", `{}`)); code != http.StatusUnprocessableEntity {
+		t.Fatalf("nets sharing a pin: status %d, want 422", code)
+	}
 	if code := post(mustJSON("netlist x 100000 100000 2\nnet a 1 1 2 2\n", `{}`)); code != http.StatusUnprocessableEntity {
 		t.Fatalf("oversized grid: status %d", code)
 	}

@@ -72,28 +72,15 @@ func (lv *LayerVias) Has(p geom.Pt) bool {
 // multiplicity).
 func (lv *LayerVias) Len() int { return lv.vias }
 
-// Sites calls fn for every occupied site (once per site, regardless of
-// multiplicity), in row-major order.
-func (lv *LayerVias) Sites(fn func(geom.Pt)) {
-	for y := 0; y < lv.h; y++ {
-		for x := 0; x < lv.w; x++ {
-			if lv.count[y*lv.w+x] > 0 {
-				fn(geom.XY(x, y))
-			}
-		}
-	}
-}
-
 // SiteList returns all occupied sites in row-major order.
 func (lv *LayerVias) SiteList() []geom.Pt {
 	return lv.AppendSites(nil)
 }
 
-// AppendSites appends all occupied sites in row-major order to pts and
-// returns the extended slice. Callers on hot paths pass a recycled
-// buffer (pts[:0]) to avoid the per-call allocation of SiteList. The
-// row scan is inlined rather than delegated to Sites: a func literal
-// here would allocate a closure on every snapshot.
+// AppendSites appends all occupied sites (once per site, regardless of
+// multiplicity) in row-major order to pts and returns the extended
+// slice. Callers on hot paths pass a recycled buffer (pts[:0]) to
+// avoid the per-call allocation of SiteList.
 //
 //sadplint:hotpath snapshots the via set once per TPL bookkeeping pass
 func (lv *LayerVias) AppendSites(pts []geom.Pt) []geom.Pt {
