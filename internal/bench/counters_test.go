@@ -52,9 +52,10 @@ func TestSearchCountersExact(t *testing.T) {
 	}
 }
 
-// TestRouteJSONRoundTrip: a route decoded from its JSON form (the
-// include_solution payload) reports the same geometry as the routed
-// original, with no constructor involved.
+// TestRouteJSONRoundTrip: a route decoded from its JSON form reports
+// the same geometry as the routed original, with no constructor
+// involved: a Route literal rebuilds its derived state on the first
+// query.
 func TestRouteJSONRoundTrip(t *testing.T) {
 	nl := Generate(TinySuite()[0])
 	_, art, err := Run(nl, RunSpec{Scheme: coloring.SIM, ConsiderDVI: true, ConsiderTPL: true, Method: NoDVI})

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -12,21 +14,41 @@ import (
 	"time"
 
 	"repro/internal/coloring"
+	"repro/internal/solution"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files from the current code")
 
 // goldenEntry pins every machine-independent metric of one tiny-suite
-// configuration. CPU timings are deliberately absent.
+// configuration, and the run's solution payload by its SHA-256, so a
+// change that reorders paths or re-encodes the payload changes the
+// goldens even where every metric holds. CPU timings are deliberately
+// absent.
 type goldenEntry struct {
-	Circuit  string `json:"circuit"`
-	Scheme   string `json:"scheme"`
-	Method   string `json:"method"`
-	WL       int    `json:"wl"`
-	Vias     int    `json:"vias"`
-	DV       int    `json:"dv"`
-	UV       int    `json:"uv"`
-	Inserted int    `json:"inserted"`
+	Circuit        string `json:"circuit"`
+	Scheme         string `json:"scheme"`
+	Method         string `json:"method"`
+	WL             int    `json:"wl"`
+	Vias           int    `json:"vias"`
+	DV             int    `json:"dv"`
+	UV             int    `json:"uv"`
+	Inserted       int    `json:"inserted"`
+	SolutionSHA256 string `json:"solution_sha256"`
+}
+
+// newGoldenEntry pins one finished run.
+func newGoldenEntry(c Circuit, scheme coloring.SADPType, method DVIMethod, row Row, art *Artifacts) (goldenEntry, error) {
+	b, err := solution.Encode(art.Router.Routes(), art.Instance, art.Solution)
+	if err != nil {
+		return goldenEntry{}, err
+	}
+	sum := sha256.Sum256(b)
+	return goldenEntry{
+		Circuit: c.Name, Scheme: scheme.String(), Method: method.String(),
+		WL: row.WL, Vias: row.Vias, DV: row.DV, UV: row.UV,
+		Inserted:       art.Solution.InsertedCount,
+		SolutionSHA256: hex.EncodeToString(sum[:]),
+	}, nil
 }
 
 // goldenILPNodeLimit makes the exact solve deterministic across
@@ -76,11 +98,7 @@ func TestGoldenTinySuite(t *testing.T) {
 				errs[i] = fmt.Errorf("%s/%v/%v: verifier: %w", c.ckt.Name, c.scheme, c.method, verr)
 				return
 			}
-			got[i] = goldenEntry{
-				Circuit: c.ckt.Name, Scheme: c.scheme.String(), Method: c.method.String(),
-				WL: row.WL, Vias: row.Vias, DV: row.DV, UV: row.UV,
-				Inserted: art.Solution.InsertedCount,
-			}
+			got[i], errs[i] = newGoldenEntry(c.ckt, c.scheme, c.method, row, art)
 		}(i, c)
 	}
 	wg.Wait()
@@ -137,11 +155,7 @@ func TestGoldenMultiPinSuite(t *testing.T) {
 				errs[i] = fmt.Errorf("%s/%v/%v: no net used the Steiner topology", c.ckt.Name, c.scheme, c.method)
 				return
 			}
-			got[i] = goldenEntry{
-				Circuit: c.ckt.Name, Scheme: c.scheme.String(), Method: c.method.String(),
-				WL: row.WL, Vias: row.Vias, DV: row.DV, UV: row.UV,
-				Inserted: art.Solution.InsertedCount,
-			}
+			got[i], errs[i] = newGoldenEntry(c.ckt, c.scheme, c.method, row, art)
 		}(i, c)
 	}
 	wg.Wait()

@@ -134,11 +134,15 @@ type RunSpec struct {
 	// internal/verify checker; the report lands in Artifacts.Verify.
 	// Verification never alters Row, only the verdict.
 	Verify bool `json:"verify,omitempty"`
-	// IncludeSolution embeds the marshaled routed solution (every net's
-	// polylines) in the service result. The solution bytes are a pure
-	// function of the input and spec — unlike the CPU-time fields of Row
-	// they are bit-identical run to run, which is what the distributed
-	// differential e2e byte-compares across cluster topologies.
+	// IncludeSolution embeds the solution payload in the service
+	// result: every net's paths and, when DVI ran, each single via's
+	// inserted candidate and colors, in the version-2 encoding of
+	// internal/solution. The bytes are a pure function of the input and
+	// spec — unlike the CPU-time fields of Row they are bit-identical
+	// run to run, which is what the distributed differential e2e
+	// byte-compares across cluster topologies — and complete: the
+	// cluster coordinator recounts DV, UV and inserted vias from them
+	// and, with upload verification, re-checks C1–C8.
 	IncludeSolution bool `json:"include_solution,omitempty"`
 }
 

@@ -128,8 +128,9 @@ func TestValidateUpload(t *testing.T) {
 		{"degraded flag lie", a, signed(okPayload(), true), rejectDegradedFlag},
 		{"solution withheld", aSol, signed(solPayload(nil, 0), false), rejectSolutionMissing},
 		{"solution not routes", aSol, signed(solPayload(json.RawMessage(`{"bad":1}`), 0), false), rejectSolutionDecode},
-		{"inflated metrics", aSol, signed(solPayload(json.RawMessage(`[]`), 5), false), rejectMetricRecount},
-		{"empty but honest", aSol, signed(solPayload(json.RawMessage(`[]`), 0), false), ""},
+		{"solution of version 1", aSol, signed(solPayload(json.RawMessage(`[]`), 0), false), rejectSolutionVersion},
+		{"inflated metrics", aSol, signed(solPayload(json.RawMessage(`"v2|"`), 5), false), rejectMetricRecount},
+		{"empty but honest", aSol, signed(solPayload(json.RawMessage(`"v2|"`), 0), false), ""},
 	}
 	for _, tc := range cases {
 		reason, verr := validateUpload(tc.a, &tc.req, false)

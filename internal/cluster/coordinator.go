@@ -496,7 +496,8 @@ func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 //   - tracked job, stale lease, error/panic payload → "stale" no-op:
 //     a presumed-dead worker must not fail a job another worker may
 //     still complete; for the same reason a hedge's error or panic
-//     only drops the hedge.
+//     only drops the hedge, and a primary's timeout while its hedge
+//     runs only drops the primary.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req ResultRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.WorkerID == "" || req.JobID == "" {
@@ -595,6 +596,14 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		} else {
 			c.dropJobLocked(req.JobID)
 		}
+		writeJSON(w, http.StatusOK, ResultResponse{Status: ResultAccepted})
+
+	case req.Canceled && len(t.leases) > 1:
+		// The primary hit the job deadline while its hedge runs. A
+		// timeout, unlike a flow error, says nothing about the hedge,
+		// which may still finish: drop the primary without blame and
+		// promote the hedge.
+		c.dropLeaseLocked(req.JobID, t, 0, false)
 		writeJSON(w, http.StatusOK, ResultResponse{Status: ResultAccepted})
 
 	default:

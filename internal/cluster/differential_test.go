@@ -17,10 +17,10 @@ import (
 // The cluster's one invariant: for any job set, results are
 // byte-identical across standalone, 1-worker and N-worker topologies —
 // including when a worker dies mid-suite and its jobs are re-placed
-// via lease expiry. The Solution payload (every net's routed
-// polylines) is a pure function of input and spec, so it is compared
-// byte-for-byte; the timing fields of Row are excluded by comparing
-// the semantic fields individually.
+// via lease expiry. The Solution payload (every net's routed paths
+// and the DVI assignment) is a pure function of input and spec, so it
+// is compared byte-for-byte; the timing fields of Row are excluded by
+// comparing the semantic fields individually.
 
 // outcome is the timing-free projection of one job's result.
 type outcome struct {

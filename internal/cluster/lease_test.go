@@ -335,6 +335,21 @@ func TestLeaseRules(t *testing.T) {
 			r.want(counters{Hedged: 1, Failed: 1})
 			r.lost("w2", h)
 		}},
+		{name: "primary timeout promotes the hedge", run: func(t *testing.T, r *leaseRig) {
+			p, h, _ := r.hedged()
+			if got := r.upload("w1", p, service.Outcome{Error: "context deadline exceeded", Canceled: true}); got != ResultAccepted {
+				t.Fatalf("primary timeout: %q, want accepted", got)
+			}
+			r.want(counters{Hedged: 1}) // no requeue, nothing failed
+			if got := r.status(); got != api.StatusRunning {
+				t.Fatalf("status %q after the primary's timeout, want running", got)
+			}
+			r.lost("w1", p)
+			r.renews("w2", h)
+			r.grant("w1", 3) // not excluded: it may hedge the promoted lease
+			r.finish("w2", h)
+			r.want(counters{Hedged: 2})
+		}},
 		{name: "rejected hedge upload", run: func(t *testing.T, r *leaseRig) {
 			p, h, _ := r.hedged()
 			if got := r.upload("w2", h, service.Outcome{Result: garbage}); got != ResultRejected {

@@ -2,14 +2,16 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
 
-	"repro/internal/grid"
+	"repro/internal/bench"
 	"repro/internal/netlist"
 	"repro/internal/service"
 	"repro/internal/service/api"
+	"repro/internal/solution"
 	"repro/internal/verify"
 )
 
@@ -31,30 +33,40 @@ import (
 //     address against the job's own netlist (so results cannot be
 //     cross-wired between jobs or specs); the degraded flag matches
 //     the payload (a lie would poison the cache with budget-dependent
-//     bytes); when the spec asked for the solution geometry, it is
-//     present, decodes, and an independent recount of its wirelength
-//     and via count (verify.Metrics — no code shared with the router)
-//     matches the claimed Row.
+//     bytes); when the spec asked for the solution payload, it is
+//     present, decodes as a canonical version-2 payload
+//     (internal/solution), and an independent recount of its
+//     wirelength and via count (verify.Metrics — no code shared with
+//     the router) and of its DVI assignment's dead, uncolorable and
+//     inserted vias matches the claimed Row and InsertedVias.
 //
 //   - Full re-verification (-verify-uploads): the from-scratch
-//     internal/verify checker re-validates the uploaded geometry —
-//     connectivity, SADP turn legality, via-layer manufacturability —
-//     exactly as PR 3's independent checker would for a local run.
-//     Costlier (it re-colors via layers), so it is a knob, but still
-//     far cheaper than re-routing the job.
+//     internal/verify checker re-validates the uploaded solution —
+//     connectivity, SADP turn legality, via-layer manufacturability
+//     and the DVI constraints C1–C8, each inserted redundant via's
+//     feasibility re-derived from the geometry — exactly as the
+//     flow's own verify step does for a local run. The DVI instance
+//     it checks is built from the payload alone: the vias
+//     dvi.ViasOf lists over the decoded routes, with one candidate
+//     per inserted via. Costlier (it re-colors via layers), so it is
+//     a knob, but still far cheaper than re-routing the job.
 
 // Rejection reason classes, the label values of
 // cluster_upload_rejects_total{reason}.
 const (
-	rejectChecksum        = "checksum"
-	rejectDecode          = "decode"
-	rejectSpecEcho        = "spec-echo"
-	rejectContentAddress  = "content-address"
-	rejectDegradedFlag    = "degraded-flag"
-	rejectSolutionMissing = "solution-missing"
-	rejectSolutionDecode  = "solution-decode"
-	rejectMetricRecount   = "metric-recount"
-	rejectVerify          = "verify"
+	rejectChecksum             = "checksum"
+	rejectDecode               = "decode"
+	rejectSpecEcho             = "spec-echo"
+	rejectContentAddress       = "content-address"
+	rejectDegradedFlag         = "degraded-flag"
+	rejectSolutionMissing      = "solution-missing"
+	rejectSolutionDecode       = "solution-decode"
+	rejectSolutionVersion      = "solution-version"
+	rejectSolutionNonCanonical = "solution-noncanonical"
+	rejectSolutionColor        = "solution-color"
+	rejectMetricRecount        = "metric-recount"
+	rejectDVIRecount           = "dvi-recount"
+	rejectVerify               = "verify"
 )
 
 // validateUpload checks one successful upload's Result bytes against
@@ -86,19 +98,37 @@ func validateUpload(a *service.Assignment, req *ResultRequest, verifyFull bool) 
 	}
 
 	if !res.Spec.IncludeSolution {
-		// No geometry to recount; the structural tier ends here.
+		// No solution payload to recount; the structural tier ends here.
 		return "", nil
 	}
 	if len(res.Solution) == 0 {
 		return rejectSolutionMissing, fmt.Errorf("spec requested the solution payload but none was uploaded")
 	}
-	var routes []*grid.Route
-	if err := json.Unmarshal(res.Solution, &routes); err != nil {
-		return rejectSolutionDecode, fmt.Errorf("solution payload does not decode: %w", err)
+	p, err := solution.Decode(res.Solution)
+	switch {
+	case errors.Is(err, solution.ErrVersion):
+		return rejectSolutionVersion, err
+	case errors.Is(err, solution.ErrNonCanonical):
+		return rejectSolutionNonCanonical, err
+	case errors.Is(err, solution.ErrColor):
+		return rejectSolutionColor, err
+	case err != nil:
+		return rejectSolutionDecode, err
 	}
-	wl, vias := verify.Metrics(routes)
-	if wl != int(res.Row.WL) || vias != int(res.Row.Vias) {
+	wl, vias := verify.Metrics(p.Routes)
+	if wl != res.Row.WL || vias != res.Row.Vias {
 		return rejectMetricRecount, fmt.Errorf("recount wl=%d vias=%d, claimed wl=%d vias=%d", wl, vias, res.Row.WL, res.Row.Vias)
+	}
+	if ran := res.Spec.Method != bench.NoDVI; ran != (p.DVI != nil) {
+		return rejectDVIRecount, fmt.Errorf("spec runs DVI %v, payload carries a DVI solution %v", ran, p.DVI != nil)
+	}
+	var dv, uv, inserted int
+	if p.DVI != nil {
+		dv, uv, inserted = p.DVI.DeadVias, p.DVI.Uncolorable, p.DVI.InsertedCount
+	}
+	if dv != res.Row.DV || uv != res.Row.UV || inserted != res.InsertedVias {
+		return rejectDVIRecount, fmt.Errorf("recount dv=%d uv=%d inserted=%d, claimed dv=%d uv=%d inserted=%d",
+			dv, uv, inserted, res.Row.DV, res.Row.UV, res.InsertedVias)
 	}
 
 	if !verifyFull {
@@ -111,7 +141,7 @@ func validateUpload(a *service.Assignment, req *ResultRequest, verifyFull bool) 
 		// the upload through rather than requeue forever.
 		return "", nil
 	}
-	rep := verify.Routing(nl, routes, verify.Options{
+	rep := verify.Solution(nl, p.Routes, p.Instance, p.DVI, verify.Options{
 		SADP: res.Spec.Scheme,
 		// A degraded TPL phase may legitimately leave FVPs; every other
 		// upload, a timed-out ILP included, meets the full

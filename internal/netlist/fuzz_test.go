@@ -1,17 +1,88 @@
 package netlist
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/geom"
 )
+
+// refRead is Read as it parsed numeric fields with fmt.Sscanf: the
+// reference FuzzRead holds the strconv reader to. Sscanf stops at the
+// first non-digit and ignores what follows, so it reads "3x" as 3.
+func refRead(r io.Reader) (*Netlist, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<24)
+	nl := &Netlist{}
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		switch fields[0] {
+		case "netlist":
+			if len(fields) != 5 {
+				return nil, fmt.Errorf("line %d: netlist header needs 4 fields", lineNo)
+			}
+			nl.Name = fields[1]
+			if _, err := fmt.Sscanf(strings.Join(fields[2:], " "), "%d %d %d", &nl.W, &nl.H, &nl.NumLayers); err != nil {
+				return nil, fmt.Errorf("line %d: bad netlist header: %v", lineNo, err)
+			}
+		case "net":
+			if len(fields) < 2 || len(fields)%2 != 0 {
+				return nil, fmt.Errorf("line %d: net line needs name plus coordinate pairs", lineNo)
+			}
+			n := &Net{ID: len(nl.Nets), Name: fields[1]}
+			for i := 2; i < len(fields); i += 2 {
+				var p geom.Pt
+				if _, err := fmt.Sscanf(fields[i]+" "+fields[i+1], "%d %d", &p.X, &p.Y); err != nil {
+					return nil, fmt.Errorf("line %d: bad pin: %v", lineNo, err)
+				}
+				n.Pins = append(n.Pins, p)
+			}
+			nl.Nets = append(nl.Nets, n)
+		default:
+			return nil, fmt.Errorf("line %d: unknown directive %q", lineNo, fields[0])
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if err := nl.Validate(); err != nil {
+		return nil, err
+	}
+	return nl, nil
+}
+
+// suffixed reports whether field is a signed decimal with a non-digit
+// suffix: what Sscanf reads as its numeric prefix.
+func suffixed(field string) bool {
+	s := strings.TrimLeft(field, "+-")
+	if len(field)-len(s) > 1 {
+		return false
+	}
+	d := strings.TrimLeft(s, "0123456789")
+	return d != "" && len(d) < len(s)
+}
 
 // FuzzRead hammers the parser with arbitrary bytes. The parser is a
 // trust boundary — the sadprouted service feeds it user-supplied
 // request bodies — so the contract is strict: it must never panic,
 // every accepted netlist must satisfy Validate (the router relies on
 // that), and accepted netlists must survive a Write/Read round trip
-// unchanged in shape.
+// unchanged in shape. It also holds Read to refRead, the Sscanf
+// reader it replaced: where both accept they read the same netlist,
+// and refRead accepts what Read rejects only for a numeric field with
+// a non-digit suffix.
 func FuzzRead(f *testing.F) {
 	seeds := []string{
 		"",
@@ -43,8 +114,21 @@ func FuzzRead(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	f.Add("netlist t 8 8 3x\nnet a 1 1 3 4\n") // numeric suffix in the header
+	f.Add("netlist t 8 8 3\nnet a 1 1 3 4x\n") // numeric suffix in a pin
+	f.Add("netlist t +8 8 2\nnet a 01 1 -0 4\n")
 	f.Fuzz(func(t *testing.T, s string) {
 		nl, err := Read(strings.NewReader(s))
+		ref, refErr := refRead(strings.NewReader(s))
+		var num *NumberError
+		switch {
+		case err == nil && refErr != nil:
+			t.Fatalf("accepted what the Sscanf reader rejects (%v)\ninput: %q", refErr, s)
+		case err != nil && refErr == nil && !(errors.As(err, &num) && suffixed(num.Field)):
+			t.Fatalf("rejected what the Sscanf reader accepts, for another reason than a numeric suffix: %v\ninput: %q", err, s)
+		case err == nil && !reflect.DeepEqual(nl, ref):
+			t.Fatalf("read %+v, the Sscanf reader %+v\ninput: %q", nl, ref, s)
+		}
 		if err != nil {
 			return // rejecting malformed input is the correct outcome
 		}

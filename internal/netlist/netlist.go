@@ -10,10 +10,12 @@ package netlist
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/geom"
@@ -39,6 +41,15 @@ var (
 	// failing; the boundary rejects it instead.
 	ErrSharedPin = errors.New("nets share a pin")
 )
+
+// NumberError reports a numeric field of a netlist line that is not a
+// decimal integer in its entirety, such as "3x": a field with a
+// trailing suffix is an authoring mistake, not the number before it.
+type NumberError struct {
+	Field string
+}
+
+func (e *NumberError) Error() string { return fmt.Sprintf("%q is not a decimal integer", e.Field) }
 
 // Net is a single net: a set of pin locations to be connected.
 type Net struct {
@@ -170,20 +181,27 @@ func Read(r io.Reader) (*Netlist, error) {
 				return nil, fmt.Errorf("line %d: netlist header needs 4 fields", lineNo)
 			}
 			nl.Name = fields[1]
-			if _, err := fmt.Sscanf(strings.Join(fields[2:], " "), "%d %d %d", &nl.W, &nl.H, &nl.NumLayers); err != nil {
-				return nil, fmt.Errorf("line %d: bad netlist header: %v", lineNo, err)
+			var dims [3]int
+			for k := range dims {
+				v, err := atoi(fields[2+k])
+				if err != nil {
+					return nil, fmt.Errorf("line %d: bad netlist header: %w", lineNo, err)
+				}
+				dims[k] = v
 			}
+			nl.W, nl.H, nl.NumLayers = dims[0], dims[1], dims[2]
 		case "net":
 			if len(fields) < 2 || len(fields)%2 != 0 {
 				return nil, fmt.Errorf("line %d: net line needs name plus coordinate pairs", lineNo)
 			}
-			n := &Net{ID: len(nl.Nets), Name: fields[1]}
+			n := &Net{ID: len(nl.Nets), Name: fields[1], Pins: make([]geom.Pt, 0, (len(fields)-2)/2)}
 			for i := 2; i < len(fields); i += 2 {
-				var p geom.Pt
-				if _, err := fmt.Sscanf(fields[i]+" "+fields[i+1], "%d %d", &p.X, &p.Y); err != nil {
-					return nil, fmt.Errorf("line %d: bad pin: %v", lineNo, err)
+				x, errX := atoi(fields[i])
+				y, errY := atoi(fields[i+1])
+				if err := cmp.Or(errX, errY); err != nil {
+					return nil, fmt.Errorf("line %d: bad pin: %w", lineNo, err)
 				}
-				n.Pins = append(n.Pins, p)
+				n.Pins = append(n.Pins, geom.XY(x, y))
 			}
 			nl.Nets = append(nl.Nets, n)
 		default:
@@ -197,6 +215,16 @@ func Read(r io.Reader) (*Netlist, error) {
 		return nil, err
 	}
 	return nl, nil
+}
+
+// atoi parses one numeric field: an optional sign and decimal digits,
+// nothing else.
+func atoi(field string) (int, error) {
+	v, err := strconv.Atoi(field)
+	if err != nil {
+		return 0, &NumberError{Field: field}
+	}
+	return v, nil
 }
 
 // SortNetsByHPWL orders nets by ascending wirelength lower bound with

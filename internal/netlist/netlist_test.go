@@ -167,6 +167,25 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// A numeric field with a trailing suffix is rejected with a
+// *NumberError naming it; the Sscanf reader read these lines as 3
+// layers and pin (3, 4).
+func TestReadRejectsNumericSuffix(t *testing.T) {
+	for _, tc := range []struct{ in, field string }{
+		{"netlist t 8 8 3x\nnet a 1 1 3 4\n", "3x"},
+		{"netlist t 8 8 3\nnet a 1 1 3 4x\n", "4x"},
+	} {
+		_, err := Read(strings.NewReader(tc.in))
+		var num *NumberError
+		if !errors.As(err, &num) || num.Field != tc.field {
+			t.Errorf("%q: error %v, want a *NumberError for %q", tc.in, err, tc.field)
+		}
+		if _, err := refRead(strings.NewReader(tc.in)); err != nil {
+			t.Errorf("%q: the Sscanf reader rejects it too: %v", tc.in, err)
+		}
+	}
+}
+
 // TestReadLongLines: the scanner grows to lines past 1 MiB, and the
 // 16 MiB token cap still refuses longer ones with bufio.ErrTooLong.
 func TestReadLongLines(t *testing.T) {

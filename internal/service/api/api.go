@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/bench"
+	"repro/internal/solution"
 )
 
 // SubmitRequest is the body of POST /v1/jobs.
@@ -47,11 +48,14 @@ type Result struct {
 	// Verify is the independent checker's verdict, present when the
 	// spec set "verify": true.
 	Verify *VerifyReport `json:"verify,omitempty"`
-	// Solution is the marshaled routed geometry (every net's polylines),
+	// Solution is the solution payload (internal/solution, version 2):
+	// every net's paths as an origin plus one byte per step and, when
+	// DVI ran, each single via's inserted candidate and colors. It is
 	// present when the spec set "include_solution": true. It is a pure
 	// function of the input and spec — no timing fields — so it is the
-	// payload the distributed differential tests byte-compare across
-	// standalone and cluster topologies.
+	// payload the cluster coordinator recounts and re-verifies and the
+	// distributed differential tests byte-compare across standalone
+	// and cluster topologies.
 	Solution json.RawMessage `json:"solution,omitempty"`
 }
 
@@ -79,11 +83,12 @@ func ResultFrom(spec bench.RunSpec, row bench.Row, art *bench.Artifacts) Result 
 		res.InsertedVias = art.Solution.InsertedCount
 	}
 	if spec.IncludeSolution && art.Router != nil {
-		// Marshal before the caller releases the router to an arena: the
-		// bytes must never alias recycled routing state. Routes are plain
-		// exported structs, so a marshal error is unreachable; a nil
-		// Solution on the impossible path beats a panic.
-		if b, err := json.Marshal(art.Router.Routes()); err == nil {
+		// Encode before the caller releases the router to an arena: the
+		// bytes must never alias recycled routing state. The router
+		// emits only unit-step paths of its own nets, so an encode error
+		// is unreachable; a nil Solution on the impossible path beats a
+		// panic.
+		if b, err := solution.Encode(art.Router.Routes(), art.Instance, art.Solution); err == nil {
 			res.Solution = b
 		}
 	}

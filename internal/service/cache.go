@@ -92,8 +92,10 @@ func (c *resultCache) Len() int {
 // changes a result, the same change that re-records the goldens
 // (internal/bench/testdata); TestResultEpochPinsGoldens holds the two
 // together. Epoch 1 is every build before the epoch entered the key.
-// Epoch 2: the layer-aware A* bound and its tie order.
-const ResultEpoch = 2
+// Epoch 2: the layer-aware A* bound and its tie order. Epoch 3: the
+// version-2 solution payload (internal/solution), which also carries
+// the DVI solution.
+const ResultEpoch = 3
 
 // cacheKey derives the content address of a submission: a SHA-256
 // over ResultEpoch, the raw netlist bytes and a canonicalized spec.

@@ -58,7 +58,7 @@ func TestCacheKeyNormalization(t *testing.T) {
 		t.Fatal(err)
 	}
 	pinned := bench.RunSpec{Scheme: coloring.SIM, ConsiderDVI: true, ConsiderTPL: true, Method: bench.HeurDVI}
-	if got, want := mustKey(t, string(tiny), pinned), "19d4ae67f3f18ff2e61e162a0258b4f6792365ddbb54d7e0603c9181d33a6e02"; got != want {
+	if got, want := mustKey(t, string(tiny), pinned), "ea7ef59b003aa1ae157421fd760562e79bc93de7f435e9ad584ce5632b0e94f2"; got != want {
 		t.Fatalf("tiny.net content address %s, want %s", got, want)
 	}
 

@@ -166,6 +166,7 @@ func (s *Server) settle(j *job, rec journalRecord, canceled bool) bool {
 	rec.ID, rec.Key, rec.Attempt = j.id, j.key, j.attempts()
 	if rec.Type == recDone {
 		rec.Checksum = doneChecksum(rec.ID, rec.Key, rec.Result)
+		rec.Epoch = ResultEpoch
 	}
 	s.journalAppend(rec)
 	status := api.StatusFailed

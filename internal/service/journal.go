@@ -23,7 +23,9 @@ import (
 // alone), running (with the attempt number), and the terminal states
 // (done carries the marshaled result so finished jobs answer GETs and
 // re-warm the result cache after a restart, each guarded by a
-// checksum over its id, key and result bytes).
+// checksum over its id, key and result bytes and stamped with the
+// ResultEpoch that computed it; only this epoch's results re-warm the
+// cache).
 //
 // Recovery reads the log on boot, tolerating a torn final line (the
 // signature of dying mid-append), folds the records per job, and
@@ -59,6 +61,12 @@ type journalRecord struct {
 	// Checksum is doneChecksum of a done record's ID, Key and Result.
 	// Replay serves and caches a done record only when it matches.
 	Checksum string `json:"checksum,omitempty"`
+	// Epoch is the ResultEpoch of the build that computed a done
+	// record's result; records written before done records carried
+	// one read 0. Replay caches a done result only at this build's
+	// epoch: no key this build derives reaches another epoch's result,
+	// so it would only occupy the cache. The job still answers its id.
+	Epoch int `json:"epoch,omitempty"`
 	// Degraded marks a done record whose result was produced in a
 	// degraded mode; replay keeps it answerable but out of the result
 	// cache (degraded output is timing-dependent, a later full-fidelity
@@ -255,6 +263,7 @@ type replayedJob struct {
 	status   api.JobStatus // terminal status, or "" while live
 	result   json.RawMessage
 	checksum string
+	epoch    int
 	degraded bool
 	errMsg   string
 	worker   string // last recorded placement
@@ -302,6 +311,7 @@ func foldJournal(recs []journalRecord) []*replayedJob {
 			rj.status = api.StatusDone
 			rj.result = rec.Result
 			rj.checksum = rec.Checksum
+			rj.epoch = rec.Epoch
 			rj.degraded = rec.Degraded
 		case recFailed:
 			rj := get(rec)
@@ -324,7 +334,7 @@ func compactRecords(jobs []*replayedJob) []journalRecord {
 	for _, rj := range jobs {
 		switch rj.status {
 		case api.StatusDone:
-			out = append(out, journalRecord{Type: recDone, ID: rj.id, Key: rj.key, Attempt: rj.attempt, Result: rj.result, Checksum: rj.checksum, Degraded: rj.degraded})
+			out = append(out, journalRecord{Type: recDone, ID: rj.id, Key: rj.key, Attempt: rj.attempt, Result: rj.result, Checksum: rj.checksum, Epoch: rj.epoch, Degraded: rj.degraded})
 		case api.StatusFailed:
 			out = append(out, journalRecord{Type: recFailed, ID: rj.id, Key: rj.key, Attempt: rj.attempt, Error: rj.errMsg})
 		case api.StatusQuarantined:

@@ -111,7 +111,7 @@ func TestReplayTerminalStates(t *testing.T) {
 	}
 	res := json.RawMessage(`{"row":{"ckt":"t10","wl":7}}`)
 	done := func(id, key string, degraded bool) journalRecord {
-		return journalRecord{Type: recDone, ID: id, Key: key, Result: res, Checksum: doneChecksum(id, key, res), Degraded: degraded}
+		return journalRecord{Type: recDone, ID: id, Key: key, Result: res, Checksum: doneChecksum(id, key, res), Epoch: ResultEpoch, Degraded: degraded}
 	}
 	writeJournal(t, dir,
 		done("j000001-done00000000", mk(nlDone), false),
@@ -170,6 +170,61 @@ func TestReplayTerminalStates(t *testing.T) {
 	code, _, _ = doSubmit(t, ts, nlOld, spec)
 	if code != http.StatusAccepted {
 		t.Fatalf("resubmit of the unchecked done payload answered %d, want 202 (re-run)", code)
+	}
+}
+
+// A done record of another epoch, or of a build before done records
+// carried one, still answers its job's id, but its result is not
+// cached: even under a key this build derives, a resubmission routes
+// afresh.
+func TestReplayStaleEpochNotCached(t *testing.T) {
+	dir := t.TempDir()
+	spec := bench.RunSpec{Method: bench.HeurDVI}
+	nlOld, nlNone := netlistVariant(30), netlistVariant(31)
+	keyOld, _ := cacheKey(nlOld, spec)
+	keyNone, _ := cacheKey(nlNone, spec)
+	res := json.RawMessage(`{"row":{"ckt":"t30","wl":7}}`)
+	writeJournal(t, dir,
+		journalRecord{Type: recDone, ID: "j000001-epoch2000000", Key: keyOld, Result: res,
+			Checksum: doneChecksum("j000001-epoch2000000", keyOld, res), Epoch: 2},
+		journalRecord{Type: recDone, ID: "j000002-noepoch00000", Key: keyNone, Result: res,
+			Checksum: doneChecksum("j000002-noepoch00000", keyNone, res)},
+	)
+	s := mustNew(t, Config{Workers: 1, QueueSize: 4, DataDir: dir, Run: stubRun})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, id := range []string{"j000001-epoch2000000", "j000002-noepoch00000"} {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jr api.JobResponse
+		err = json.NewDecoder(resp.Body).Decode(&jr)
+		resp.Body.Close()
+		if err != nil || jr.Status != api.StatusDone || !bytes.Equal(jr.Result, res) {
+			t.Fatalf("GET %s = %+v (%v), want done with the journaled result", id, jr, err)
+		}
+	}
+	if n := s.cache.Len(); n != 0 {
+		t.Fatalf("boot cached %d stale results, want 0", n)
+	}
+	for _, text := range []string{nlOld, nlNone} {
+		if code, sr, _ := doSubmit(t, ts, text, spec); code != http.StatusAccepted || sr.CacheHit {
+			t.Fatalf("resubmission answered %d %+v, want 202 (a cache miss)", code, sr)
+		}
+	}
+	if hits, misses := s.metrics.CacheHits.Load(), s.metrics.CacheMisses.Load(); hits != 0 || misses != 2 {
+		t.Fatalf("cache hits %d, misses %d; want 0 and 2", hits, misses)
+	}
+
+	// Compaction keeps each record's epoch.
+	recs, err := readJournal(filepath.Join(dir, journalFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) < 2 || recs[0].Epoch != 2 || recs[1].Epoch != 0 {
+		t.Fatalf("compacted records %+v, want epochs 2 and 0 kept", recs)
 	}
 }
 
@@ -271,7 +326,7 @@ func TestJournalCompaction(t *testing.T) {
 		journalRecord{Type: recSubmit, ID: "j000001-finished0000", Key: keyA, Netlist: netlistVariant(20), Spec: &spec},
 		journalRecord{Type: recRunning, ID: "j000001-finished0000", Key: keyA, Attempt: 1},
 		journalRecord{Type: recDone, ID: "j000001-finished0000", Key: keyA, Attempt: 1, Result: res,
-			Checksum: doneChecksum("j000001-finished0000", keyA, res)},
+			Checksum: doneChecksum("j000001-finished0000", keyA, res), Epoch: ResultEpoch},
 		journalRecord{Type: recSubmit, ID: "j000002-live00000000", Key: keyB, Netlist: netlistVariant(21), Spec: &spec},
 	)
 	recs, err := readJournal(filepath.Join(dir, journalFileName))
@@ -282,8 +337,8 @@ func TestJournalCompaction(t *testing.T) {
 	if len(compact) != 2 {
 		t.Fatalf("compacted to %d records, want 2: %+v", len(compact), compact)
 	}
-	if compact[0].Type != recDone || compact[0].Netlist != "" || compact[0].Checksum != recs[2].Checksum {
-		t.Fatalf("terminal job compacted to %+v, want payload-free done record keeping its checksum", compact[0])
+	if compact[0].Type != recDone || compact[0].Netlist != "" || compact[0].Checksum != recs[2].Checksum || compact[0].Epoch != recs[2].Epoch {
+		t.Fatalf("terminal job compacted to %+v, want payload-free done record keeping its checksum and epoch", compact[0])
 	}
 	if compact[1].Type != recSubmit || compact[1].Netlist != netlistVariant(21) {
 		t.Fatalf("live job compacted to %+v, want full submit record", compact[1])

@@ -253,7 +253,7 @@ func (s *Server) recover(jobs []*replayedJob) error {
 		switch rj.status {
 		case api.StatusDone:
 			j.finish(rj.result, false)
-			if !rj.degraded {
+			if !rj.degraded && rj.epoch == ResultEpoch {
 				s.cache.Add(rj.key, rj.result)
 			}
 		case api.StatusFailed:
