@@ -60,16 +60,3 @@ cluster-e2e:
 
 cluster-chaos:
 	SCENARIOS=chaos bash scripts/cluster_e2e.sh
-
-# Benchmark entry points. bench-smoke is the CI regression gate: it
-# routes the tiny suite and compares against the committed baseline in
-# BENCH_1.json (identical metrics required, 3x time tolerance).
-# bench-full routes the six Table I circuits at full size — expect
-# minutes, not seconds — and appends the run to BENCH_2.json.
-.PHONY: bench-smoke bench-full
-
-bench-smoke:
-	$(GO) run ./cmd/benchjson -suite tiny -iters 1 -baseline BENCH_1.json -tolerance 3 -out /tmp/bench-smoke.json
-
-bench-full:
-	$(GO) run ./cmd/benchjson -suite full -iters 1 -label full -out BENCH_2.json

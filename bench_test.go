@@ -1,12 +1,12 @@
 package sadproute
 
-// The benchmark harness: one testing.B benchmark per table of the
-// paper's evaluation (§IV), plus micro-benchmarks for the pieces the
-// experiment index in DESIGN.md calls out. Benchmarks default to the
-// tiny suite so `go test -bench=.` completes in minutes; set
-// REPRO_BENCH_SCALE=N to run the Table I circuits shrunk by factor N
-// (REPRO_BENCH_SCALE=1 is the full paper scale and takes hours, as the
-// paper's own Gurobi runs did).
+// Micro-benchmarks for the pieces the experiment index in DESIGN.md
+// calls out: the router alone and the DVI heuristic alone here, the
+// cost and ordering weights in ablation_bench_test.go. The paper's
+// tables are printed by cmd/tables, and the whole flow is timed end to
+// end and per layer by perfbench. Benchmarks route the first tiny
+// circuit; set REPRO_BENCH_SCALE=N to route the first Table I circuit
+// shrunk by factor N instead.
 
 import (
 	"os"
@@ -17,7 +17,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/coloring"
 	"repro/internal/dvi"
-	"repro/internal/router"
 )
 
 func benchSuite() []bench.Circuit {
@@ -37,144 +36,6 @@ func benchILPLimit() time.Duration {
 	}
 	return 15 * time.Second
 }
-
-// BenchmarkTable1Stats regenerates the benchmark statistics (Table I):
-// netlist generation and validation across the suite.
-func BenchmarkTable1Stats(b *testing.B) {
-	suite := benchSuite()
-	for i := 0; i < b.N; i++ {
-		pins := 0
-		for _, c := range suite {
-			nl := bench.Generate(c)
-			pins += nl.NumPins()
-		}
-		b.ReportMetric(float64(pins), "pins")
-	}
-}
-
-// benchTable34 runs the four-configuration routing comparison of
-// Tables III/IV for one SADP type and reports the headline metrics.
-func benchTable34(b *testing.B, typ coloring.SADPType) {
-	suite := benchSuite()
-	limit := benchILPLimit()
-	for i := 0; i < b.N; i++ {
-		var baseDV, fullDV, baseUV, fullUV int
-		for _, c := range suite {
-			nl := bench.Generate(c)
-			base, _, err := bench.Run(nl, bench.RunSpec{
-				Scheme: typ, Method: bench.ILPDVI, ILPTimeLimit: limit,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			full, _, err := bench.Run(nl, bench.RunSpec{
-				Scheme: typ, ConsiderDVI: true, ConsiderTPL: true,
-				Method: bench.ILPDVI, ILPTimeLimit: limit,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			baseDV += base.DV
-			fullDV += full.DV
-			baseUV += base.UV
-			fullUV += full.UV
-		}
-		b.ReportMetric(float64(baseDV), "base-deadvias")
-		b.ReportMetric(float64(fullDV), "full-deadvias")
-		b.ReportMetric(float64(baseUV), "base-uncolorable")
-		b.ReportMetric(float64(fullUV), "full-uncolorable")
-	}
-}
-
-// BenchmarkTable3SIM: SIM-type routing, baseline vs full consideration
-// (Table III shape: dead vias shrink, uncolorable vias go to zero).
-func BenchmarkTable3SIM(b *testing.B) { benchTable34(b, coloring.SIM) }
-
-// BenchmarkTable4SID: the SID-type counterpart (Table IV).
-func BenchmarkTable4SID(b *testing.B) { benchTable34(b, coloring.SID) }
-
-// BenchmarkTable5ParamAblation compares the conference-version cost
-// parameters against the enlarged journal parameters (Table V).
-func BenchmarkTable5ParamAblation(b *testing.B) {
-	suite := benchSuite()
-	limit := benchILPLimit()
-	for i := 0; i < b.N; i++ {
-		var confDV, fullDV int
-		for _, c := range suite {
-			nl := bench.Generate(c)
-			conf, _, err := bench.Run(nl, bench.RunSpec{
-				Scheme: coloring.SIM, ConsiderDVI: true, ConsiderTPL: true,
-				Params: router.ConferenceParams(), Method: bench.ILPDVI, ILPTimeLimit: limit,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			full, _, err := bench.Run(nl, bench.RunSpec{
-				Scheme: coloring.SIM, ConsiderDVI: true, ConsiderTPL: true,
-				Method: bench.ILPDVI, ILPTimeLimit: limit,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			confDV += conf.DV
-			fullDV += full.DV
-		}
-		b.ReportMetric(float64(confDV), "conf-deadvias")
-		b.ReportMetric(float64(fullDV), "full-deadvias")
-	}
-}
-
-// benchTable67 compares the ILP and heuristic DVI solvers (Tables
-// VI/VII): same dead-via ballpark, orders-of-magnitude CPU gap.
-func benchTable67(b *testing.B, typ coloring.SADPType) {
-	suite := benchSuite()
-	limit := benchILPLimit()
-	// Route once outside the timed loop; the benchmark measures DVI.
-	type prepared struct {
-		in *dvi.Instance
-	}
-	var insts []prepared
-	for _, c := range suite {
-		nl := bench.Generate(c)
-		_, art, err := bench.Run(nl, bench.RunSpec{
-			Scheme: typ, ConsiderDVI: true, ConsiderTPL: true, Method: bench.NoDVI,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts = append(insts, prepared{in: dvi.NewInstance(art.Router.Grid(), art.Router.Routes())})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var ilpDV, heurDV int
-		var ilpCPU, heurCPU time.Duration
-		for _, p := range insts {
-			t0 := time.Now()
-			h := p.in.SolveHeuristic(dvi.DefaultHeurParams())
-			heurCPU += time.Since(t0)
-			t0 = time.Now()
-			s, err := p.in.SolveILP(dvi.ILPOptions{TimeLimit: limit})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ilpCPU += time.Since(t0)
-			ilpDV += s.DeadVias
-			heurDV += h.DeadVias
-		}
-		b.ReportMetric(float64(ilpDV), "ilp-deadvias")
-		b.ReportMetric(float64(heurDV), "heur-deadvias")
-		if heurCPU > 0 {
-			b.ReportMetric(float64(ilpCPU)/float64(heurCPU), "speedup-x")
-		}
-	}
-}
-
-// BenchmarkTable6DVISIM: TPL-aware DVI, ILP vs heuristic on SIM
-// solutions (Table VI).
-func BenchmarkTable6DVISIM(b *testing.B) { benchTable67(b, coloring.SIM) }
-
-// BenchmarkTable7DVISID: the SID counterpart (Table VII).
-func BenchmarkTable7DVISID(b *testing.B) { benchTable67(b, coloring.SID) }
 
 // BenchmarkRoutingOnly measures the detailed router alone with full
 // consideration, the "CPU" column driver of Tables III/IV.

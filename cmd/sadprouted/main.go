@@ -7,7 +7,7 @@
 //	           [-addr :8080] [-queue 64] [-workers 2] [-cache 128]
 //	           [-job-timeout 10m] [-drain-timeout 60s] [-addr-file f]
 //	           [-data-dir d] [-max-request-bytes n] [-max-attempts 2]
-//	           [-degrade] [-quiet] [-pprof-addr 127.0.0.1:6060]
+//	           [-quiet] [-pprof-addr 127.0.0.1:6060]
 //	           [-coordinator-addr http://host:port] [-worker-id w1]
 //	           [-lease-ttl 15s] [-heartbeat-every 1s]
 //	           [-verify-uploads] [-reject-budget 3]
@@ -68,7 +68,6 @@ func run() int {
 	maxBody := flag.Int64("max-request-bytes", 8<<20, "max request body bytes; larger submissions get 413")
 	dataDir := flag.String("data-dir", "", "directory for the durable job journal; empty disables crash recovery")
 	maxAttempts := flag.Int("max-attempts", 2, "execution attempts per job before quarantine/interruption")
-	degrade := flag.Bool("degrade", false, "enable deadline-driven degraded modes for every job by default")
 	quiet := flag.Bool("quiet", false, "suppress per-job log lines")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off); bind to localhost, the profiles expose internals")
 	coordAddr := flag.String("coordinator-addr", "", "worker mode: coordinator base URL (http://host:port)")
@@ -113,17 +112,16 @@ func run() int {
 	}
 
 	svc, err := service.New(service.Config{
-		QueueSize:        *queue,
-		Workers:          *workers,
-		CacheSize:        *cache,
-		MaxStoredJobs:    *storedJobs,
-		JobTimeout:       *jobTimeout,
-		MaxBodyBytes:     *maxBody,
-		DataDir:          *dataDir,
-		MaxAttempts:      *maxAttempts,
-		DegradeByDefault: *degrade,
-		ExternalExec:     *mode == "coordinator",
-		Logf:             logf,
+		QueueSize:     *queue,
+		Workers:       *workers,
+		CacheSize:     *cache,
+		MaxStoredJobs: *storedJobs,
+		JobTimeout:    *jobTimeout,
+		MaxBodyBytes:  *maxBody,
+		DataDir:       *dataDir,
+		MaxAttempts:   *maxAttempts,
+		ExternalExec:  *mode == "coordinator",
+		Logf:          logf,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sadprouted: %v\n", err)

@@ -8,18 +8,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/coloring"
+	"repro/internal/router"
 	"repro/internal/solution"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files from the current code")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden and counters files from the current code")
 
-// goldenEntry pins every machine-independent metric of one tiny-suite
+// goldenEntry pins every machine-independent metric of one golden-suite
 // configuration, and the run's solution payload by its SHA-256, so a
 // change that reorders paths or re-encodes the payload changes the
 // goldens even where every metric holds. CPU timings are deliberately
@@ -51,125 +51,136 @@ func newGoldenEntry(c Circuit, scheme coloring.SADPType, method DVIMethod, row R
 	}, nil
 }
 
+// counterEntry pins the router's exact work counters (router.Stats)
+// for one circuit under one SADP scheme. They are deterministic and
+// machine-independent: equal counters mean the router expanded the
+// same states in the same order and ripped up the same nets, which
+// equal goldens alone do not show. DVI runs after routing, so one
+// entry covers both DVI methods.
+type counterEntry struct {
+	Circuit            string `json:"circuit"`
+	Scheme             string `json:"scheme"`
+	Searches           int    `json:"searches"`
+	Pops               int64  `json:"pops"`
+	RRIterations       int    `json:"rr_iterations"`
+	TPLRRIterations    int    `json:"tpl_rr_iterations"`
+	FVPsResolved       int    `json:"fvps_resolved"`
+	ColorFixIterations int    `json:"color_fix_iterations"`
+	SteinerNets        int    `json:"steiner_nets"`
+	SteinerFallbacks   int    `json:"steiner_fallbacks"`
+	BatchedNets        int    `json:"batched_nets"`
+	Redone             int    `json:"redone"`
+}
+
+func newCounterEntry(c Circuit, scheme coloring.SADPType, st router.Stats) counterEntry {
+	return counterEntry{
+		Circuit: c.Name, Scheme: scheme.String(),
+		Searches: st.Searches, Pops: st.Pops,
+		RRIterations: st.RRIterations, TPLRRIterations: st.TPLRRIterations,
+		FVPsResolved: st.FVPsResolved, ColorFixIterations: st.ColorFixIterations,
+		SteinerNets: st.SteinerNets, SteinerFallbacks: st.SteinerFallbacks,
+		BatchedNets: st.BatchedNets, Redone: st.Redone,
+	}
+}
+
 // goldenILPNodeLimit makes the exact solve deterministic across
 // machines: branch-and-bound explores the same nodes in the same order
 // everywhere, so capping nodes (never wall clock) fixes the incumbent.
 const goldenILPNodeLimit = 50_000
 
-// TestGoldenTinySuite compares Table-style metrics for the tiny suite
-// across both SADP modes and both DVI methods against the checked-in
-// golden file, exactly. A perf or refactoring PR that claims
-// bit-identical results proves it by leaving this file untouched;
-// an intentional behavior change reruns with -update and reviews the
-// diff.
-func TestGoldenTinySuite(t *testing.T) {
-	type cfg struct {
-		ckt    Circuit
-		scheme coloring.SADPType
-		method DVIMethod
-	}
-	var cfgs []cfg
-	for _, ckt := range TinySuite() {
-		for _, scheme := range []coloring.SADPType{coloring.SIM, coloring.SID} {
-			for _, method := range []DVIMethod{HeurDVI, ILPDVI} {
-				cfgs = append(cfgs, cfg{ckt, scheme, method})
+// TestGolden routes each golden suite under both SADP modes with both
+// DVI methods, verifies every run independently, and compares two
+// checked-in files exactly: testdata/golden_<suite>.json holds the
+// Table-style metrics and the solution payload's digest of each run,
+// testdata/counters_<suite>.json the router's work counters of each
+// circuit and scheme. A perf or refactoring change that claims the
+// same results from the same search proves it by leaving both
+// untouched; an intentional change reruns with -update and reviews the
+// diff. Only the goldens describe results, and
+// service.TestResultEpochPinsGoldens hashes only them, so a change
+// that moves the counters alone needs no ResultEpoch bump.
+func TestGolden(t *testing.T) {
+	for _, s := range []struct {
+		name     string
+		circuits []Circuit
+		// steiner requires every run to route some net on the
+		// Steiner topology.
+		steiner bool
+	}{
+		{"tiny", TinySuite(), false},
+		{"multipin", TinyMultiPinSuite(), true},
+	} {
+		t.Run(s.name, func(t *testing.T) {
+			type cfg struct {
+				ckt    Circuit
+				scheme coloring.SADPType
+				method DVIMethod
 			}
-		}
-	}
-	got := make([]goldenEntry, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	for i, c := range cfgs {
-		wg.Add(1)
-		go func(i int, c cfg) {
-			defer wg.Done()
-			spec := RunSpec{
-				Scheme: c.scheme, ConsiderDVI: true, ConsiderTPL: true,
-				Method: c.method, ILPTimeLimit: 10 * time.Minute,
-				ILPNodeLimit: goldenILPNodeLimit,
-				Verify:       true,
+			var cfgs []cfg
+			for _, ckt := range s.circuits {
+				for _, scheme := range []coloring.SADPType{coloring.SIM, coloring.SID} {
+					for _, method := range []DVIMethod{HeurDVI, ILPDVI} {
+						cfgs = append(cfgs, cfg{ckt, scheme, method})
+					}
+				}
 			}
-			row, art, err := Run(Generate(c.ckt), spec)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s/%v/%v: %w", c.ckt.Name, c.scheme, c.method, err)
-				return
+			got := make([]goldenEntry, len(cfgs))
+			counters := make([]counterEntry, len(cfgs))
+			errs := make([]error, len(cfgs))
+			var wg sync.WaitGroup
+			for i, c := range cfgs {
+				wg.Add(1)
+				go func(i int, c cfg) {
+					defer wg.Done()
+					spec := RunSpec{
+						Scheme: c.scheme, ConsiderDVI: true, ConsiderTPL: true,
+						Method: c.method, ILPTimeLimit: 10 * time.Minute,
+						ILPNodeLimit: goldenILPNodeLimit,
+						Verify:       true,
+					}
+					row, art, err := Run(Generate(c.ckt), spec)
+					if err != nil {
+						errs[i] = fmt.Errorf("%s/%v/%v: %w", c.ckt.Name, c.scheme, c.method, err)
+						return
+					}
+					if verr := art.Verify.Err(); verr != nil {
+						errs[i] = fmt.Errorf("%s/%v/%v: verifier: %w", c.ckt.Name, c.scheme, c.method, verr)
+						return
+					}
+					st := art.Router.Stats()
+					if s.steiner && st.SteinerNets == 0 {
+						errs[i] = fmt.Errorf("%s/%v/%v: no net used the Steiner topology", c.ckt.Name, c.scheme, c.method)
+						return
+					}
+					counters[i] = newCounterEntry(c.ckt, c.scheme, st)
+					got[i], errs[i] = newGoldenEntry(c.ckt, c.scheme, c.method, row, art)
+				}(i, c)
 			}
-			if verr := art.Verify.Err(); verr != nil {
-				errs[i] = fmt.Errorf("%s/%v/%v: verifier: %w", c.ckt.Name, c.scheme, c.method, verr)
-				return
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
-			got[i], errs[i] = newGoldenEntry(c.ckt, c.scheme, c.method, row, art)
-		}(i, c)
+			// cfgs pairs the heuristic and the ILP run of each circuit
+			// and scheme; their routers did the same work.
+			var perScheme []counterEntry
+			for i := 0; i < len(cfgs); i += 2 {
+				if counters[i] != counters[i+1] {
+					t.Errorf("%s/%v: the heuristic and ILP runs report different router counters:\n  heur: %+v\n  ilp:  %+v",
+						cfgs[i].ckt.Name, cfgs[i].scheme, counters[i], counters[i+1])
+				}
+				perScheme = append(perScheme, counters[i])
+			}
+			compareGolden(t, "golden_"+s.name+".json", got)
+			compareGolden(t, "counters_"+s.name+".json", perScheme)
+		})
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	compareGolden(t, "golden_tiny.json", got)
 }
 
-// TestGoldenMultiPinSuite pins the multi-pin tiny suite (pin counts
-// uniform in [2, 6], Steiner decomposition) the same way: both SADP
-// modes, both DVI methods, independent verification, exact metric
-// match against testdata/golden_multipin.json.
-func TestGoldenMultiPinSuite(t *testing.T) {
-	type cfg struct {
-		ckt    Circuit
-		scheme coloring.SADPType
-		method DVIMethod
-	}
-	var cfgs []cfg
-	for _, ckt := range TinyMultiPinSuite() {
-		for _, scheme := range []coloring.SADPType{coloring.SIM, coloring.SID} {
-			for _, method := range []DVIMethod{HeurDVI, ILPDVI} {
-				cfgs = append(cfgs, cfg{ckt, scheme, method})
-			}
-		}
-	}
-	got := make([]goldenEntry, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	for i, c := range cfgs {
-		wg.Add(1)
-		go func(i int, c cfg) {
-			defer wg.Done()
-			spec := RunSpec{
-				Scheme: c.scheme, ConsiderDVI: true, ConsiderTPL: true,
-				Method: c.method, ILPTimeLimit: 10 * time.Minute,
-				ILPNodeLimit: goldenILPNodeLimit,
-				Verify:       true,
-			}
-			row, art, err := Run(Generate(c.ckt), spec)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s/%v/%v: %w", c.ckt.Name, c.scheme, c.method, err)
-				return
-			}
-			if verr := art.Verify.Err(); verr != nil {
-				errs[i] = fmt.Errorf("%s/%v/%v: verifier: %w", c.ckt.Name, c.scheme, c.method, verr)
-				return
-			}
-			if art.Router.Stats().SteinerNets == 0 {
-				errs[i] = fmt.Errorf("%s/%v/%v: no net used the Steiner topology", c.ckt.Name, c.scheme, c.method)
-				return
-			}
-			got[i], errs[i] = newGoldenEntry(c.ckt, c.scheme, c.method, row, art)
-		}(i, c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	compareGolden(t, "golden_multipin.json", got)
-}
-
-// compareGolden matches the computed entries against the named golden
-// file in testdata, or rewrites the file under -update.
-func compareGolden(t *testing.T, file string, got []goldenEntry) {
+// compareGolden matches the computed entries against the named file in
+// testdata, or rewrites the file under -update.
+func compareGolden[E comparable](t *testing.T, file string, got []E) {
 	t.Helper()
 	path := filepath.Join("testdata", file)
 	if *updateGolden {
@@ -189,19 +200,18 @@ func compareGolden(t *testing.T, file string, got []goldenEntry) {
 
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden file (rerun this test with -update): %v", err)
+		t.Fatalf("missing %s (rerun this test with -update): %v", file, err)
 	}
-	var want []goldenEntry
+	var want []E
 	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("corrupt golden file: %v", err)
+		t.Fatalf("corrupt %s: %v", file, err)
 	}
 	if len(want) != len(got) {
-		t.Fatalf("golden file has %d entries, current run %d (rerun with -update after reviewing)", len(want), len(got))
+		t.Fatalf("%s has %d entries, current run %d (rerun with -update after reviewing)", file, len(want), len(got))
 	}
 	for i := range got {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("metrics drifted for %s/%s/%s:\n  golden:  %+v\n  current: %+v",
-				got[i].Circuit, got[i].Scheme, got[i].Method, want[i], got[i])
+		if got[i] != want[i] {
+			t.Errorf("%s drifted at entry %d:\n  want: %+v\n  got:  %+v", file, i, want[i], got[i])
 		}
 	}
 }

@@ -484,6 +484,59 @@ func TestClusterMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestCoordinatorBackpressure: with no worker pulling, a coordinator
+// accepts at most QueueSize distinct submissions and answers the rest
+// 429 with Retry-After, as a standalone server does. The accepted jobs
+// wait in the service queue, counted by the queue-depth gauge, until a
+// worker takes them.
+func TestCoordinatorBackpressure(t *testing.T) {
+	const queueSize, submissions = 2, 20
+	svc, _, ts := newCluster(t, service.Config{QueueSize: queueSize}, CoordinatorConfig{})
+	var ids []string
+	for i := 0; i < submissions; i++ {
+		b, err := json.Marshal(api.SubmitRequest{Netlist: netlistVariant(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sr api.SubmitResponse
+		err = json.NewDecoder(resp.Body).Decode(&sr)
+		resp.Body.Close()
+		switch {
+		case err != nil:
+			t.Fatalf("submission %d: %v", i, err)
+		case resp.StatusCode == http.StatusAccepted:
+			ids = append(ids, sr.ID)
+		case resp.StatusCode != http.StatusTooManyRequests:
+			t.Fatalf("submission %d: status %d", i, resp.StatusCode)
+		case resp.Header.Get("Retry-After") == "":
+			t.Fatalf("submission %d: 429 without Retry-After", i)
+		}
+	}
+	if len(ids) != queueSize {
+		t.Fatalf("accepted %d of %d submissions with no worker pulling, want %d", len(ids), submissions, queueSize)
+	}
+	if got := svc.Metrics().Rejected.Load(); got != submissions-queueSize {
+		t.Fatalf("rejected counter %d, want %d", got, submissions-queueSize)
+	}
+	if got := sample(t, ts, "sadprouted_queue_depth"); got != fmt.Sprint(queueSize) {
+		t.Fatalf("queue depth %q with no worker pulling, want %d", got, queueSize)
+	}
+
+	startWorker(t, WorkerConfig{Coordinator: ts.URL, ID: "w1"})
+	for _, id := range ids {
+		if jr := pollTerminal(t, ts, id, 10*time.Second); jr.Status != api.StatusDone {
+			t.Fatalf("job %s: %+v", id, jr)
+		}
+	}
+	if got := sample(t, ts, "sadprouted_queue_depth"); got != "0" {
+		t.Fatalf("queue depth %q after the worker drained it, want 0", got)
+	}
+}
+
 // TestControlBodiesBounded: a 2 MiB pull and a 2 MiB heartbeat, on the
 // listener that also serves the public API, are each answered 413
 // without being decoded, and the coordinator then grants a normal pull.

@@ -140,10 +140,12 @@ type workerInfo struct {
 }
 
 // Coordinator owns cluster-scope state: the lease table, the pending
-// queue of unplaced assignments, and worker liveness. All durable
-// state stays in the wrapped service.Server (journal, cache,
-// single-flight, quarantine) — the Coordinator can crash and restart
-// with nothing but the journal and reconstruct equivalent work.
+// list of re-placed jobs, and worker liveness. Fresh jobs wait in the
+// wrapped service.Server's bounded queue until a pull takes one, so
+// the service's backpressure holds in coordinator mode too. All
+// durable state stays in the service (journal, cache, single-flight,
+// quarantine) — the Coordinator can crash and restart with nothing but
+// the journal and reconstruct equivalent work.
 //
 // Lock ordering: mu is the outermost lock; the service's own locks
 // and the journal's are acquired inside it (never the reverse — the
@@ -155,11 +157,11 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*trackedJob // guarded by mu; job id → live job
-	pending  []string               // guarded by mu; unplaced job ids, FIFO
+	pending  []string               // guarded by mu; re-placed job ids awaiting a lease, FIFO
 	workers  map[string]*workerInfo // guarded by mu; worker id → liveness
 	leaseSeq int64                  // guarded by mu; lease token counter
 	closed   bool                   // guarded by mu; Shutdown reached the drain-workers phase
-	notify   chan struct{}          // guarded by mu; closed+replaced when pending grows
+	notify   chan struct{}          // guarded by mu; closed+replaced when a job may have become grantable
 
 	// Reputation outlives workerInfo expiry on purpose: a byzantine
 	// worker must not launder its rejection count by going silent
@@ -168,12 +170,12 @@ type Coordinator struct {
 	quarantined map[string]bool             // guarded by mu; workers barred from grants
 	lastRetries map[string]map[string]int64 // guarded by mu; worker id → rpc → last cumulative retry count
 
-	cancel context.CancelFunc // stops pump and sweeper
+	cancel context.CancelFunc // stops the sweeper
 	wg     sync.WaitGroup
 }
 
 // NewCoordinator wraps an ExternalExec service.Server and starts the
-// dequeue pump and the lease sweeper.
+// lease sweeper.
 func NewCoordinator(svc *service.Server, cfg CoordinatorConfig) *Coordinator {
 	c := &Coordinator{
 		svc:         svc,
@@ -188,8 +190,7 @@ func NewCoordinator(svc *service.Server, cfg CoordinatorConfig) *Coordinator {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c.cancel = cancel
-	c.wg.Add(2)
-	go c.pump(ctx)
+	c.wg.Add(1)
 	go c.sweeper(ctx)
 	return c
 }
@@ -197,23 +198,6 @@ func NewCoordinator(svc *service.Server, cfg CoordinatorConfig) *Coordinator {
 func (c *Coordinator) logf(format string, args ...interface{}) {
 	if c.cfg.Logf != nil {
 		c.cfg.Logf(format, args...)
-	}
-}
-
-// pump moves accepted jobs from the service queue into the cluster
-// pending list. It exits on drain (CloseIntake + queue empty) or stop.
-func (c *Coordinator) pump(ctx context.Context) {
-	defer c.wg.Done()
-	for {
-		a, err := c.svc.Dequeue(ctx)
-		if err != nil {
-			return // ErrDraining or ctx canceled
-		}
-		c.mu.Lock()
-		c.jobs[a.ID] = &trackedJob{a: a, excluded: make(map[string]bool)}
-		c.pending = append(c.pending, a.ID)
-		c.broadcastLocked()
-		c.mu.Unlock()
 	}
 }
 
@@ -364,15 +348,16 @@ func (c *Coordinator) otherLiveWorkerLocked(except string, now time.Time) bool {
 	return false
 }
 
-// tryGrantLocked places the oldest grantable pending job on the
-// worker and returns the assignment; failing that, it hedges the
-// first straggler, in job-id order, that the worker may take; it
-// returns nil when nothing fits. A pending job whose excluded set
-// names this worker is skipped only while another live worker could
-// take it — with no alternative, granting to a previously-failed
-// holder beats starving the job (the attempt bound still terminates
-// it). A hedge never goes to an excluded worker or the primary's
-// holder. Callers hold mu.
+// tryGrantLocked places a job on the worker and returns the
+// assignment, trying in order the oldest grantable re-placed job in
+// pending, the next fresh job in the service queue, and the first
+// straggler, in job-id order, that the worker may hedge; it returns
+// nil when nothing fits. A pending job whose excluded set names this
+// worker is skipped only while another live worker could take it —
+// with no alternative, granting to a previously-failed holder beats
+// starving the job (the attempt bound still terminates it). A hedge
+// never goes to an excluded worker or the primary's holder. Callers
+// hold mu.
 func (c *Coordinator) tryGrantLocked(workerID string, now time.Time) *JobAssignment {
 	for i, id := range c.pending {
 		t, ok := c.jobs[id]
@@ -383,6 +368,11 @@ func (c *Coordinator) tryGrantLocked(workerID string, now time.Time) *JobAssignm
 			continue
 		}
 		c.pending = append(c.pending[:i], c.pending[i+1:]...)
+		return c.grantLocked(t, workerID, now)
+	}
+	if a := c.svc.TryDequeue(); a != nil {
+		t := &trackedJob{a: a, excluded: make(map[string]bool)}
+		c.jobs[a.ID] = t
 		return c.grantLocked(t, workerID, now)
 	}
 	if c.cfg.HedgeMultiple <= 0 {
@@ -712,31 +702,40 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // Handler returns the coordinator's routes: the cluster RPC endpoints
 // plus the wrapped service's public API (whose /metrics is overridden
-// by the composed cluster exposition).
+// by the composed cluster exposition). An accepted submission waits in
+// the service queue, which only a pull drains, so POST /v1/jobs wakes
+// the pull long-polls once the service has answered it.
 func (c *Coordinator) Handler() http.Handler {
+	api := c.svc.Handler()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathPull, c.handlePull)
 	mux.HandleFunc("POST "+PathResult, c.handleResult)
 	mux.HandleFunc("POST "+PathHeartbeat, c.handleHeartbeat)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	mux.Handle("/", c.svc.Handler())
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		api.ServeHTTP(w, r)
+		c.mu.Lock()
+		c.broadcastLocked()
+		c.mu.Unlock()
+	})
+	mux.Handle("/", api)
 	return mux
 }
 
 // Shutdown drains the cluster: intake closes, already-accepted jobs
-// keep being placed and collected until none remain (workers pulling
-// Draining exit once the queue is empty), then the pump/sweeper stop
-// and the wrapped service shuts down. If ctx expires first, live jobs
-// simply stay in the journal as running records — the next boot
-// replays them as queued, which is the coordinator-crash story the
-// replay tests pin down.
+// keep being placed and collected until none remain, in the lease
+// table or the service queue (workers pulling Draining exit once both
+// are empty), then the sweeper stops and the wrapped service shuts
+// down. If ctx expires first, live jobs simply stay in the journal as
+// queued or running records — the next boot replays them as queued,
+// which is the coordinator-crash story the replay tests pin down.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.svc.CloseIntake()
 	wait := time.NewTicker(20 * time.Millisecond)
 	defer wait.Stop()
 	for {
-		c.mu.Lock()
-		n := len(c.jobs)
+		c.mu.Lock() // a pull moves a job from the queue to jobs under mu
+		n := len(c.jobs) + c.svc.Queued()
 		c.mu.Unlock()
 		if n == 0 {
 			break

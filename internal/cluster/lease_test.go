@@ -169,14 +169,20 @@ func (r *leaseRig) status() api.JobStatus {
 // `sadprouted_cluster_job_seconds_sum{worker="w2"}`; absent is "".
 func (r *leaseRig) gauge(name string) string {
 	r.t.Helper()
-	resp, err := http.Get(r.ts.URL + "/metrics")
+	return sample(r.t, r.ts, name)
+}
+
+// sample reads one sample of the exposition ts serves; absent is "".
+func sample(t *testing.T, ts *httptest.Server, name string) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
-		r.t.Fatal(err)
+		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		r.t.Fatal(err)
+		t.Fatal(err)
 	}
 	for _, line := range strings.Split(string(body), "\n") {
 		if v, ok := strings.CutPrefix(line, name+" "); ok {

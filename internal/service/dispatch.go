@@ -69,11 +69,35 @@ func (s *Server) Dequeue(ctx context.Context) (*Assignment, error) {
 		if !ok {
 			return nil, ErrDraining
 		}
-		s.inflight.Add(1)
-		return &Assignment{ID: j.id, Key: j.key, Netlist: j.netlistText, Spec: j.spec, j: j}, nil
+		return s.assign(j), nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+}
+
+// TryDequeue is Dequeue without the wait: it returns nil when no
+// accepted job is queued. The cluster coordinator calls it when a
+// worker pulls, so a job leaves the bounded queue only for a worker
+// and the queue's capacity bounds what the coordinator accepts.
+func (s *Server) TryDequeue() *Assignment {
+	select {
+	case j, ok := <-s.queue:
+		if ok {
+			return s.assign(j)
+		}
+	default:
+	}
+	return nil
+}
+
+// Queued reports how many accepted jobs wait in the queue.
+func (s *Server) Queued() int { return len(s.queue) }
+
+// assign hands a dequeued job to its placer; it counts as in flight
+// until it settles.
+func (s *Server) assign(j *job) *Assignment {
+	s.inflight.Add(1)
+	return &Assignment{ID: j.id, Key: j.key, Netlist: j.netlistText, Spec: j.spec, j: j}
 }
 
 // StartAttempt records the start of one execution: bumps the attempt

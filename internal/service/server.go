@@ -85,15 +85,12 @@ type Config struct {
 	// last allowed attempt is quarantined; one interrupted by crashes
 	// that many times is failed as interrupted.
 	MaxAttempts int
-	// DegradeByDefault forces the degrade option on every submission,
-	// for operators who prefer degraded results over deadline
-	// failures.
-	DegradeByDefault bool
 	// ExternalExec disables the in-process worker pool: accepted jobs
 	// stay on the queue until another placer (the cluster coordinator)
-	// Dequeues them and drives them through the same dispatch seam
-	// (dispatch.go). Everything else — validation, single-flight,
-	// cache, quarantine, journal — behaves identically.
+	// takes them with TryDequeue and drives them through the same
+	// dispatch seam (dispatch.go). Everything else — validation,
+	// backpressure, single-flight, cache, quarantine, journal —
+	// behaves identically.
 	ExternalExec bool
 	// Fault, when non-nil, arms the deterministic fault-injection
 	// sites (journal appends, worker execution, cache operations).
@@ -381,9 +378,6 @@ func writeError(w http.ResponseWriter, code int, format string, args ...interfac
 // violation-removal phase and the DVI ILP, so the deadline that would
 // have killed the job instead triggers the graceful fallbacks.
 func (s *Server) applyDegradeDefaults(spec *bench.RunSpec) {
-	if s.cfg.DegradeByDefault {
-		spec.Degrade = true
-	}
 	if !spec.Degrade || s.cfg.JobTimeout <= 0 {
 		return
 	}
