@@ -17,13 +17,15 @@ import (
 )
 
 // ablationRun routes the first suite circuit with the given params and
-// returns the ILP dead-via count (the paper's comparison currency).
+// returns the ILP dead-via count (the paper's comparison currency). The
+// solve is capped in nodes, not wall clock, so the deadvias-* metrics
+// are the same on every machine.
 func ablationRun(b *testing.B, p router.Params) (dv int) {
 	b.Helper()
 	nl := bench.Generate(benchSuite()[0])
 	row, _, err := bench.Run(nl, bench.RunSpec{
 		Scheme: coloring.SIM, ConsiderDVI: true, ConsiderTPL: true,
-		Params: p, Method: bench.ILPDVI, ILPTimeLimit: benchILPLimit(),
+		Params: p, Method: bench.ILPDVI, ILPNodeLimit: bench.DeterministicILPNodeLimit,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"os"
 	"strconv"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/coloring"
@@ -26,15 +25,6 @@ func benchSuite() []bench.Circuit {
 		}
 	}
 	return bench.TinySuite()
-}
-
-func benchILPLimit() time.Duration {
-	if s := os.Getenv("REPRO_BENCH_ILPTIME"); s != "" {
-		if d, err := time.ParseDuration(s); err == nil {
-			return d
-		}
-	}
-	return 15 * time.Second
 }
 
 // BenchmarkRoutingOnly measures the detailed router alone with full

@@ -27,6 +27,11 @@ func main() {
 	sadp := flag.String("sadp", "sim", "SADP type: sim or sid")
 	ilpTime := flag.Duration("ilptime", time.Minute, "ILP time limit")
 	flag.Parse()
+	typ, err := coloring.ParseSADPType(*sadp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dvitool: -sadp: %v\n", err)
+		os.Exit(2)
+	}
 	if *in == "" {
 		flag.Usage()
 		os.Exit(2)
@@ -39,10 +44,6 @@ func main() {
 	f.Close()
 	if err != nil {
 		fail(err)
-	}
-	typ := coloring.SIM
-	if *sadp == "sid" {
-		typ = coloring.SID
 	}
 
 	// Routing solutions for the DVI comparison are produced with both

@@ -58,13 +58,11 @@ type taint struct {
 type state map[types.Object]taint
 
 func run(pass *lint.Pass) error {
-	files := pass.NonTestFiles()
-
 	// Pass 1: export the scratch marking of every annotated function as
 	// a fact, so both later functions in this package and downstream
 	// packages resolve calls to them as taint sources.
 	scratchFns := map[*ast.FuncDecl]bool{}
-	for _, f := range files {
+	for _, f := range pass.Files {
 		dirs := lint.Directives(pass.Fset, f)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -81,7 +79,7 @@ func run(pass *lint.Pass) error {
 	}
 
 	// Pass 2: per-function dataflow.
-	for _, f := range files {
+	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -47,7 +47,7 @@ func run(pass *lint.Pass) error {
 	if !lint.IsDeterministic(pass.Pkg.Path()) {
 		return nil
 	}
-	for _, f := range pass.NonTestFiles() {
+	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {

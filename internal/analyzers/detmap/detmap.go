@@ -33,7 +33,7 @@ func run(pass *lint.Pass) error {
 	if !lint.IsDeterministic(pass.Pkg.Path()) {
 		return nil
 	}
-	for _, f := range pass.NonTestFiles() {
+	for _, f := range pass.Files {
 		dirs := lint.Directives(pass.Fset, f)
 		sorted := collectThenSort(pass, f)
 		wrapped := sortWrappedCalls(pass, f)

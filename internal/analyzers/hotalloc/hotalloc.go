@@ -40,7 +40,7 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	for _, f := range pass.NonTestFiles() {
+	for _, f := range pass.Files {
 		dirs := lint.Directives(pass.Fset, f)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

@@ -2,28 +2,18 @@ package lint
 
 // Cross-package facts. An analyzer running over package P can attach
 // small string facts to P's objects (functions, fields); analyzers
-// running later over a package that imports P read them back. Two
-// transports share one store:
+// running later over a package that imports P read them back.
+// RunAnalyzers processes the loaded packages in dependency order
+// (imports first), so facts flow through one in-memory store.
 //
-//   - standalone mode: RunAnalyzers processes the loaded packages in
-//     dependency order (imports first), so facts flow through the
-//     in-memory store with no serialization;
-//   - `go vet -vettool` unit mode: each compilation unit reads its
-//     dependencies' facts from the .vetx files go vet hands it
-//     (PackageVetx) and serializes the union of imported and newly
-//     exported facts to VetxOutput, exactly how the x/tools facts
-//     system transports theirs.
-//
-// Facts are strings on purpose: they stay trivially JSON-serializable
-// and diffable, and every current fact ("scratch", "hotpath", an
-// acquired-mutex list, a lock-order edge list) fits.
+// Facts are strings on purpose: they stay trivially diffable, and
+// every current fact ("scratch", "hotpath", an acquired-mutex list, a
+// lock-order edge list) fits.
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // FactStore holds analyzer → object key → fact value.
@@ -63,39 +53,15 @@ func (fs *FactStore) Keys(analyzer string) []string {
 	return keys
 }
 
-// Encode serializes the store (sorted, so equal stores produce equal
-// bytes — `go vet` caches vetx files by content).
-func (fs *FactStore) Encode() ([]byte, error) {
-	return json.MarshalIndent(fs.m, "", "\t")
-}
-
-// Merge unions serialized facts into the store. Inputs that are not a
-// facts JSON object (e.g. vetx files written by other tools, or the
-// pre-facts "sadplint has no facts" placeholder) are ignored: a
-// missing dependency's facts degrade the analysis, never break it.
-func (fs *FactStore) Merge(data []byte) {
-	var m map[string]map[string]string
-	if err := json.Unmarshal(data, &m); err != nil {
-		return
-	}
-	for a, facts := range m {
-		for k, v := range facts {
-			fs.Set(a, k, v)
-		}
-	}
-}
-
-// ObjectKey names an object stably across compilations: package path,
-// receiver type for methods, then the object name. Test-variant
-// package paths ("p [p.test]") normalize to the base package so facts
-// recorded by a test unit match production lookups.
+// ObjectKey names an object stably across packages: package path,
+// receiver type for methods, then the object name.
 func ObjectKey(obj types.Object) string {
 	if obj == nil {
 		return ""
 	}
 	pkg := ""
 	if obj.Pkg() != nil {
-		pkg = normalizePkgPath(obj.Pkg().Path())
+		pkg = obj.Pkg().Path()
 	}
 	if fn, ok := obj.(*types.Func); ok {
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
@@ -118,16 +84,8 @@ func recvTypeName(t types.Type) string {
 	return ""
 }
 
-func normalizePkgPath(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	return strings.TrimSuffix(path, "_test")
-}
-
 // ExportFact records a fact about obj under the running analyzer's
-// name. Facts survive into every downstream package of the same run
-// (standalone) or build (unit mode).
+// name. Facts survive into every downstream package of the same run.
 func (p *Pass) ExportFact(obj types.Object, value string) {
 	if p.Facts == nil || obj == nil {
 		return
@@ -150,7 +108,7 @@ func (p *Pass) FactOf(obj types.Object) (string, bool) {
 func sortByDeps(pkgs []*Package) []*Package {
 	byPath := make(map[string]*Package, len(pkgs))
 	for _, p := range pkgs {
-		byPath[normalizePkgPath(p.PkgPath)] = p
+		byPath[p.PkgPath] = p
 	}
 	sorted := make([]*Package, 0, len(pkgs))
 	state := make(map[*Package]int, len(pkgs)) // 0 new, 1 visiting, 2 done
@@ -162,7 +120,7 @@ func sortByDeps(pkgs []*Package) []*Package {
 		state[p] = 1
 		if p.Types != nil {
 			for _, imp := range p.Types.Imports() {
-				if dep, ok := byPath[normalizePkgPath(imp.Path())]; ok && state[dep] == 0 {
+				if dep, ok := byPath[imp.Path()]; ok && state[dep] == 0 {
 					visit(dep)
 				}
 			}

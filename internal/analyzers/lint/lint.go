@@ -1,10 +1,12 @@
 // Package lint is a minimal, dependency-free analysis framework in
 // the shape of golang.org/x/tools/go/analysis, built on the standard
-// library only (the container image carries no module cache, so the
-// real x/tools cannot be vendored). It provides the Analyzer/Pass
-// contract, the //sadplint:ignore suppression grammar shared by every
-// analyzer, and drivers for both standalone use and the `go vet
-// -vettool` protocol (see unit.go).
+// library only (the module takes no dependencies, so the real x/tools
+// cannot be vendored). It provides the Analyzer/Pass contract, the
+// //sadplint:ignore suppression grammar shared by every analyzer, and
+// the one driver: Load type-checks a module's production packages and
+// RunAnalyzers runs the suite over them, facts flowing through one
+// in-memory store. `sadplint ./...` and the suite's TestRepoIsClean
+// both call those two.
 package lint
 
 import (
@@ -12,6 +14,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -30,8 +33,10 @@ type Analyzer struct {
 
 // A Pass is one analyzer's view of one type-checked package.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
+	Analyzer *Analyzer
+	Fset     *token.FileSet
+	// Files are the package's production sources: Load never loads a
+	// _test.go file, and the invariants target production code.
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
@@ -81,36 +86,9 @@ var DeterministicPackages = []string{
 }
 
 // IsDeterministic reports whether the package path is subject to the
-// determinism analyzers. Test-variant paths ("p [p.test]", "p_test")
-// normalize to their base package.
+// determinism analyzers.
 func IsDeterministic(path string) bool {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	path = strings.TrimSuffix(path, "_test")
-	if strings.Contains(path, "detfixture") {
-		return true
-	}
-	for _, p := range DeterministicPackages {
-		if path == p {
-			return true
-		}
-	}
-	return false
-}
-
-// NonTestFiles returns the pass's files excluding _test.go sources:
-// the determinism and lock invariants target production code, and the
-// test variants `go vet` compiles would otherwise re-report every
-// production-file diagnostic.
-func (p *Pass) NonTestFiles() []*ast.File {
-	var out []*ast.File
-	for _, f := range p.Files {
-		if !strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go") {
-			out = append(out, f)
-		}
-	}
-	return out
+	return strings.Contains(path, "detfixture") || slices.Contains(DeterministicPackages, path)
 }
 
 // A Directive is one parsed //sadplint:VERB comment.
@@ -218,8 +196,8 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 }
 
 // RunAnalyzersFacts is RunAnalyzers with a caller-supplied fact
-// store, pre-seeded with dependency facts (unit mode) or inspected
-// afterwards (tests).
+// store, which tests pre-seed with another package's facts or inspect
+// afterwards.
 func RunAnalyzersFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
 	var all []Diagnostic
 	for _, pkg := range sortByDeps(pkgs) {

@@ -95,8 +95,6 @@ func TestIsDeterministic(t *testing.T) {
 		want bool
 	}{
 		{"repro/internal/router", true},
-		{"repro/internal/router [repro/internal/router.test]", true},
-		{"repro/internal/router_test", true},
 		{"repro/internal/service", false},
 		{"example.org/detfixture", true},
 		{"repro/internal/analyzers/lint", false},

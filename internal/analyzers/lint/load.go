@@ -13,6 +13,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strings"
 )
 
 // A Package bundles one loaded, type-checked package for analysis.
@@ -28,13 +30,13 @@ type Package struct {
 // consumes.
 type listedPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	Export     string
 	GoFiles    []string
-	DepOnly    bool
-	Standard   bool
-	Error      *struct{ Err string }
+	// DepOnly marks a package listed only as a dependency of the
+	// patterns, not matched by them.
+	DepOnly bool
+	Error   *struct{ Err string }
 }
 
 // goList streams `go list -json` objects for the given arguments,
@@ -63,8 +65,8 @@ func goList(dir string, args ...string) ([]*listedPackage, error) {
 }
 
 // ExportImporter builds a types.Importer that resolves imports from
-// compiler export data files, exactly as `go vet` wires its
-// unitchecker: packageFile maps package path → export data file.
+// compiler export data files: packageFile maps package path → export
+// data file.
 func ExportImporter(fset *token.FileSet, packageFile map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := packageFile[path]
@@ -79,37 +81,43 @@ func ExportImporter(fset *token.FileSet, packageFile map[string]string) types.Im
 // and returns package path → export data file for every importable
 // package in the closure.
 func LoadExportMap(dir string, patterns ...string) (map[string]string, error) {
-	pkgs, err := goList(dir, append([]string{"-export", "-deps", "-json=ImportPath,Export,Name"}, patterns...)...)
+	pkgs, err := goList(dir, append([]string{"-export", "-deps", "-json=ImportPath,Export"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
+	return exportMap(pkgs), nil
+}
+
+// exportMap maps package path → export data file for every listed
+// package that has export data.
+func exportMap(pkgs []*listedPackage) map[string]string {
 	m := make(map[string]string, len(pkgs))
 	for _, p := range pkgs {
 		if p.Export != "" {
 			m[p.ImportPath] = p.Export
 		}
 	}
-	return m, nil
+	return m
 }
 
 // Load loads, parses and type-checks the packages matching patterns
-// (relative to dir), dependencies resolved through compiler export
-// data. Test files are not loaded: sadplint's invariants target
-// production code, and `go vet -vettool` covers test variants through
-// its own compilation units anyway.
+// (relative to dir), in import-path order, dependencies resolved
+// through compiler export data. One `go list -export -deps` call
+// yields both the matched packages (not DepOnly) and the export data
+// of their closure. Test files are not loaded: sadplint's invariants
+// target production code.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	roots, err := goList(dir, append([]string{"-json=ImportPath,Name,Dir,GoFiles,Error"}, patterns...)...)
-	if err != nil {
-		return nil, err
-	}
-	exports, err := LoadExportMap(dir, patterns...)
+	listed, err := goList(dir, append([]string{"-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles,DepOnly,Error"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	imp := ExportImporter(fset, exports)
+	imp := ExportImporter(fset, exportMap(listed))
 	var out []*Package
-	for _, root := range roots {
+	for _, root := range listed {
+		if root.DepOnly {
+			continue
+		}
 		if root.Error != nil {
 			return nil, fmt.Errorf("%s: %s", root.ImportPath, root.Error.Err)
 		}
@@ -130,6 +138,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		out = append(out, &Package{PkgPath: root.ImportPath, Fset: fset, Files: files, Types: pkg, Info: info})
 	}
+	// -deps lists dependencies first. Sort to the order a plain listing
+	// of the patterns gives: facts still flow imports-first
+	// (sortByDeps), and an order-dependent finding, such as the package
+	// a lock-order cycle is reported in, stays where it was.
+	slices.SortFunc(out, func(a, b *Package) int { return strings.Compare(a.PkgPath, b.PkgPath) })
 	return out, nil
 }
 

@@ -94,11 +94,10 @@ var lockOps = map[string]int{
 }
 
 func run(pass *lint.Pass) error {
-	files := pass.NonTestFiles()
-	guards := collectGuards(pass, files)
+	guards := collectGuards(pass)
 
 	var fns []*ast.FuncDecl
-	for _, f := range files {
+	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 				fns = append(fns, fd)
@@ -183,11 +182,11 @@ type guard struct{ mu, id string }
 // collectGuards maps every struct field annotated `guarded by X` (the
 // first such phrase of its doc or line comment) to its guard, and
 // reports an X that names no sibling field.
-func collectGuards(pass *lint.Pass, files []*ast.File) map[types.Object]guard {
+func collectGuards(pass *lint.Pass) map[types.Object]guard {
 	guards := map[types.Object]guard{}
-	pkg := normalizePkgPath(pass.Pkg.Path()) + "."
+	pkg := pass.Pkg.Path() + "."
 	named := map[*ast.StructType]string{} // struct → "Type." when declared by a TypeSpec
-	for _, f := range files {
+	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.TypeSpec:
@@ -676,17 +675,17 @@ func mutexIdent(info *types.Info, e ast.Expr) string {
 		}
 		if tv, ok := info.Types[e.X]; ok {
 			if name := namedTypeName(tv.Type); name != "" {
-				return normalizePkgPath(obj.Pkg().Path()) + "." + name + "." + obj.Name()
+				return obj.Pkg().Path() + "." + name + "." + obj.Name()
 			}
 		}
-		return normalizePkgPath(obj.Pkg().Path()) + "." + obj.Name()
+		return obj.Pkg().Path() + "." + obj.Name()
 	case *ast.Ident:
 		obj := info.Uses[e]
 		if obj == nil || obj.Pkg() == nil {
 			return ""
 		}
 		if obj.Parent() == obj.Pkg().Scope() {
-			return normalizePkgPath(obj.Pkg().Path()) + "." + obj.Name()
+			return obj.Pkg().Path() + "." + obj.Name()
 		}
 	}
 	return ""
@@ -735,13 +734,6 @@ func shortMutex(id string) string {
 		return id[i+1:]
 	}
 	return id
-}
-
-func normalizePkgPath(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	return strings.TrimSuffix(path, "_test")
 }
 
 func cutEdgeKey(k string) (string, string, bool) {

@@ -1,7 +1,7 @@
 // Package suite registers the sadplint analyzers. cmd/sadplint and
 // the repo-wide cleanliness test both consume this list, so adding an
-// analyzer here wires it into `go vet -vettool`, `make lint` and
-// `go test ./...` at once.
+// analyzer here wires it into `sadplint ./...` (and so `make lint` and
+// CI) and `go test ./...` at once.
 package suite
 
 import (

@@ -83,11 +83,6 @@ func newCounterEntry(c Circuit, scheme coloring.SADPType, st router.Stats) count
 	}
 }
 
-// goldenILPNodeLimit makes the exact solve deterministic across
-// machines: branch-and-bound explores the same nodes in the same order
-// everywhere, so capping nodes (never wall clock) fixes the incumbent.
-const goldenILPNodeLimit = 50_000
-
 // TestGolden routes each golden suite under both SADP modes with both
 // DVI methods, verifies every run independently, and compares two
 // checked-in files exactly: testdata/golden_<suite>.json holds the
@@ -135,7 +130,7 @@ func TestGolden(t *testing.T) {
 					spec := RunSpec{
 						Scheme: c.scheme, ConsiderDVI: true, ConsiderTPL: true,
 						Method: c.method, ILPTimeLimit: 10 * time.Minute,
-						ILPNodeLimit: goldenILPNodeLimit,
+						ILPNodeLimit: DeterministicILPNodeLimit,
 						Verify:       true,
 					}
 					row, art, err := Run(Generate(c.ckt), spec)

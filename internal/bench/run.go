@@ -301,6 +301,13 @@ func RunContextArena(ctx context.Context, nl *netlist.Netlist, spec RunSpec, are
 // a spec or caller leaves it zero.
 const DefaultILPTimeLimit = 10 * time.Minute
 
+// DeterministicILPNodeLimit caps the exact DVI solve's branch-and-bound
+// nodes where a result must be the same on every machine (the goldens,
+// the ablation benchmarks): branch-and-bound explores the same nodes in
+// the same order everywhere, so capping nodes (never wall clock) fixes
+// the incumbent.
+const DeterministicILPNodeLimit = 50_000
+
 // ILPBudget returns the time limit of an exact DVI solve asked to take
 // at most limit (0 = DefaultILPTimeLimit) under ctx. A context deadline
 // caps it, so a per-job timeout reaches the only unbounded solver in

@@ -51,7 +51,7 @@ func pullJob(t *testing.T, ts *httptest.Server, workerID string) *JobAssignment 
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		var pr PullResponse
-		clusterRPC(t, ts, PathPull, PullRequest{WorkerID: workerID, WaitMS: 500}, &pr)
+		clusterRPC(t, ts, PathPull, PullRequest{WorkerID: workerID, WaitMS: 500, Epoch: service.ResultEpoch}, &pr)
 		if pr.Quarantined {
 			t.Fatalf("worker %s quarantined while expecting a grant", workerID)
 		}
@@ -197,7 +197,7 @@ func TestWorkerQuarantineAfterRejectBudget(t *testing.T) {
 		}
 	}
 	var pr PullResponse
-	clusterRPC(t, ts, PathPull, PullRequest{WorkerID: "evil", WaitMS: 0}, &pr)
+	clusterRPC(t, ts, PathPull, PullRequest{WorkerID: "evil", WaitMS: 0, Epoch: service.ResultEpoch}, &pr)
 	if !pr.Quarantined || pr.Job != nil {
 		t.Fatalf("post-quarantine pull %+v, want Quarantined and no job", pr)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -560,7 +561,7 @@ func TestControlBodiesBounded(t *testing.T) {
 		}
 	}
 	sr := submit(t, ts, tinyNetlist, bench.RunSpec{})
-	b, err := json.Marshal(PullRequest{WorkerID: "w", WaitMS: 5000})
+	b, err := json.Marshal(PullRequest{WorkerID: "w", WaitMS: 5000, Epoch: service.ResultEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,4 +585,172 @@ func TestControlBodiesBounded(t *testing.T) {
 	if jr := pollTerminal(t, ts, sr.ID, 5*time.Second); jr.Status != api.StatusFailed {
 		t.Fatalf("job after the error upload: %+v", jr)
 	}
+}
+
+// TestResultBodyBounded: a result upload one byte over the limit the
+// coordinator derives from its service's input bounds is answered 413
+// without touching the job or its lease; the same honest upload padded
+// to exactly the limit is then read and decides the job.
+func TestResultBodyBounded(t *testing.T) {
+	svc, c, ts := newCluster(t, service.Config{MaxBodyBytes: 4096, MaxGridCells: 8 * 8 * 2}, CoordinatorConfig{LeaseTTL: time.Minute})
+	limit := c.resultBodyLimit()
+	if want := int64(10*4096 + 4*128); limit != want {
+		t.Fatalf("result body limit %d, want %d", limit, want)
+	}
+	sr := submit(t, ts, tinyNetlist, bench.RunSpec{})
+	j := pullJob(t, ts, "w")
+	result := okResult(t)
+	honest, err := json.Marshal(ResultRequest{WorkerID: "w", JobID: j.ID, Lease: j.Lease, Key: j.Key,
+		Outcome: service.Outcome{Result: result}, Checksum: service.Checksum(result)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Leading whitespace keeps the JSON valid and makes the decoder read
+	// every byte before the value completes.
+	padded := func(n int64) []byte {
+		return append(bytes.Repeat([]byte(" "), int(n)-len(honest)), honest...)
+	}
+	post := func(body []byte) (int, ResultResponse) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+PathResult, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var rr ResultResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, rr
+	}
+
+	if code, _ := post(padded(limit + 1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("upload of %d bytes answered %d, want 413", limit+1, code)
+	}
+	// A body that declares its length is refused unread; one that does
+	// not is read to the limit and no further.
+	for _, tc := range []struct{ declared, maxRead int64 }{{limit + 1, 0}, {-1, limit + 1}} {
+		body := &countingReader{r: bytes.NewReader(padded(limit + 1))}
+		req := httptest.NewRequest(http.MethodPost, PathResult, body)
+		req.ContentLength = tc.declared
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge || body.n > tc.maxRead {
+			t.Fatalf("upload declaring %d bytes: status %d after reading %d bytes, want 413 after at most %d",
+				tc.declared, rec.Code, body.n, tc.maxRead)
+		}
+	}
+	c.mu.Lock()
+	tj := c.jobs[j.ID]
+	held := tj != nil && len(tj.leases) == 1 && tj.leaseOf("w", j.Lease) == 0 && len(c.pending) == 0
+	c.mu.Unlock()
+	if !held {
+		t.Fatalf("after the oversized upload the job's lease changed: %+v", tj)
+	}
+	m := svc.Metrics()
+	if n := m.ClusterRequeues.Load() + m.ClusterDupResults.Load() + m.ClusterStaleResults.Load() + m.Completed.Load(); n != 0 {
+		t.Fatalf("oversized upload moved the counters (requeues+duplicates+stale+completed = %d)", n)
+	}
+	if got := sample(t, ts, "sadprouted_cluster_upload_rejects_total"); got != "" {
+		t.Fatalf("oversized upload counted as a rejection: %s", got)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + sr.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jr api.JobResponse
+	err = json.NewDecoder(resp.Body).Decode(&jr)
+	resp.Body.Close()
+	if err != nil || jr.Status != api.StatusRunning {
+		t.Fatalf("job after the oversized upload: %+v (%v), want running", jr, err)
+	}
+
+	if code, rr := post(padded(limit)); code != http.StatusOK || rr.Status != ResultAccepted {
+		t.Fatalf("upload of exactly %d bytes: status %d %+v, want accepted", limit, code, rr)
+	}
+	if jr := pollTerminal(t, ts, sr.ID, 5*time.Second); jr.Status != api.StatusDone || jr.Worker != "w" {
+		t.Fatalf("job after the honest upload: %+v, want done on w", jr)
+	}
+}
+
+// TestPullRefusesOtherEpochs: while a job is queued, a pull quoting the
+// previous result epoch and a pull quoting none are both refused with
+// the coordinator's epoch and counted, a refused pull is held as long
+// as an empty long-poll, and the next pull of this build's epoch is
+// granted the job. A refused worker does not count as live, however
+// often it heartbeats: the job's excluded worker, the only other, is
+// granted it again. A Worker refused that way exits Run with an
+// *EpochError naming both epochs.
+func TestPullRefusesOtherEpochs(t *testing.T) {
+	r := newLeaseRig(t, CoordinatorConfig{})
+	refusedPull := func(body string, wait time.Duration) {
+		t.Helper()
+		start := time.Now()
+		resp, err := http.Post(r.ts.URL+PathPull, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pr PullResponse
+		err = json.NewDecoder(resp.Body).Decode(&pr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || pr.Job != nil || pr.WantEpoch != service.ResultEpoch {
+			t.Fatalf("pull %s: status %d, %+v; want no job and want_epoch %d", body, resp.StatusCode, pr, service.ResultEpoch)
+		}
+		if took := time.Since(start); took < wait {
+			t.Fatalf("pull %s answered after %v, want it held %v", body, took, wait)
+		}
+	}
+	refusedPull(fmt.Sprintf(`{"worker_id":"old","epoch":%d}`, service.ResultEpoch-1), 0)
+	refusedPull(`{"worker_id":"none"}`, 0)
+	refusedPull(`{"worker_id":"none","wait_ms":300}`, 300*time.Millisecond)
+	if got := r.svc.Metrics().ClusterEpochRefusals.Load(); got != 3 {
+		t.Fatalf("epoch refusals %d, want 3", got)
+	}
+	if got := sample(t, r.ts, "sadprouted_cluster_epoch_refusals_total"); got != "3" {
+		t.Fatalf("sadprouted_cluster_epoch_refusals_total %q, want 3", got)
+	}
+
+	p := r.primary() // w1's same-epoch pull is granted the job
+	r.c.sweep(time.Now().Add(rigTTL))
+	r.want(counters{Requeues: 1})
+	r.lost("w1", p)
+	r.heartbeat("none", nil)
+	r.heartbeat("old", nil)
+	if got := sample(t, r.ts, "sadprouted_cluster_workers"); got != "1" {
+		t.Fatalf("sadprouted_cluster_workers %q, want 1 (w1)", got)
+	}
+	r.finish("w1", r.grant("w1", 2)) // excluded, but no live worker else could take it
+
+	other := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathPull {
+			writeJSON(w, http.StatusOK, PullResponse{WantEpoch: service.ResultEpoch + 1})
+			return
+		}
+		writeJSON(w, http.StatusOK, HeartbeatResponse{})
+	}))
+	defer other.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err := NewWorker(WorkerConfig{Coordinator: other.URL, ID: "w", Run: stubRun}).Run(ctx)
+	var ee *EpochError
+	if !errors.As(err, &ee) || *ee != (EpochError{Worker: service.ResultEpoch, Coordinator: service.ResultEpoch + 1}) {
+		t.Fatalf("Run against another epoch's coordinator returned %v, want an EpochError", err)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }

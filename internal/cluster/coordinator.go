@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -19,22 +20,52 @@ const maxPullWait = 30 * time.Second
 
 // maxControlBody bounds a pull or heartbeat request body, which
 // arrives on the listener that also serves the public API: a pull is a
-// worker id and a wait, a heartbeat one lease per slot. Result uploads
-// carry a result of no computable size and are not bounded.
+// worker id and a wait, a heartbeat one lease per slot.
 const maxControlBody = 1 << 20
 
-// decodeControl decodes a pull or heartbeat body of at most
-// maxControlBody bytes into v, whose worker id workerID points at. It
-// reports false once it has answered the request: 413, as POST
-// /v1/jobs answers, for a larger body, and 400 with msg for a
-// malformed one or an empty worker id.
-func decodeControl(w http.ResponseWriter, r *http.Request, v any, workerID *string, msg string) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBody)).Decode(v)
+// resultBodyLimit bounds a result upload body, derived from the
+// wrapped service's input bounds so that an honest upload of any job
+// it accepts fits. An upload is the envelope (ids, lease, key,
+// checksum, an error or a redacted stack) around the result: the spec
+// echo, the metrics, the verify report (at most 100 violations) and
+// the solution payload. All but the payload are bounded by the
+// submission, MaxBodyBytes. The payload (internal/solution) spends:
+//
+//   - one byte per unit step and three per distinct via (its
+//     redundant via's direction and two colors). A finished route is
+//     congestion-free, and each search starts from its net's whole
+//     tree, so steps enter each grid cell once plus once per path that
+//     ends on the tree: 4·MaxGridCells, plus a byte per path;
+//   - per path, an origin and a separator, at most 15 bytes with
+//     14-bit tracks, so with that byte 16 bytes. Paths number at most
+//     two per pin (a Steiner tree adds at most one point per pin), and
+//     a pin costs the netlist at least 4 bytes ("x y "): at most
+//     8·MaxBodyBytes, which also covers one ";" per net.
+//
+// So limit = MaxBodyBytes + 8·MaxBodyBytes + 4·MaxGridCells, rounded
+// up to 10·MaxBodyBytes + 4·MaxGridCells. Honest uploads of the tiny,
+// multi-pin and quarter-scale Table I circuits use 0.21–0.41 bytes per
+// grid cell.
+func (c *Coordinator) resultBodyLimit() int64 {
+	return 10*c.svc.MaxBodyBytes() + 4*int64(c.svc.MaxGridCells())
+}
+
+// decodeRPC decodes a cluster RPC body of at most limit bytes into v,
+// whose required ids point into v. It reports false once it has
+// answered the request: 413, as POST /v1/jobs answers, for a larger
+// body, and 400 with msg for a malformed one or an empty id. A body
+// that declares a larger length is refused unread; one that does not
+// is read to the limit and no further.
+func decodeRPC(w http.ResponseWriter, r *http.Request, limit int64, v any, msg string, ids ...*string) bool {
+	var err error = &http.MaxBytesError{Limit: limit}
+	if r.ContentLength <= limit {
+		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	}
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):
 		writeJSON(w, http.StatusRequestEntityTooLarge, api.ErrorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
-	case err != nil || *workerID == "":
+	case err != nil || slices.ContainsFunc(ids, func(id *string) bool { return *id == "" }):
 		writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: msg})
 	default:
 		return true
@@ -137,6 +168,10 @@ func (t *trackedJob) leaseOf(worker, token string) int {
 // workerInfo is the liveness record of one worker.
 type workerInfo struct {
 	lastSeen time.Time
+	// refused is set while the worker's pulls quote another result
+	// epoch than the coordinator's, or none: it is granted nothing, so
+	// it does not count as live, however often it heartbeats.
+	refused bool
 }
 
 // Coordinator owns cluster-scope state: the lease table, the pending
@@ -326,8 +361,9 @@ func (c *Coordinator) quarantineWorkerLocked(workerID string) {
 // TTLs.
 func (c *Coordinator) workerTTL() time.Duration { return 2 * c.cfg.LeaseTTL }
 
-// touchWorkerLocked refreshes a worker's liveness. Callers hold mu.
-func (c *Coordinator) touchWorkerLocked(id string, now time.Time) {
+// touchWorkerLocked refreshes a worker's liveness record and returns
+// it. Callers hold mu.
+func (c *Coordinator) touchWorkerLocked(id string, now time.Time) *workerInfo {
 	w, ok := c.workers[id]
 	if !ok {
 		w = &workerInfo{}
@@ -335,13 +371,20 @@ func (c *Coordinator) touchWorkerLocked(id string, now time.Time) {
 		c.logf("cluster: worker %s joined", id)
 	}
 	w.lastSeen = now
+	return w
+}
+
+// liveLocked reports whether worker w counts as live at now: seen
+// within workerTTL and not refused for its epoch. Callers hold mu.
+func (c *Coordinator) liveLocked(w *workerInfo, now time.Time) bool {
+	return !w.refused && now.Sub(w.lastSeen) <= c.workerTTL()
 }
 
 // otherLiveWorkerLocked reports whether a live worker besides the
 // given one exists. Callers hold mu.
 func (c *Coordinator) otherLiveWorkerLocked(except string, now time.Time) bool {
 	for id, w := range c.workers {
-		if id != except && now.Sub(w.lastSeen) <= c.workerTTL() {
+		if id != except && c.liveLocked(w, now) {
 			return true
 		}
 	}
@@ -412,11 +455,23 @@ func (c *Coordinator) grantLocked(t *trackedJob, workerID string, now time.Time)
 	}
 }
 
-// handlePull answers a worker's long-poll for work.
+// handlePull answers a worker's long-poll for work. A pull that quotes
+// another result epoch than the coordinator's, or none, is granted
+// nothing: its worker's bytes would be another generation's, cached
+// under this one's content addresses. The refusal names the
+// coordinator's epoch and is held as an empty long-poll is, so a
+// worker too old to read it, which pulls again at once, still pulls
+// only once per wait; and the refused worker stops counting as live.
 func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 	var req PullRequest
-	if !decodeControl(w, r, &req, &req.WorkerID, "bad pull request") {
+	if !decodeRPC(w, r, maxControlBody, &req, "bad pull request", &req.WorkerID) {
 		return
+	}
+	var idle PullResponse // the answer when no job is granted
+	if req.Epoch != service.ResultEpoch {
+		idle.WantEpoch = service.ResultEpoch
+		c.svc.Metrics().ClusterEpochRefusals.Add(1)
+		c.logf("cluster: pull from %s refused: epoch %d, want %d", req.WorkerID, req.Epoch, service.ResultEpoch)
 	}
 	wait := time.Duration(req.WaitMS) * time.Millisecond
 	if wait > maxPullWait {
@@ -426,7 +481,7 @@ func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 	for {
 		now := time.Now()
 		c.mu.Lock()
-		c.touchWorkerLocked(req.WorkerID, now)
+		c.touchWorkerLocked(req.WorkerID, now).refused = idle.WantEpoch != 0
 		if c.quarantined[req.WorkerID] {
 			c.mu.Unlock()
 			writeJSON(w, http.StatusOK, PullResponse{Quarantined: true})
@@ -434,10 +489,14 @@ func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 		}
 		if c.closed {
 			c.mu.Unlock()
-			writeJSON(w, http.StatusOK, PullResponse{Draining: true})
+			idle.Draining = true
+			writeJSON(w, http.StatusOK, idle)
 			return
 		}
-		job := c.tryGrantLocked(req.WorkerID, now)
+		var job *JobAssignment
+		if idle.WantEpoch == 0 {
+			job = c.tryGrantLocked(req.WorkerID, now)
+		}
 		notify := c.notify
 		c.mu.Unlock()
 		if job != nil {
@@ -446,7 +505,7 @@ func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			writeJSON(w, http.StatusOK, PullResponse{})
+			writeJSON(w, http.StatusOK, idle)
 			return
 		}
 		wake := time.NewTimer(remaining)
@@ -454,7 +513,7 @@ func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 		case <-notify:
 			wake.Stop()
 		case <-wake.C:
-			writeJSON(w, http.StatusOK, PullResponse{})
+			writeJSON(w, http.StatusOK, idle)
 			return
 		case <-r.Context().Done():
 			wake.Stop()
@@ -467,6 +526,8 @@ func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 // idempotent, safe under stale leases, and — new with verified
 // uploads — trustless toward workers:
 //
+//   - a body over resultBodyLimit → 413, as POST /v1/jobs answers;
+//     nothing about the job or the lease changes;
 //   - unknown job id, terminal in the store → "duplicate" (no-op);
 //   - success payloads are validated before they can decide the job:
 //     structural invariants always (content address, spec echo,
@@ -490,8 +551,7 @@ func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 //     runs only drops the primary.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req ResultRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.WorkerID == "" || req.JobID == "" {
-		writeJSON(w, http.StatusBadRequest, api.ErrorResponse{Error: "bad result request"})
+	if !decodeRPC(w, r, c.resultBodyLimit(), &req, "bad result request", &req.WorkerID, &req.JobID) {
 		return
 	}
 	now := time.Now()
@@ -635,7 +695,7 @@ func (c *Coordinator) dropJobLocked(id string) {
 // no longer holds so it can cancel those executions.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if !decodeControl(w, r, &req, &req.WorkerID, "bad heartbeat") {
+	if !decodeRPC(w, r, maxControlBody, &req, "bad heartbeat", &req.WorkerID) {
 		return
 	}
 	now := time.Now()
@@ -685,7 +745,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	g := service.ClusterGauges{}
 	for _, wk := range c.workers {
-		if now.Sub(wk.lastSeen) <= c.workerTTL() {
+		if c.liveLocked(wk, now) {
 			g.Workers++
 		}
 	}

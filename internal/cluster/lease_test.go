@@ -54,7 +54,7 @@ func newLeaseRig(t *testing.T, cfg CoordinatorConfig) *leaseRig {
 func (r *leaseRig) pull(worker string) *JobAssignment {
 	r.t.Helper()
 	var pr PullResponse
-	clusterRPC(r.t, r.ts, PathPull, PullRequest{WorkerID: worker}, &pr)
+	clusterRPC(r.t, r.ts, PathPull, PullRequest{WorkerID: worker, Epoch: service.ResultEpoch}, &pr)
 	return pr.Job
 }
 
@@ -384,7 +384,7 @@ func TestLeaseRules(t *testing.T) {
 			r.lost("w2", h)
 			r.renews("w1", p)
 			var pr PullResponse
-			clusterRPC(t, r.ts, PathPull, PullRequest{WorkerID: "w2"}, &pr)
+			clusterRPC(t, r.ts, PathPull, PullRequest{WorkerID: "w2", Epoch: service.ResultEpoch}, &pr)
 			if !pr.Quarantined {
 				t.Fatalf("w2 pull %+v, want quarantined", pr)
 			}

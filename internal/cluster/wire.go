@@ -45,10 +45,14 @@ const (
 
 // PullRequest asks for one assignment. WaitMS long-polls: the
 // coordinator holds the request up to that long waiting for work
-// before answering an empty PullResponse.
+// before answering an empty PullResponse. Epoch is the
+// service.ResultEpoch of the worker's build: the coordinator leases
+// only to workers of its own epoch, whose bytes its content addresses
+// name.
 type PullRequest struct {
 	WorkerID string `json:"worker_id"`
 	WaitMS   int    `json:"wait_ms,omitempty"`
+	Epoch    int    `json:"epoch,omitempty"`
 }
 
 // JobAssignment is one leased job.
@@ -75,10 +79,14 @@ type JobAssignment struct {
 // shutting down and it should exit its pull loop; Quarantined tells a
 // worker that exceeded the upload-rejection budget it will never be
 // granted work again and should exit with an error an operator sees.
+// WantEpoch refuses a pull that quoted no epoch or another than the
+// coordinator's, and names the coordinator's: that worker is never
+// granted work either. A refusal is held as long as an empty answer.
 type PullResponse struct {
 	Job         *JobAssignment `json:"job,omitempty"`
 	Draining    bool           `json:"draining,omitempty"`
 	Quarantined bool           `json:"quarantined,omitempty"`
+	WantEpoch   int            `json:"want_epoch,omitempty"`
 }
 
 // ResultRequest uploads one finished job: the service.Outcome of its

@@ -26,6 +26,19 @@ import (
 // process should exit loudly so an operator investigates.
 var ErrQuarantined = errors.New("cluster: worker quarantined by coordinator (upload-rejection budget exceeded)")
 
+// EpochError is returned by Worker.Run when the coordinator refused a
+// pull because it serves another service.ResultEpoch than this build
+// computes: the worker's bytes would be cached under a content address
+// that names other code. The process should exit so an operator runs
+// one build across the cluster.
+type EpochError struct {
+	Worker, Coordinator int
+}
+
+func (e *EpochError) Error() string {
+	return fmt.Sprintf("cluster: coordinator serves result epoch %d, this worker computes epoch %d", e.Coordinator, e.Worker)
+}
+
 // WorkerConfig configures one worker process.
 type WorkerConfig struct {
 	// Coordinator is the coordinator's base URL (http://host:port).
@@ -144,10 +157,10 @@ type Worker struct {
 	// exists to make impossible.
 	drops atomic.Int64
 
-	mu          sync.Mutex
-	running     map[string]*runningJob // guarded by mu; job id → execution
-	killed      bool                   // guarded by mu; "worker.kill"/"spool.crash" tripped, all loops exit
-	quarantined bool                   // guarded by mu; the coordinator barred this worker
+	mu      sync.Mutex
+	running map[string]*runningJob // guarded by mu; job id → execution
+	killed  bool                   // guarded by mu; "worker.kill"/"spool.crash" tripped, all loops exit
+	barred  error                  // guarded by mu; why the coordinator refused this worker work: ErrQuarantined or an *EpochError
 }
 
 // NewWorker builds a worker client.
@@ -174,10 +187,10 @@ func (w *Worker) logf(format string, args ...interface{}) {
 }
 
 // Run pulls and executes jobs until ctx is canceled, the coordinator
-// reports draining or quarantines the worker, or a kill-type chaos
-// site trips. In-flight jobs finish and upload on graceful exits
-// (drain, ctx cancel); killed workers vanish without uploading, which
-// is the lease-expiry path's test harness. When a spool is
+// reports draining, quarantines the worker or refuses its epoch, or a
+// kill-type chaos site trips. In-flight jobs finish and upload on
+// graceful exits (drain, ctx cancel); killed workers vanish without
+// uploading, which is the lease-expiry path's test harness. When a spool is
 // configured, unconfirmed results from a previous life are replayed
 // before any new work is pulled.
 func (w *Worker) Run(ctx context.Context) error {
@@ -208,10 +221,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	stopHB()
 	hbWG.Wait()
 	w.mu.Lock()
-	quarantined := w.quarantined
+	barred := w.barred
 	w.mu.Unlock()
-	if quarantined {
-		return ErrQuarantined
+	if barred != nil {
+		return barred
 	}
 	return ctx.Err()
 }
@@ -268,11 +281,18 @@ func (w *Worker) slotLoop(ctx context.Context, slot int) {
 			continue
 		}
 		pullFails = 0
-		if resp.Quarantined {
+		var barred error
+		switch {
+		case resp.Quarantined:
+			barred = ErrQuarantined
+		case resp.WantEpoch != 0:
+			barred = &EpochError{Worker: service.ResultEpoch, Coordinator: resp.WantEpoch}
+		}
+		if barred != nil {
 			w.mu.Lock()
-			w.quarantined = true
+			w.barred = barred
 			w.mu.Unlock()
-			w.logf("worker %s slot %d: quarantined by coordinator, exiting", w.cfg.ID, slot)
+			w.logf("worker %s slot %d: %v, exiting", w.cfg.ID, slot, barred)
 			return
 		}
 		if resp.Draining {
@@ -503,7 +523,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 
 // pull asks for one assignment, long-polling up to PullWait.
 func (w *Worker) pull(ctx context.Context) (*PullResponse, error) {
-	req := PullRequest{WorkerID: w.cfg.ID, WaitMS: int(w.cfg.PullWait / time.Millisecond)}
+	req := PullRequest{WorkerID: w.cfg.ID, WaitMS: int(w.cfg.PullWait / time.Millisecond), Epoch: service.ResultEpoch}
 	// The request context outlives PullWait a little so the
 	// coordinator, not the client, ends the long-poll.
 	pctx, cancel := context.WithTimeout(ctx, w.cfg.PullWait+5*time.Second)

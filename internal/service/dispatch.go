@@ -60,6 +60,12 @@ func (s *Server) MaxAttempts() int { return s.cfg.MaxAttempts }
 // JobTimeout exposes the configured per-job deadline (zero = none).
 func (s *Server) JobTimeout() time.Duration { return s.cfg.JobTimeout }
 
+// MaxBodyBytes exposes the submission body bound.
+func (s *Server) MaxBodyBytes() int64 { return s.cfg.MaxBodyBytes }
+
+// MaxGridCells exposes the submitted grid's cell bound.
+func (s *Server) MaxGridCells() int { return s.cfg.MaxGridCells }
+
 // Dequeue blocks for the next accepted job, the given context, or
 // drain. The channel receive delivers each job to exactly one placer.
 // The job counts as in flight from here until it settles.

@@ -77,6 +77,9 @@ type Metrics struct {
 	// ClusterSpoolReplays counts result uploads replayed from a
 	// worker's durable spool after a restart.
 	ClusterSpoolReplays atomic.Int64
+	// ClusterEpochRefusals counts pulls refused because they quoted no
+	// ResultEpoch or another than the coordinator's.
+	ClusterEpochRefusals atomic.Int64
 }
 
 // LabeledCounter is a monotonic counter partitioned by one label value
@@ -199,6 +202,7 @@ func (m *Metrics) WriteCluster(w io.Writer, g ClusterGauges, h *LatencyHist) {
 	counter("sadprouted_cluster_hedged_dispatch_total", "Speculative straggler re-dispatches (second lease on a slow job).", m.ClusterHedged.Load())
 	m.ClusterRetryAttempts.writePrometheus(w, "sadprouted_cluster_retry_attempts_total", "Worker-side RPC retries, by RPC.", "rpc")
 	counter("sadprouted_cluster_spool_replays_total", "Result uploads replayed from a worker's durable spool after restart.", m.ClusterSpoolReplays.Load())
+	counter("sadprouted_cluster_epoch_refusals_total", "Pulls refused for quoting no result epoch or another than the coordinator's.", m.ClusterEpochRefusals.Load())
 	gauge("sadprouted_cluster_workers", "Workers with a fresh heartbeat.", int64(g.Workers))
 	gauge("sadprouted_cluster_leases_active", "Jobs currently leased to workers.", int64(g.LeasesActive))
 	h.WritePrometheus(w, "sadprouted_cluster_job_seconds")
