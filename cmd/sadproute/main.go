@@ -4,14 +4,15 @@
 // Usage:
 //
 //	sadproute -in circuit.net [-sadp sim|sid] [-dvi] [-tpl]
-//	          [-method heur|ilp|none] [-ilptime 60s] [-check] [-verify]
+//	          [-method heur|ilp|none] [-check] [-verify]
 //	          [-json] [-cpuprofile f] [-memprofile f]
 //
 // It prints the metrics the paper's tables report: wirelength, via
-// count, routing CPU, dead via count (#DV) and uncolorable via count
-// (#UV). With -json it emits the exact result schema the sadprouted
-// service returns (internal/service/api.Result), so CLI and service
-// output are interchangeable.
+// count, routing CPU, #DV, #UV and DVI CPU (-method ilp, stopped at
+// bench.DeterministicILPNodeLimit, and -method heur give one netlist's
+// Tables VI/VII row). With -json it emits the exact result schema the
+// sadprouted service returns (internal/service/api.Result), so CLI and
+// service output are interchangeable.
 package main
 
 import (
@@ -21,7 +22,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/coloring"
@@ -44,7 +44,6 @@ func run() (code int) {
 	considerTPL := flag.Bool("tpl", false, "consider via-layer TPL during routing")
 	method := flag.String("method", "heur", "post-routing DVI: heur, ilp, or none")
 	topology := flag.String("topology", "steiner", "multi-pin decomposition: steiner or star")
-	ilpTime := flag.Duration("ilptime", time.Minute, "ILP time limit")
 	check := flag.Bool("check", false, "run the SADP mask decomposition DRC on the result")
 	doVerify := flag.Bool("verify", false, "re-check the result with the independent internal/verify checker; exit 1 on violations")
 	jsonOut := flag.Bool("json", false, "emit the service result schema (api.Result) as JSON instead of text")
@@ -114,7 +113,7 @@ func run() (code int) {
 		ConsiderDVI:  *considerDVI,
 		ConsiderTPL:  *considerTPL,
 		Method:       meth,
-		ILPTimeLimit: *ilpTime,
+		ILPNodeLimit: bench.DeterministicILPNodeLimit,
 		Topology:     topo,
 		Seed:         *seed,
 		Verify:       *doVerify,
@@ -139,7 +138,7 @@ func run() (code int) {
 			row.Routability*100, row.WL, row.Vias, row.RouteCPU.Seconds(),
 			st.RRIterations, st.TPLRRIterations, st.FVPsResolved, st.Searches, st.Pops, st.BatchedNets, st.Redone)
 		if art.Solution != nil {
-			fmt.Printf("DVI (%s): inserted %d  #DV %d  #UV %d\n", meth, res.InsertedVias, row.DV, row.UV)
+			fmt.Printf("DVI (%s): inserted %d  #DV %d  #UV %d  CPU %.2fs\n", meth, res.InsertedVias, row.DV, row.UV, row.DVICPU.Seconds())
 		}
 		if art.Verify != nil {
 			if art.Verify.Ok() {

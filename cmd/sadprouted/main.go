@@ -10,7 +10,7 @@
 //	           [-quiet] [-pprof-addr 127.0.0.1:6060]
 //	           [-coordinator-addr http://host:port] [-worker-id w1]
 //	           [-lease-ttl 15s] [-heartbeat-every 1s]
-//	           [-verify-uploads] [-reject-budget 3]
+//	           [-reject-budget 3]
 //	           [-hedge-multiple 0] [-hedge-min-samples 8]
 //	           [-spool-dir d] [-upload-retries 0]
 //	           [-chaos latency|corrupt|slow|spool] [-chaos-seed 1]
@@ -74,7 +74,6 @@ func run() int {
 	workerID := flag.String("worker-id", "", "worker mode: this worker's name (default hostname-pid)")
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "coordinator mode: job lease TTL; a worker silent this long loses its jobs")
 	heartbeatEvery := flag.Duration("heartbeat-every", time.Second, "worker mode: lease renewal period (keep well under -lease-ttl)")
-	verifyUploads := flag.Bool("verify-uploads", false, "coordinator mode: run the full independent verifier on every uploaded solution (structural checks are always on)")
 	rejectBudget := flag.Int("reject-budget", 0, "coordinator mode: rejected uploads a worker may accumulate before quarantine (0 = default 3; negative = never quarantine)")
 	hedgeMultiple := flag.Float64("hedge-multiple", 0, "coordinator mode: hedge jobs running longer than this multiple of the fleet median to a second worker (0 = off)")
 	hedgeMinSamples := flag.Int("hedge-min-samples", 0, "coordinator mode: completed jobs required before the median is trusted for hedging (default 8)")
@@ -133,7 +132,6 @@ func run() int {
 	if *mode == "coordinator" {
 		coord = cluster.NewCoordinator(svc, cluster.CoordinatorConfig{
 			LeaseTTL:        *leaseTTL,
-			VerifyUploads:   *verifyUploads,
 			RejectBudget:    *rejectBudget,
 			HedgeMultiple:   *hedgeMultiple,
 			HedgeMinSamples: *hedgeMinSamples,

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	stress [-seed 1] [-budget 30s] [-trials 0] [-ilptime 2s] [-maxpins 0]
+//	stress [-seed 1] [-budget 30s] [-trials 0] [-maxpins 0]
 //	       [-out dir] [-q]
 //
 // Exit status 0 means every check passed; 1 means a reproducible
@@ -30,7 +30,6 @@ func run() int {
 	seed := flag.Int64("seed", 1, "trial sequence seed (same seed = same trials)")
 	budget := flag.Duration("budget", 30*time.Second, "wall-clock budget")
 	trials := flag.Int("trials", 0, "additional trial cap (0 = budget only)")
-	ilpTime := flag.Duration("ilptime", 2*time.Second, "per-instance ILP time limit")
 	maxPins := flag.Int("maxpins", 0, "draw pin counts uniformly from [2, maxpins] (0 = classic 2-pin-heavy mix)")
 	out := flag.String("out", "", "directory for the minimal reproducer on failure")
 	quiet := flag.Bool("q", false, "suppress per-trial progress")
@@ -41,11 +40,10 @@ func run() int {
 	}
 
 	cfg := stress.Config{
-		Seed:         *seed,
-		Budget:       *budget,
-		MaxTrials:    *trials,
-		ILPTimeLimit: *ilpTime,
-		MaxPins:      *maxPins,
+		Seed:      *seed,
+		Budget:    *budget,
+		MaxTrials: *trials,
+		MaxPins:   *maxPins,
 	}
 	if !*quiet {
 		cfg.Logf = func(format string, args ...interface{}) {

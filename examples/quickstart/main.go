@@ -39,7 +39,7 @@ func main() {
 		nl.Name, res.Stats.Routability*100, res.Stats.Wirelength, res.Stats.Vias)
 
 	// Post-routing TPL-aware double via insertion (fast heuristic).
-	sol, err := res.InsertDoubleVias(sadproute.Heuristic, 0)
+	sol, err := res.InsertDoubleVias(sadproute.Heuristic)
 	if err != nil {
 		log.Fatal(err)
 	}

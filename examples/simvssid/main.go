@@ -50,7 +50,7 @@ func main() {
 			log.Fatal(err)
 		}
 		cpu := time.Since(start)
-		sol, err := res.InsertDoubleVias(sadproute.Heuristic, 0)
+		sol, err := res.InsertDoubleVias(sadproute.Heuristic)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -135,7 +135,7 @@ func TestEvaluationShapes(t *testing.T) {
 		t.Skip("full shape check is slow")
 	}
 	circuits := TinySuite()
-	tbl, err := TableIIIIV(circuits, coloring.SIM, 10*time.Second)
+	tbl, err := TableIIIIV(circuits, coloring.SIM)
 	if err != nil {
 		t.Fatal(err)
 	}

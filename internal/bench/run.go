@@ -302,10 +302,13 @@ func RunContextArena(ctx context.Context, nl *netlist.Netlist, spec RunSpec, are
 const DefaultILPTimeLimit = 10 * time.Minute
 
 // DeterministicILPNodeLimit caps the exact DVI solve's branch-and-bound
-// nodes where a result must be the same on every machine (the goldens,
-// the ablation benchmarks): branch-and-bound explores the same nodes in
-// the same order everywhere, so capping nodes (never wall clock) fixes
-// the incumbent.
+// nodes in every offline run, where a result must be the same on every
+// machine (the goldens, the ablation benchmarks, the tables, sadproute,
+// stress and the root facade): branch-and-bound explores the same nodes
+// in the same order everywhere, so capping nodes fixes the incumbent.
+// The offline runs that go through Run or ILPBudget keep
+// DefaultILPTimeLimit only as a backstop, which the full-size tables
+// stay far inside; only the service budgets the solve by time.
 const DeterministicILPNodeLimit = 50_000
 
 // ILPBudget returns the time limit of an exact DVI solve asked to take

@@ -15,6 +15,8 @@ type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
+	// Legend, when set, is printed as one line under the rows.
+	Legend string
 }
 
 // String renders the table as aligned plain text.
@@ -45,10 +47,26 @@ func (t *Table) String() string {
 	for _, row := range t.Rows {
 		line(row)
 	}
+	if t.Legend != "" {
+		fmt.Fprintf(&b, "%s\n", t.Legend)
+	}
 	return b.String()
 }
 
 func secs(d time.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()) }
+
+// unprovenLegend explains the marker ilpDVCell puts on an ILP #DV cell.
+var unprovenLegend = fmt.Sprintf("* the ILP stopped at its %d-node cap before proving optimality; the cell is its best incumbent", DeterministicILPNodeLimit)
+
+// ilpDVCell renders an ILP #DV cell: "*"-marked, with t's legend, if
+// the solve stopped at the cap unproven.
+func ilpDVCell(t *Table, row Row, art *Artifacts) string {
+	if !art.Solution.LimitHit {
+		return fmt.Sprint(row.DV)
+	}
+	t.Legend = unprovenLegend
+	return fmt.Sprintf("%d*", row.DV)
+}
 
 // Table1 reports benchmark statistics (paper Table I).
 func Table1(circuits []Circuit) *Table {
@@ -97,7 +115,7 @@ var configColumns = []struct {
 // TableIIIIV runs the four-configuration comparison for one SADP type
 // (paper Tables III and IV). Post-routing DVI uses the ILP for a fair
 // dead-via comparison, as in the paper.
-func TableIIIIV(circuits []Circuit, scheme coloring.SADPType, ilpLimit time.Duration) (*Table, error) {
+func TableIIIIV(circuits []Circuit, scheme coloring.SADPType) (*Table, error) {
 	num := "III (SIM)"
 	if scheme == coloring.SID {
 		num = "IV (SID)"
@@ -113,12 +131,12 @@ func TableIIIIV(circuits []Circuit, scheme coloring.SADPType, ilpLimit time.Dura
 	for _, c := range circuits {
 		nl := Generate(c)
 		for ci, cc := range configColumns {
-			row, _, err := Run(nl, RunSpec{
+			row, art, err := Run(nl, RunSpec{
 				Scheme:       scheme,
 				ConsiderDVI:  cc.dvi,
 				ConsiderTPL:  cc.tpl,
 				Method:       ILPDVI,
-				ILPTimeLimit: ilpLimit,
+				ILPNodeLimit: DeterministicILPNodeLimit,
 			})
 			if err != nil {
 				return nil, err
@@ -126,7 +144,7 @@ func TableIIIIV(circuits []Circuit, scheme coloring.SADPType, ilpLimit time.Dura
 			t.Rows = append(t.Rows, []string{
 				c.Name, cc.label,
 				fmt.Sprint(row.WL), fmt.Sprint(row.Vias), secs(row.RouteCPU),
-				fmt.Sprint(row.DV), fmt.Sprint(row.UV),
+				ilpDVCell(t, row, art), fmt.Sprint(row.UV),
 			})
 			sums[ci].wl += row.WL
 			sums[ci].vias += row.Vias
@@ -167,7 +185,7 @@ func TableIIIIV(circuits []Circuit, scheme coloring.SADPType, ilpLimit time.Dura
 // TableV compares the conference-version parameters against the
 // enlarged journal parameters (paper Table V), both with DVI and via
 // layer TPL consideration under SIM.
-func TableV(circuits []Circuit, ilpLimit time.Duration) (*Table, error) {
+func TableV(circuits []Circuit) (*Table, error) {
 	t := &Table{
 		Title:  "Table V: enlarged cost-assignment parameters vs conference version [36] (SIM, DVI+TPL)",
 		Header: []string{"CKT", "params", "WL", "#Vias", "CPU(s)", "#DV", "#UV"},
@@ -186,9 +204,9 @@ func TableV(circuits []Circuit, ilpLimit time.Duration) (*Table, error) {
 	for _, c := range circuits {
 		nl := Generate(c)
 		for si, sp := range specs {
-			row, _, err := Run(nl, RunSpec{
+			row, art, err := Run(nl, RunSpec{
 				Scheme: coloring.SIM, ConsiderDVI: true, ConsiderTPL: true,
-				Params: sp.params, Method: ILPDVI, ILPTimeLimit: ilpLimit,
+				Params: sp.params, Method: ILPDVI, ILPNodeLimit: DeterministicILPNodeLimit,
 			})
 			if err != nil {
 				return nil, err
@@ -196,7 +214,7 @@ func TableV(circuits []Circuit, ilpLimit time.Duration) (*Table, error) {
 			t.Rows = append(t.Rows, []string{
 				c.Name, sp.label,
 				fmt.Sprint(row.WL), fmt.Sprint(row.Vias), secs(row.RouteCPU),
-				fmt.Sprint(row.DV), fmt.Sprint(row.UV),
+				ilpDVCell(t, row, art), fmt.Sprint(row.UV),
 			})
 			sums[si].wl += row.WL
 			sums[si].dv += row.DV
@@ -217,7 +235,7 @@ func TableV(circuits []Circuit, ilpLimit time.Duration) (*Table, error) {
 // TableVIVII compares the ILP and heuristic TPL-aware DVI solvers on
 // routing solutions produced with full consideration (paper Tables VI
 // and VII).
-func TableVIVII(circuits []Circuit, scheme coloring.SADPType, ilpLimit time.Duration) (*Table, error) {
+func TableVIVII(circuits []Circuit, scheme coloring.SADPType) (*Table, error) {
 	num := "VI (SIM)"
 	if scheme == coloring.SID {
 		num = "VII (SID)"
@@ -230,9 +248,9 @@ func TableVIVII(circuits []Circuit, scheme coloring.SADPType, ilpLimit time.Dura
 	var ilpCPU, heurCPU time.Duration
 	for _, c := range circuits {
 		nl := Generate(c)
-		ilpRow, _, err := Run(nl, RunSpec{
+		ilpRow, ilpArt, err := Run(nl, RunSpec{
 			Scheme: scheme, ConsiderDVI: true, ConsiderTPL: true,
-			Method: ILPDVI, ILPTimeLimit: ilpLimit,
+			Method: ILPDVI, ILPNodeLimit: DeterministicILPNodeLimit,
 		})
 		if err != nil {
 			return nil, err
@@ -246,7 +264,7 @@ func TableVIVII(circuits []Circuit, scheme coloring.SADPType, ilpLimit time.Dura
 		}
 		t.Rows = append(t.Rows, []string{
 			c.Name,
-			fmt.Sprint(ilpRow.DV), fmt.Sprint(ilpRow.UV), secs(ilpRow.DVICPU),
+			ilpDVCell(t, ilpRow, ilpArt), fmt.Sprint(ilpRow.UV), secs(ilpRow.DVICPU),
 			fmt.Sprint(heurRow.DV), fmt.Sprint(heurRow.UV), secs(heurRow.DVICPU),
 		})
 		ilpDV += ilpRow.DV

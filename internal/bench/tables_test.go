@@ -3,7 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/coloring"
 )
@@ -29,7 +28,7 @@ func TestTableVRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the router and ILP")
 	}
-	tbl, err := TableV(TinySuite()[:1], 10*time.Second)
+	tbl, err := TableV(TinySuite()[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +38,21 @@ func TestTableVRenders(t *testing.T) {
 	}
 }
 
+// TestTableVIVIIRenders: the heuristic reports zero uncolorable vias,
+// and an ILP #DV cell whose solve stopped at the node cap carries "*"
+// and the table its legend line, a proven one neither. At
+// DeterministicILPNodeLimit, ecc-t's solves are proven and efc-t's SIM
+// solve stops at the cap.
 func TestTableVIVIIRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the router and ILP")
 	}
-	for _, typ := range []coloring.SADPType{coloring.SIM, coloring.SID} {
-		tbl, err := TableVIVII(TinySuite()[:1], typ, 10*time.Second)
+	unproven := map[string]bool{"efc-t": true}
+	for _, tc := range []struct {
+		typ      coloring.SADPType
+		circuits int
+	}{{coloring.SIM, 2}, {coloring.SID, 1}} {
+		tbl, err := TableVIVII(TinySuite()[:tc.circuits], tc.typ)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,14 +60,27 @@ func TestTableVIVIIRenders(t *testing.T) {
 		if !strings.Contains(s, "ILP") || !strings.Contains(s, "Heur") {
 			t.Errorf("Table VI/VII missing columns:\n%s", s)
 		}
-		// The heuristic must report zero uncolorable vias.
+		rows, marked := 0, false
 		for _, line := range strings.Split(s, "\n") {
 			f := strings.Fields(line)
-			if len(f) == 7 && f[0] == TinySuite()[0].Name {
-				if f[5] != "0" {
-					t.Errorf("heuristic #UV = %s, want 0", f[5])
-				}
+			if len(f) != 7 {
+				continue
 			}
+			rows++
+			if f[5] != "0" {
+				t.Errorf("%s %v: heuristic #UV = %s, want 0", f[0], tc.typ, f[5])
+			}
+			m := strings.HasSuffix(f[1], "*")
+			if m != unproven[f[0]] {
+				t.Errorf("%s %v: ILP #DV %s marked %v, want %v", f[0], tc.typ, f[1], m, unproven[f[0]])
+			}
+			marked = marked || m
+		}
+		if rows != tc.circuits {
+			t.Errorf("%v: %d circuit rows, want %d:\n%s", tc.typ, rows, tc.circuits, s)
+		}
+		if strings.Contains(s, unprovenLegend) != marked {
+			t.Errorf("%v: legend line present %v, want %v:\n%s", tc.typ, !marked, marked, s)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -77,7 +78,8 @@ func signed(raw json.RawMessage, degraded bool) ResultRequest {
 
 // TestValidateUpload pins the validator's checksum and structural
 // tiers: every reject class fires on the payload shape it names, and
-// honest payloads pass.
+// honest payloads pass. A payload that recounts to its own claims but
+// routes neither net fails the full re-check.
 func TestValidateUpload(t *testing.T) {
 	spec := bench.RunSpec{}
 	key, err := service.ContentAddress(tinyNetlist, spec)
@@ -130,10 +132,10 @@ func TestValidateUpload(t *testing.T) {
 		{"solution not routes", aSol, signed(solPayload(json.RawMessage(`{"bad":1}`), 0), false), rejectSolutionDecode},
 		{"solution of version 1", aSol, signed(solPayload(json.RawMessage(`[]`), 0), false), rejectSolutionVersion},
 		{"inflated metrics", aSol, signed(solPayload(json.RawMessage(`"v2|"`), 5), false), rejectMetricRecount},
-		{"empty but honest", aSol, signed(solPayload(json.RawMessage(`"v2|"`), 0), false), ""},
+		{"empty but honest", aSol, signed(solPayload(json.RawMessage(`"v2|"`), 0), false), rejectVerify},
 	}
 	for _, tc := range cases {
-		reason, verr := validateUpload(tc.a, &tc.req, false)
+		reason, verr := validateUpload(tc.a, &tc.req)
 		if reason != tc.reason {
 			t.Errorf("%s: reason %q (%v), want %q", tc.name, reason, verr, tc.reason)
 		}
@@ -289,6 +291,88 @@ func TestSpoolReplayAfterWorkerRestart(t *testing.T) {
 	}
 	if got := svc.Metrics().Completed.Load(); got != 1 {
 		t.Fatalf("completed %d, want exactly 1", got)
+	}
+}
+
+// An upload quotes the epoch of the build that computed it. A worker
+// upgraded between computing and uploading replays its spool at start:
+// the coordinator answers the other build's bytes "stale", caches and
+// journals nothing, re-places the job without blame, and the job
+// completes with bytes this build computed.
+func TestSpoolReplayOfOtherEpochIsStale(t *testing.T) {
+	svc, _, ts := newCluster(t, service.Config{}, CoordinatorConfig{})
+	dir := t.TempDir()
+
+	inj := fault.New(1)
+	inj.Configure("spool.crash", fault.SiteConfig{Times: 1})
+	stop1 := startWorker(t, WorkerConfig{Coordinator: ts.URL, ID: "up", SpoolDir: dir, Fault: inj})
+	sr := submit(t, ts, tinyNetlist, bench.RunSpec{})
+	deadline := time.Now().Add(10 * time.Second)
+	for inj.Trips("spool.crash") == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if inj.Trips("spool.crash") == 0 {
+		t.Fatal("spool.crash site never tripped")
+	}
+	stop1()
+	entries, _ := filepath.Glob(filepath.Join(dir, "*"+spoolSuffix))
+	if len(entries) != 1 {
+		t.Fatalf("spool holds %d results after the crash, want 1", len(entries))
+	}
+
+	// Rewrite the entry as the previous build left it: stamped with its
+	// epoch, carrying bytes this build does not compute.
+	raw, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spooled map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &spooled); err != nil {
+		t.Fatal(err)
+	}
+	var res api.Result
+	if err := json.Unmarshal(spooled["result"], &res); err != nil {
+		t.Fatal(err)
+	}
+	fresh := res.Row.WL
+	res.Row.WL = fresh + 1000
+	old, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spooled["result"] = old
+	for k, v := range map[string]interface{}{"checksum": service.Checksum(old), "epoch": service.ResultEpoch - 1} {
+		if spooled[k], err = json.Marshal(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if raw, err = json.Marshal(spooled); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entries[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	startWorker(t, WorkerConfig{Coordinator: ts.URL, ID: "up", SpoolDir: dir})
+	jr := pollTerminal(t, ts, sr.ID, 10*time.Second)
+	if jr.Status != api.StatusDone {
+		t.Fatalf("job %+v, want done", jr)
+	}
+	got, err := jr.DecodeResult()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Row.WL != fresh {
+		t.Fatalf("job completed with WL %d, want this build's %d (the spooled epoch-%d bytes read %d)",
+			got.Row.WL, fresh, service.ResultEpoch-1, fresh+1000)
+	}
+	m := svc.Metrics()
+	if m.ClusterSpoolReplays.Load() != 1 || m.ClusterStaleResults.Load() != 1 || m.Completed.Load() != 1 {
+		t.Fatalf("spool replays %d, stale results %d, completed %d; want 1, 1, 1",
+			m.ClusterSpoolReplays.Load(), m.ClusterStaleResults.Load(), m.Completed.Load())
+	}
+	if got := m.ClusterRequeues.Load(); got != 0 {
+		t.Fatalf("requeues %d, want 0: a stale epoch is no one's fault", got)
 	}
 }
 
@@ -456,8 +540,8 @@ func TestRejectedJobCrashReplay(t *testing.T) {
 }
 
 // The chaos differential: the byte-identity invariant must survive
-// every network and worker fault class at once, with upload
-// verification on. Each schedule runs the real routing flow over the
+// every network and worker fault class at once, with every upload
+// fully re-checked. Each schedule runs the real routing flow over the
 // differential suite and must match the standalone reference
 // bit-for-bit.
 func TestChaosSchedulesByteIdentical(t *testing.T) {
@@ -475,7 +559,7 @@ func TestChaosSchedulesByteIdentical(t *testing.T) {
 	sa.Shutdown(context.Background())
 
 	t.Run("latency+dup", func(t *testing.T) {
-		_, _, ts := newCluster(t, service.Config{Run: service.DefaultRun, MaxAttempts: 4}, CoordinatorConfig{VerifyUploads: true})
+		_, _, ts := newCluster(t, service.Config{Run: service.DefaultRun, MaxAttempts: 4}, CoordinatorConfig{})
 		inj := fault.New(11)
 		inj.Configure("rpc.latency:"+PathResult, fault.SiteConfig{Times: -1, Prob: 0.5})
 		inj.Configure("rpc.dup:"+PathResult, fault.SiteConfig{Times: -1, Prob: 0.5})
@@ -487,9 +571,8 @@ func TestChaosSchedulesByteIdentical(t *testing.T) {
 
 	t.Run("corrupt-upload", func(t *testing.T) {
 		svc, _, ts := newCluster(t, service.Config{Run: service.DefaultRun, MaxAttempts: 6}, CoordinatorConfig{
-			VerifyUploads: true,
-			LeaseTTL:      500 * time.Millisecond,
-			SweepEvery:    50 * time.Millisecond,
+			LeaseTTL:   500 * time.Millisecond,
+			SweepEvery: 50 * time.Millisecond,
 		})
 		inj := fault.New(13)
 		inj.Configure("rpc.corrupt:"+PathResult, fault.SiteConfig{Times: 2})
@@ -514,7 +597,6 @@ func TestChaosSchedulesByteIdentical(t *testing.T) {
 
 	t.Run("slow+hedge", func(t *testing.T) {
 		svc, _, ts := newCluster(t, service.Config{Run: service.DefaultRun, MaxAttempts: 6}, CoordinatorConfig{
-			VerifyUploads:   true,
 			LeaseTTL:        10 * time.Second, // hedging, not expiry, must handle the stragglers
 			SweepEvery:      25 * time.Millisecond,
 			HedgeMultiple:   4,
@@ -531,7 +613,7 @@ func TestChaosSchedulesByteIdentical(t *testing.T) {
 	})
 
 	t.Run("spool-crash-restart", func(t *testing.T) {
-		svc, _, ts := newCluster(t, service.Config{Run: service.DefaultRun, MaxAttempts: 4}, CoordinatorConfig{VerifyUploads: true})
+		svc, _, ts := newCluster(t, service.Config{Run: service.DefaultRun, MaxAttempts: 4}, CoordinatorConfig{})
 		dir := t.TempDir()
 		inj := fault.New(19)
 		inj.Configure("spool.crash", fault.SiteConfig{Times: 1})

@@ -83,9 +83,8 @@ type CoordinatorConfig struct {
 	// SweepEvery is the lease/worker expiry scan period (default
 	// LeaseTTL/4).
 	SweepEvery time.Duration
-	// VerifyUploads runs the full internal/verify re-check on every
-	// uploaded solution, on top of the always-on structural
-	// invariants (spec echo, content address, metric recount).
+	// Deprecated: ignored; every uploaded solution gets the full
+	// internal/verify re-check. perfbench still names it.
 	VerifyUploads bool
 	// RejectBudget is how many rejected uploads a worker may
 	// accumulate before it is quarantined: never granted work again,
@@ -529,20 +528,26 @@ func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 //   - a body over resultBodyLimit → 413, as POST /v1/jobs answers;
 //     nothing about the job or the lease changes;
 //   - unknown job id, terminal in the store → "duplicate" (no-op);
+//   - tracked job, upload that may hold another build's bytes
+//     (otherEpoch: a spool replayed across an upgrade) → "stale",
+//     unvalidated and without blame, since its bytes need not be the
+//     ones this build's content address names. Nothing is cached or
+//     journaled, and the uploader's lease, if fresh, is dropped so
+//     the job is re-placed;
 //   - success payloads are validated before they can decide the job:
-//     structural invariants always (content address, spec echo,
-//     degraded flag, metric recount of the solution geometry), the
-//     full internal/verify re-check when VerifyUploads is set. A
-//     failing payload is "rejected": the job is re-placed away from
-//     the uploader, the uploader's reputation is charged, and past
+//     structural invariants (content address, spec echo, degraded
+//     flag, metric recount of the solution geometry) and the full
+//     internal/verify re-check of any solution payload. A failing
+//     payload is "rejected": the job is re-placed away from the
+//     uploader, the uploader's reputation is charged, and past
 //     RejectBudget the worker is quarantined with everything it held
 //     re-placed;
 //   - tracked job, fresh lease (primary or hedge), valid payload →
 //     the upload decides the job;
 //   - tracked job, stale/expired lease, valid success payload →
-//     accepted anyway: the flow is deterministic, so the late
-//     worker's bytes equal what the rerun would produce, and the
-//     exactly-once terminate gate keeps whichever lands second a
+//     accepted anyway: the flow is deterministic within an epoch, so
+//     the late worker's bytes equal what the rerun would produce, and
+//     the exactly-once terminate gate keeps whichever lands second a
 //     no-op;
 //   - tracked job, stale lease, error/panic payload → "stale" no-op:
 //     a presumed-dead worker must not fail a job another worker may
@@ -566,6 +571,16 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var a *service.Assignment
 	if tracked {
 		a = t.a
+		if i := t.leaseOf(req.WorkerID, req.Lease); otherEpoch(&req, i >= 0) {
+			c.logf("cluster: job %s upload from %s quotes epoch %d, want %d: stale", req.JobID, req.WorkerID, req.Epoch, service.ResultEpoch)
+			if i >= 0 {
+				c.dropLeaseLocked(req.JobID, t, i, false)
+			}
+			c.svc.Metrics().ClusterStaleResults.Add(1)
+			c.mu.Unlock()
+			writeJSON(w, http.StatusOK, ResultResponse{Status: ResultStale})
+			return
+		}
 	}
 	c.mu.Unlock()
 	if !tracked {
@@ -588,7 +603,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	if req.Key != a.Key {
 		reason, vErr = rejectContentAddress, fmt.Errorf("upload quotes key %.12s, job is %.12s", req.Key, a.Key)
 	} else if success {
-		reason, vErr = validateUpload(a, &req, c.cfg.VerifyUploads)
+		reason, vErr = validateUpload(a, &req)
 	}
 
 	c.mu.Lock()
@@ -661,6 +676,19 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		c.dropJobLocked(req.JobID)
 		writeJSON(w, http.StatusOK, ResultResponse{Status: ResultAccepted})
 	}
+}
+
+// otherEpoch reports whether an upload may hold another build's
+// bytes: it quotes another ResultEpoch, or it quotes none and either
+// replays a spool or rides a lease that is no longer fresh. A worker
+// built before uploads carried the epoch still quotes it on pulls, and
+// a pull is granted a lease only under this epoch, so its live upload
+// on a fresh lease (fresh) is this epoch's work.
+func otherEpoch(req *ResultRequest, fresh bool) bool {
+	if req.Epoch == 0 {
+		return req.SpoolReplay || !fresh
+	}
+	return req.Epoch != service.ResultEpoch
 }
 
 // rejectUploadLocked applies the consequences of a rejected upload:

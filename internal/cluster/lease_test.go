@@ -104,7 +104,7 @@ func (r *leaseRig) hedged() (p, h *JobAssignment, mark time.Time) {
 // upload sends one result under j's lease and returns the verdict.
 func (r *leaseRig) upload(worker string, j *JobAssignment, out service.Outcome) string {
 	r.t.Helper()
-	req := ResultRequest{WorkerID: worker, JobID: j.ID, Lease: j.Lease, Key: j.Key, Outcome: out}
+	req := ResultRequest{WorkerID: worker, JobID: j.ID, Lease: j.Lease, Key: j.Key, Epoch: service.ResultEpoch, Outcome: out}
 	if len(out.Result) > 0 {
 		req.Checksum = service.Checksum(out.Result)
 	}
@@ -452,5 +452,61 @@ func TestLeaseRules(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { tc.run(t, newLeaseRig(t, tc.cfg)) })
+	}
+}
+
+// TestUploadEpochs: a pull is granted a lease only under this result
+// epoch, so a live upload on that still-fresh lease is this epoch's
+// work whether or not it quotes the epoch, as a worker built before
+// uploads carried it does not. An upload quoting another epoch, or
+// none on a spool replay or an expired lease, may hold another build's
+// bytes: it is answered stale without blame, and the job is re-placed.
+func TestUploadEpochs(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		epoch          int
+		replay, expire bool
+		want           string
+		counters       counters
+	}{
+		{"this epoch", service.ResultEpoch, false, false, ResultAccepted, counters{}},
+		{"none on a fresh lease", 0, false, false, ResultAccepted, counters{}},
+		{"this epoch on an expired lease", service.ResultEpoch, false, true, ResultAccepted, counters{Requeues: 1, Stale: 1}},
+		{"this epoch replayed", service.ResultEpoch, true, false, ResultAccepted, counters{}},
+		{"another epoch", service.ResultEpoch - 1, false, false, ResultStale, counters{Stale: 1}},
+		{"none replayed", 0, true, false, ResultStale, counters{Stale: 1}},
+		{"none on an expired lease", 0, false, true, ResultStale, counters{Requeues: 1, Stale: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newLeaseRig(t, CoordinatorConfig{})
+			p := r.primary()
+			r.refused("w2") // w2 is live, so an excluded w1 is passed over
+			if tc.expire {
+				r.c.sweep(time.Now().Add(rigTTL))
+			}
+			result := okResult(t)
+			req := ResultRequest{WorkerID: "w1", JobID: p.ID, Lease: p.Lease, Key: p.Key, Epoch: tc.epoch, SpoolReplay: tc.replay,
+				Outcome: service.Outcome{Result: result}, Checksum: service.Checksum(result)}
+			var rr ResultResponse
+			if code := clusterRPC(t, r.ts, PathResult, req, &rr); code != http.StatusOK || rr.Status != tc.want {
+				t.Fatalf("upload: status %d, %+v; want %q", code, rr, tc.want)
+			}
+			r.want(tc.counters)
+			if tc.want == ResultAccepted {
+				if jr := pollTerminal(t, r.ts, r.id, 5*time.Second); jr.Status != api.StatusDone || jr.Worker != "w1" {
+					t.Fatalf("job %+v, want done on w1", jr)
+				}
+				return
+			}
+			// The stale upload blames no one: w1 may take the job again,
+			// unless the expiry already excluded it.
+			worker := "w1"
+			if tc.expire {
+				r.refused("w1")
+				worker = "w2"
+			}
+			r.finish(worker, r.grant(worker, 2))
+			r.want(tc.counters)
+		})
 	}
 }

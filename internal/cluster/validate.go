@@ -40,16 +40,18 @@ import (
 //     the router) and of its DVI assignment's dead, uncolorable and
 //     inserted vias matches the claimed Row and InsertedVias.
 //
-//   - Full re-verification (-verify-uploads): the from-scratch
-//     internal/verify checker re-validates the uploaded solution —
-//     connectivity, SADP turn legality, via-layer manufacturability
-//     and the DVI constraints C1–C8, each inserted redundant via's
-//     feasibility re-derived from the geometry — exactly as the
-//     flow's own verify step does for a local run. The DVI instance
-//     it checks is built from the payload alone: the vias
-//     dvi.ViasOf lists over the decoded routes, with one candidate
-//     per inserted via. Costlier (it re-colors via layers), so it is
-//     a knob, but still far cheaper than re-routing the job.
+//   - Full re-verification (always on, whenever a solution payload
+//     is uploaded): the from-scratch internal/verify checker
+//     re-validates the uploaded solution — connectivity, SADP turn
+//     legality, via-layer manufacturability and the DVI constraints
+//     C1–C8, each inserted redundant via's feasibility re-derived
+//     from the geometry — exactly as the flow's own verify step does
+//     for a local run. The DVI instance it checks is built from the
+//     payload alone: the vias dvi.ViasOf lists over the decoded
+//     routes, with one candidate per inserted via. A recount alone
+//     would accept a payload that is consistent with itself but
+//     routes nothing; this tier is still far cheaper than re-routing
+//     the job.
 
 // Rejection reason classes, the label values of
 // cluster_upload_rejects_total{reason}.
@@ -72,7 +74,7 @@ const (
 // validateUpload checks one successful upload's Result bytes against
 // the job they claim to decide. It returns ("", nil) when the payload
 // is acceptable, or a reason class plus a detail error.
-func validateUpload(a *service.Assignment, req *ResultRequest, verifyFull bool) (string, error) {
+func validateUpload(a *service.Assignment, req *ResultRequest) (string, error) {
 	if sum := service.Checksum(req.Result); sum != req.Checksum {
 		return rejectChecksum, fmt.Errorf("result bytes hash to %.12s, upload claims %.12s", sum, req.Checksum)
 	}
@@ -98,7 +100,7 @@ func validateUpload(a *service.Assignment, req *ResultRequest, verifyFull bool) 
 	}
 
 	if !res.Spec.IncludeSolution {
-		// No solution payload to recount; the structural tier ends here.
+		// No solution payload to recount or re-check: validation ends here.
 		return "", nil
 	}
 	if len(res.Solution) == 0 {
@@ -131,9 +133,6 @@ func validateUpload(a *service.Assignment, req *ResultRequest, verifyFull bool) 
 			dv, uv, inserted, res.Row.DV, res.Row.UV, res.InsertedVias)
 	}
 
-	if !verifyFull {
-		return "", nil
-	}
 	nl, err := netlist.Read(strings.NewReader(a.Netlist))
 	if err != nil {
 		// The job was accepted with this netlist, so this is a

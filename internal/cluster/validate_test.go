@@ -25,8 +25,8 @@ import (
 	"repro/internal/verify"
 )
 
-// Under -verify-uploads only a degraded TPL phase may leave forbidden
-// via patterns. A timed-out ILP says nothing about the routing, so its
+// Under the full re-check only a degraded TPL phase may leave
+// forbidden via patterns. A timed-out ILP says nothing about the routing, so its
 // upload meets the full manufacturability bar like any other. The
 // upload here claims a +TPL spec but carries the routing of the same
 // circuit without TPL consideration, which has FVPs.
@@ -82,7 +82,7 @@ func TestValidateUploadRelaxesTPLOnlyForTPLTimeout(t *testing.T) {
 			t.Fatal(err)
 		}
 		req := signed(raw, len(tc.degraded) > 0)
-		if reason, verr := validateUpload(a, &req, true); reason != tc.reason {
+		if reason, verr := validateUpload(a, &req); reason != tc.reason {
 			t.Errorf("degraded %v: reason %q (%v), want %q", tc.degraded, reason, verr, tc.reason)
 		}
 	}
@@ -157,7 +157,7 @@ func TestHonestUploadsValidate(t *testing.T) {
 		t.Helper()
 		a, raw := upload(t, nl, spec, arena)
 		req := signed(raw, false)
-		if reason, err := validateUpload(a, &req, true); reason != "" {
+		if reason, err := validateUpload(a, &req); reason != "" {
 			t.Fatalf("%s: honest upload rejected (%s): %v", name, reason, err)
 		}
 	}
@@ -193,7 +193,7 @@ func TestValidateUploadRejectsEveryBitFlip(t *testing.T) {
 			raw := append([]byte(nil), genuine...)
 			raw[i] ^= 1 << bit
 			req := ResultRequest{Outcome: service.Outcome{Result: raw}, Checksum: sum}
-			if reason, err := validateUpload(a, &req, true); reason != rejectChecksum {
+			if reason, err := validateUpload(a, &req); reason != rejectChecksum {
 				t.Fatalf("byte %d bit %d: reason %q (%v), want %q", i, bit, reason, err, rejectChecksum)
 			}
 		}
@@ -339,19 +339,16 @@ func TestValidateUploadMutations(t *testing.T) {
 		{"one via left uncolored", reencode(t, uncolored, u), ""},
 	} {
 		req := signed(tc.raw, false)
-		if reason, err := validateUpload(a, &req, true); reason != tc.reason {
+		if reason, err := validateUpload(a, &req); reason != tc.reason {
 			t.Errorf("%s: reason %q (%v), want %q", tc.name, reason, err, tc.reason)
 		}
 	}
-	// The occupied site is for the full re-check to find, as a DVI
-	// violation; the always-on tier sees an honest recount.
+	// The occupied site passes the recount; the full re-check finds
+	// it as a DVI violation.
 	req := signed(occupiedRaw, false)
-	if _, err := validateUpload(a, &req, true); err == nil ||
+	if _, err := validateUpload(a, &req); err == nil ||
 		!strings.Contains(err.Error(), verify.DVICollision.String()) && !strings.Contains(err.Error(), verify.DVIInfeasible.String()) {
 		t.Errorf("occupied candidate: %v, want a %s or %s violation", err, verify.DVICollision, verify.DVIInfeasible)
-	}
-	if reason, err := validateUpload(a, &req, false); reason != "" {
-		t.Errorf("occupied candidate: structural tier rejected (%s): %v", reason, err)
 	}
 }
 
@@ -406,8 +403,7 @@ func shifted(p *solution.Payload, dx, dy, dl int) *solution.Payload {
 }
 
 // FuzzResult feeds arbitrary Result bytes for one fixed job through
-// validateUpload, with and without the full re-verification: the
-// coordinator's trust boundary, where untrusted geometry reaches the
+// validateUpload: the coordinator's trust boundary, where untrusted geometry reaches the
 // verifier's grid indexing. It must never panic, and whatever it
 // accepts must carry the job's content address and a solution payload
 // whose independent recount matches the claimed row.
@@ -415,11 +411,10 @@ func shifted(p *solution.Payload, dx, dy, dl int) *solution.Payload {
 //	go test -run=NONE -fuzz=FuzzResult -fuzztime=10s -fuzzminimizetime=1s ./internal/cluster
 func FuzzResult(f *testing.F) {
 	a, genuine := uploadJob(f)
-	f.Add(genuine, false, false)
-	f.Add(genuine, true, false)
-	f.Add(genuine, true, true)
-	f.Add(genuine[:len(genuine)/2], true, false)
-	f.Add([]byte("null"), true, false)
+	f.Add(genuine, false)
+	f.Add(genuine, true)
+	f.Add(genuine[:len(genuine)/2], false)
+	f.Add([]byte("null"), false)
 	res, p := decodeUpload(f, genuine)
 	mutant := func(edit func(*api.Result) *solution.Payload) []byte {
 		r := res
@@ -445,8 +440,18 @@ func FuzzResult(f *testing.F) {
 		r.Row.DV++
 		return q
 	}
-	// The genuine upload passes; geometry shifted off its pins passes
-	// the recount and reaches the verifier, which rejects it.
+	// A payload that routes nothing recounts to its own zero row.
+	empty := res
+	empty.Row.WL, empty.Row.Vias, empty.Row.DV, empty.Row.UV, empty.InsertedVias = 0, 0, 0, 0, 0
+	empty.Solution = json.RawMessage(`"v2|"`)
+	emptyRaw, err := json.Marshal(empty)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(emptyRaw, false)
+	// The genuine upload passes; geometry shifted off its pins, and no
+	// geometry at all, pass the recount and reach the verifier, which
+	// rejects them.
 	for _, c := range []struct {
 		raw  []byte
 		want string
@@ -454,9 +459,10 @@ func FuzzResult(f *testing.F) {
 		{genuine, ""},
 		{mutant(func(*api.Result) *solution.Payload { return shifted(p, 1, 0, 0) }), rejectVerify},
 		{mutant(offGrid), rejectVerify},
+		{emptyRaw, rejectVerify},
 	} {
 		req := signed(c.raw, false)
-		if reason, err := validateUpload(a, &req, true); reason != c.want {
+		if reason, err := validateUpload(a, &req); reason != c.want {
 			f.Fatalf("validateUpload = %q (%v), want %q", reason, err, c.want)
 		}
 	}
@@ -475,13 +481,13 @@ func FuzzResult(f *testing.F) {
 		mutant(func(r *api.Result) *solution.Payload { r.Spec.Scheme = coloring.SID; return nil }),
 		mutant(uncolored),
 	} {
-		f.Add(m, true, false)
+		f.Add(m, false)
 	}
-	f.Fuzz(func(t *testing.T, raw []byte, full, degraded bool) {
+	f.Fuzz(func(t *testing.T, raw []byte, degraded bool) {
 		// The checksum is of the bytes fed, so the fuzzer reaches the
 		// decode, recount and verify tiers behind it.
 		req := signed(raw, degraded)
-		reason, err := validateUpload(a, &req, full)
+		reason, err := validateUpload(a, &req)
 		if reason != "" {
 			if err == nil {
 				t.Fatalf("rejected (%s) without an error", reason)

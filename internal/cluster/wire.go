@@ -109,9 +109,17 @@ type ResultRequest struct {
 	// any change to the bytes themselves.
 	Checksum string `json:"checksum,omitempty"`
 	// SpoolReplay marks an upload replayed from the worker's durable
-	// result spool after a restart (metrics only; the idempotency
-	// contract already makes the replay itself safe).
+	// result spool after a restart. It is counted, and it makes an
+	// upload that quotes no Epoch stale; the idempotency contract
+	// already makes the replay itself safe.
 	SpoolReplay bool `json:"spool_replay,omitempty"`
+	// Epoch is the service.ResultEpoch of the build that computed the
+	// outcome; a spooled upload keeps it across a worker upgrade. The
+	// coordinator answers another epoch "stale", and none too, unless
+	// the upload rides a fresh lease and is not a spool replay: a
+	// worker built before uploads carried the epoch quotes it only on
+	// the pull that granted that lease.
+	Epoch int `json:"epoch,omitempty"`
 }
 
 // Result upload verdicts.
@@ -122,10 +130,11 @@ const (
 	// or a rerun finishing after the original); the upload is a no-op,
 	// not an error — idempotency contract.
 	ResultDuplicate = "duplicate"
-	// ResultStale: the upload quoted an expired lease and did not
-	// decide the job (a successful stale upload is answered
-	// "accepted" instead — deterministic results make it as good as
-	// the rerun's).
+	// ResultStale: the upload quoted an expired lease, or may hold
+	// another build's bytes (ResultRequest.Epoch), and did not decide
+	// the job (a successful upload of this epoch on an expired lease
+	// is answered "accepted" instead — deterministic results make it
+	// as good as the rerun's).
 	ResultStale = "stale"
 	// ResultRejected: the coordinator's validator refused the payload
 	// (corrupt, inconsistent, or failing the full verify re-check);

@@ -347,7 +347,7 @@ func (w *Worker) execute(ctx context.Context, job *JobAssignment, arena *router.
 		w.sleep(jobCtx, w.cfg.SlowDelay)
 	}
 
-	req := ResultRequest{WorkerID: w.cfg.ID, JobID: job.ID, Lease: job.Lease, Key: job.Key}
+	req := ResultRequest{WorkerID: w.cfg.ID, JobID: job.ID, Lease: job.Lease, Key: job.Key, Epoch: service.ResultEpoch}
 	if nl, err := netlist.Read(strings.NewReader(job.Netlist)); err != nil {
 		req.Error = fmt.Sprintf("netlist: %v", err)
 	} else {

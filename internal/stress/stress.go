@@ -6,8 +6,9 @@
 // netlist to a locally minimal reproducer with a delta-debugging loop
 // and can dump it in netlist text, JSON and go-fuzz corpus formats.
 //
-// The harness is deterministic for a given seed, so a CI failure
-// reproduces locally with the same -seed.
+// The harness is deterministic for a given seed (the budget decides
+// only how many trials run), so a CI failure reproduces locally with
+// the same -seed.
 package stress
 
 import (
@@ -35,10 +36,6 @@ type Config struct {
 	Budget time.Duration
 	// MaxTrials additionally caps the trial count (0 = no cap).
 	MaxTrials int
-	// ILPTimeLimit bounds each exact DVI solve (default 2s; the
-	// warm-started incumbent is returned on expiry, which the checks
-	// accept).
-	ILPTimeLimit time.Duration
 	// ShrinkBudget caps pipeline re-runs during reproducer
 	// minimization (default 200).
 	ShrinkBudget int
@@ -52,9 +49,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ILPTimeLimit <= 0 {
-		c.ILPTimeLimit = 2 * time.Second
-	}
 	if c.ShrinkBudget <= 0 {
 		c.ShrinkBudget = 200
 	}
@@ -109,7 +103,7 @@ func Run(cfg Config) (Result, *Failure) {
 		ckt := randomCircuit(rng, res.Trials, cfg.MaxPins)
 		nl := bench.Generate(ckt)
 		for _, mode := range []coloring.SADPType{coloring.SIM, coloring.SID} {
-			if fail := checkPipeline(nl, mode, cfg.ILPTimeLimit); fail != nil {
+			if fail := checkPipeline(nl, mode); fail != nil {
 				fail.Trial = res.Trials
 				fail.Seed = cfg.Seed
 				fail.MaxPins = cfg.MaxPins
@@ -118,11 +112,11 @@ func Run(cfg Config) (Result, *Failure) {
 						res.Trials, mode, fail.Stage, len(nl.Nets))
 				}
 				fail.Netlist = shrinkNetlist(nl, func(cand *netlist.Netlist) bool {
-					return checkPipeline(cand, mode, cfg.ILPTimeLimit) != nil
+					return checkPipeline(cand, mode) != nil
 				}, cfg.ShrinkBudget)
 				// Re-derive the report on the shrunken netlist so the
 				// dumped failure matches the dumped reproducer.
-				if f2 := checkPipeline(fail.Netlist, mode, cfg.ILPTimeLimit); f2 != nil {
+				if f2 := checkPipeline(fail.Netlist, mode); f2 != nil {
 					fail.Stage, fail.Report, fail.Err = f2.Stage, f2.Report, f2.Err
 				}
 				return res, fail
@@ -165,7 +159,9 @@ func randomCircuit(rng *rand.Rand, trial int, maxPins int) bench.Circuit {
 
 // checkPipeline runs the full flow on nl in one SADP mode and verifies
 // every result, returning a Failure describing the first broken check.
-func checkPipeline(nl *netlist.Netlist, mode coloring.SADPType, ilpLimit time.Duration) *Failure {
+// The exact DVI solve stops at bench.DeterministicILPNodeLimit, never
+// a clock, so the outcome does not depend on the machine.
+func checkPipeline(nl *netlist.Netlist, mode coloring.SADPType) *Failure {
 	fail := func(stage string, rep *verify.Report, err error) *Failure {
 		return &Failure{Netlist: nl, Mode: mode, Stage: stage, Report: rep, Err: err}
 	}
@@ -191,7 +187,7 @@ func checkPipeline(nl *netlist.Netlist, mode coloring.SADPType, ilpLimit time.Du
 	if rep := verify.Solution(nl, routes, in, heur, opt); !rep.Ok() {
 		return fail("verify-heur", rep, rep.Err())
 	}
-	ilp, err := in.SolveILP(dvi.ILPOptions{TimeLimit: ilpLimit})
+	ilp, err := in.SolveILP(dvi.ILPOptions{NodeLimit: bench.DeterministicILPNodeLimit})
 	if err != nil {
 		return fail("ilp", nil, err)
 	}

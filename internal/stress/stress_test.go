@@ -84,7 +84,7 @@ func TestCheckPipelineCatchesBadNetlist(t *testing.T) {
 	if err := nl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	fail := checkPipeline(nl, coloring.SIM, time.Second)
+	fail := checkPipeline(nl, coloring.SIM)
 	if fail == nil {
 		t.Skip("router found a legal crossing; nothing to assert")
 	}

@@ -18,13 +18,12 @@
 //		ConsiderDVI: true,
 //		ConsiderTPL: true,
 //	})
-//	sol, err := res.InsertDoubleVias(sadproute.Heuristic, 0)
+//	sol, err := res.InsertDoubleVias(sadproute.Heuristic)
 //	fmt.Println(res.Stats.Wirelength, sol.DeadVias)
 package sadproute
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/coloring"
@@ -109,16 +108,17 @@ func RouteContext(ctx context.Context, nl *netlist.Netlist, cfg Config) (*Result
 }
 
 // InsertDoubleVias solves the post-routing TPL-aware DVI problem on
-// the solution. timeLimit bounds the ILP (0 = 10 minutes); it is
-// ignored by the heuristic.
-func (r *Result) InsertDoubleVias(m Method, timeLimit time.Duration) (*dvi.Solution, error) {
-	return r.InsertDoubleViasContext(context.Background(), m, timeLimit)
+// the solution. The ILP stops at bench.DeterministicILPNodeLimit nodes
+// per component, or at the bench.DefaultILPTimeLimit backstop
+// (Solution.LimitHit marks an unproven incumbent).
+func (r *Result) InsertDoubleVias(m Method) (*dvi.Solution, error) {
+	return r.InsertDoubleViasContext(context.Background(), m)
 }
 
 // InsertDoubleViasContext is InsertDoubleVias with a context: a
-// deadline additionally caps the ILP time limit, and an
-// already-canceled context aborts before solving.
-func (r *Result) InsertDoubleViasContext(ctx context.Context, m Method, timeLimit time.Duration) (*dvi.Solution, error) {
+// deadline also caps the ILP's wall clock, and an already-canceled
+// context aborts before solving.
+func (r *Result) InsertDoubleViasContext(ctx context.Context, m Method) (*dvi.Solution, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func (r *Result) InsertDoubleViasContext(ctx context.Context, m Method, timeLimi
 	if m == Heuristic {
 		return in.SolveHeuristic(dvi.DefaultHeurParams()), nil
 	}
-	return in.SolveILP(dvi.ILPOptions{TimeLimit: bench.ILPBudget(ctx, timeLimit)})
+	return in.SolveILP(dvi.ILPOptions{TimeLimit: bench.ILPBudget(ctx, 0), NodeLimit: bench.DeterministicILPNodeLimit})
 }
 
 // DVIInstance exposes the post-routing DVI problem for custom

@@ -2,7 +2,6 @@ package sadproute
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/coloring"
@@ -17,7 +16,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if res.Stats.Routability != 1 {
 		t.Fatalf("routability %v", res.Stats.Routability)
 	}
-	sol, err := res.InsertDoubleVias(Heuristic, 0)
+	sol, err := res.InsertDoubleVias(Heuristic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +38,11 @@ func TestFacadeILP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heur, err := res.InsertDoubleVias(Heuristic, 0)
+	heur, err := res.InsertDoubleVias(Heuristic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ilpSol, err := res.InsertDoubleVias(ILP, 20*time.Second)
+	ilpSol, err := res.InsertDoubleVias(ILP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,11 @@
 #      while a job is leased, restarted on the same address and
 #      journal; the job must replay and finish identically.
 #   4. Network-chaos sweep: for each preset in CHAOS_PRESETS (latency,
-#      corrupt, slow, spool) the coordinator runs with -verify-uploads
-#      and the worker with -chaos <preset>; corrupted uploads must be
-#      rejected and re-placed, stragglers hedged, spooled results
-#      replayed — always byte-identical to standalone.
+#      corrupt, slow, spool) the worker runs with -chaos <preset>, and
+#      the coordinator fully re-checks every upload, as it always does;
+#      corrupted uploads must be rejected and re-placed, stragglers
+#      hedged, spooled results replayed — always byte-identical to
+#      standalone.
 #
 # SCENARIOS selects which fault sections run (the standalone reference
 # always does): any of "kill crash chaos". The CI matrix uses this to
@@ -193,10 +194,10 @@ fi
 # ---- 4. Network-chaos sweep --------------------------------------
 chaos_run() { # $1=preset
   local preset=$1
-  echo "== chaos preset: $preset (verified uploads on)"
+  echo "== chaos preset: $preset"
   rm -f "$WORK/chaos.addr"
   local coord_flags=(-mode coordinator -addr 127.0.0.1:0 -addr-file "$WORK/chaos.addr"
-    -data-dir "$WORK/chaos-$preset-data" -lease-ttl 2s -max-attempts 4 -verify-uploads -quiet)
+    -data-dir "$WORK/chaos-$preset-data" -lease-ttl 2s -max-attempts 4 -quiet)
   if [ "$preset" = slow ]; then
     coord_flags+=(-hedge-multiple 4 -hedge-min-samples 2)
   fi
