@@ -118,17 +118,26 @@ func TestBudgetsInertWithoutDegrade(t *testing.T) {
 	}
 }
 
+// hardILPCircuit is efc-mp generated from seed 887130. Routed under
+// SID, its DVI instance holds a conflict component that 5 000 000 nodes
+// of the exact search do not prove (about 0.8 s on a 2-core x86 VM),
+// so a 50 ms limit always stops the solve and 100 nodes always cap it
+// first.
+func hardILPCircuit() Circuit {
+	c := TinyMultiPinSuite()[1]
+	c.Seed = 887130
+	return c
+}
+
 // The ILP's two limits are told apart. A stop by the wall-clock limit
 // depends on the machine, so it is flagged whether or not Degrade is
 // set; a stop by the node limit is a deterministic function of the
-// input and spec and is never flagged. efc-t under SIM holds a
-// component that 400 000 nodes do not prove, so 50 ms always stops it
-// and 100 nodes always cap it first.
+// input and spec and is never flagged.
 func TestILPStopsFlaggedByCause(t *testing.T) {
-	nl := Generate(TinySuite()[1])
+	nl := Generate(hardILPCircuit())
 	for _, degrade := range []bool{false, true} {
 		spec := RunSpec{
-			Scheme: coloring.SIM, ConsiderDVI: true, ConsiderTPL: true,
+			Scheme: coloring.SID, ConsiderDVI: true, ConsiderTPL: true,
 			Method: ILPDVI, ILPTimeLimit: 50 * time.Millisecond, Degrade: degrade,
 		}
 		_, art, err := Run(nl, spec)

@@ -22,8 +22,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the testdata golden and c
 // goldenEntry pins every machine-independent metric of one golden-suite
 // configuration, and the run's solution payload by its SHA-256, so a
 // change that reorders paths or re-encodes the payload changes the
-// goldens even where every metric holds. CPU timings are deliberately
-// absent.
+// goldens even where every metric holds. An ILP row also pins whether
+// its exact solve proved optimality within the node cap. CPU timings
+// are deliberately absent.
 type goldenEntry struct {
 	Circuit        string `json:"circuit"`
 	Scheme         string `json:"scheme"`
@@ -33,6 +34,7 @@ type goldenEntry struct {
 	DV             int    `json:"dv"`
 	UV             int    `json:"uv"`
 	Inserted       int    `json:"inserted"`
+	Proven         proof  `json:"proven,omitempty"`
 	SolutionSHA256 string `json:"solution_sha256"`
 }
 
@@ -43,12 +45,43 @@ func newGoldenEntry(c Circuit, scheme coloring.SADPType, method DVIMethod, row R
 		return goldenEntry{}, err
 	}
 	sum := sha256.Sum256(b)
-	return goldenEntry{
+	e := goldenEntry{
 		Circuit: c.Name, Scheme: scheme.String(), Method: method.String(),
 		WL: row.WL, Vias: row.Vias, DV: row.DV, UV: row.UV,
 		Inserted:       art.Solution.InsertedCount,
 		SolutionSHA256: hex.EncodeToString(sum[:]),
-	}, nil
+	}
+	if method == ILPDVI {
+		e.Proven = unproven
+		if !art.Solution.LimitHit {
+			e.Proven = proven
+		}
+	}
+	return e, nil
+}
+
+// proof is an ILP row's proof status, written as a JSON bool; a
+// heuristic row has none and omits the field.
+type proof int8
+
+const (
+	noProof proof = iota
+	unproven
+	proven
+)
+
+func (p proof) MarshalJSON() ([]byte, error) { return json.Marshal(p == proven) }
+
+func (p *proof) UnmarshalJSON(b []byte) error {
+	var ok bool
+	if err := json.Unmarshal(b, &ok); err != nil {
+		return err
+	}
+	*p = unproven
+	if ok {
+		*p = proven
+	}
+	return nil
 }
 
 // counterEntry pins the router's exact work counters (router.Stats)

@@ -96,8 +96,8 @@ type RunSpec struct {
 	Method DVIMethod     `json:"method"`
 	// ILPTimeLimit bounds the exact solve (0 = DefaultILPTimeLimit).
 	ILPTimeLimit time.Duration `json:"ilp_time_limit,omitempty"`
-	// ILPNodeLimit caps branch-and-bound nodes per component (0 = no
-	// cap). Unlike the wall-clock limit it is deterministic: the same
+	// ILPNodeLimit caps the exact search's nodes per conflict component
+	// (0 = no cap). Unlike the wall-clock limit it is deterministic: the same
 	// instance and limit yield the same solution on any machine, which
 	// is what the golden regression test pins down.
 	ILPNodeLimit int64 `json:"ilp_node_limit,omitempty"`
@@ -301,11 +301,11 @@ func RunContextArena(ctx context.Context, nl *netlist.Netlist, spec RunSpec, are
 // a spec or caller leaves it zero.
 const DefaultILPTimeLimit = 10 * time.Minute
 
-// DeterministicILPNodeLimit caps the exact DVI solve's branch-and-bound
-// nodes in every offline run, where a result must be the same on every
-// machine (the goldens, the ablation benchmarks, the tables, sadproute,
-// stress and the root facade): branch-and-bound explores the same nodes
-// in the same order everywhere, so capping nodes fixes the incumbent.
+// DeterministicILPNodeLimit caps the exact DVI solve's search nodes in
+// every offline run, where a result must be the same on every machine
+// (the goldens, the ablation benchmarks, the tables, sadproute, stress
+// and the root facade): the search explores the same nodes in the same
+// order everywhere, so capping nodes fixes the incumbent.
 // The offline runs that go through Run or ILPBudget keep
 // DefaultILPTimeLimit only as a backstop, which the full-size tables
 // stay far inside; only the service budgets the solve by time.

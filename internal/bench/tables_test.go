@@ -41,18 +41,20 @@ func TestTableVRenders(t *testing.T) {
 // TestTableVIVIIRenders: the heuristic reports zero uncolorable vias,
 // and an ILP #DV cell whose solve stopped at the node cap carries "*"
 // and the table its legend line, a proven one neither. At
-// DeterministicILPNodeLimit, ecc-t's solves are proven and efc-t's SIM
-// solve stops at the cap.
+// DeterministicILPNodeLimit, ecc-t's and efc-t's solves are proven and
+// hardILPCircuit's SID solve stops at the cap.
 func TestTableVIVIIRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the router and ILP")
 	}
-	unproven := map[string]bool{"efc-t": true}
+	hard := hardILPCircuit()
+	hard.Name = "efc-mp-hard"
+	unproven := map[string]bool{hard.Name: true}
 	for _, tc := range []struct {
 		typ      coloring.SADPType
-		circuits int
-	}{{coloring.SIM, 2}, {coloring.SID, 1}} {
-		tbl, err := TableVIVII(TinySuite()[:tc.circuits], tc.typ)
+		circuits []Circuit
+	}{{coloring.SIM, TinySuite()[:2]}, {coloring.SID, []Circuit{TinySuite()[0], hard}}} {
+		tbl, err := TableVIVII(tc.circuits, tc.typ)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,8 +78,8 @@ func TestTableVIVIIRenders(t *testing.T) {
 			}
 			marked = marked || m
 		}
-		if rows != tc.circuits {
-			t.Errorf("%v: %d circuit rows, want %d:\n%s", tc.typ, rows, tc.circuits, s)
+		if rows != len(tc.circuits) {
+			t.Errorf("%v: %d circuit rows, want %d:\n%s", tc.typ, rows, len(tc.circuits), s)
 		}
 		if strings.Contains(s, unprovenLegend) != marked {
 			t.Errorf("%v: legend line present %v, want %v:\n%s", tc.typ, !marked, marked, s)

@@ -3,6 +3,7 @@ package dvi_test
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -11,9 +12,24 @@ import (
 )
 
 // instances routes TinySuite, TinyMultiPinSuite and ScaledSuite(4) in
-// both SADP modes and returns each routing's DVI instance.
+// both SADP modes and returns each routing's DVI instance, keyed by
+// circuit and mode. The first call routes; later ones share its map.
 func instances(t *testing.T) map[string]*dvi.Instance {
 	t.Helper()
+	routed.once.Do(func() { routed.m, routed.err = route() })
+	if routed.err != nil {
+		t.Fatal(routed.err)
+	}
+	return routed.m
+}
+
+var routed struct {
+	once sync.Once
+	m    map[string]*dvi.Instance
+	err  error
+}
+
+func route() (map[string]*dvi.Instance, error) {
 	out := map[string]*dvi.Instance{}
 	var circuits []bench.Circuit
 	circuits = append(circuits, bench.TinySuite()...)
@@ -25,12 +41,12 @@ func instances(t *testing.T) map[string]*dvi.Instance {
 			spec := bench.RunSpec{Scheme: mode, ConsiderDVI: true, ConsiderTPL: true, Method: bench.HeurDVI}
 			_, art, err := bench.Run(nl, spec)
 			if err != nil {
-				t.Fatalf("%s/%v: %v", ckt.Name, mode, err)
+				return nil, fmt.Errorf("%s/%v: %w", ckt.Name, mode, err)
 			}
 			out[fmt.Sprintf("%s/%v", ckt.Name, mode)] = art.Instance
 		}
 	}
-	return out
+	return out, nil
 }
 
 // TestHeuristicMatchesReference holds the heuristic on flat site
@@ -86,4 +102,61 @@ func copySol(s *dvi.Solution) *dvi.Solution {
 	c.Colors = append([]int8(nil), s.Colors...)
 	c.RedColors = append([]int8(nil), s.RedColors...)
 	return &c
+}
+
+// TestExactMatchesExhaustive holds the exact search to the exhaustive
+// solver on every conflict component of at most 24 model binaries of
+// the routed suites, each solved as an instance of its own.
+func TestExactMatchesExhaustive(t *testing.T) {
+	checked := 0
+	for name, in := range instances(t) { //sadplint:ordered each instance is checked on its own
+		for _, comp := range dvi.Components(in) {
+			sub := &dvi.Instance{G: in.G}
+			for _, v := range comp {
+				sub.Vias = append(sub.Vias, in.Vias[v])
+				sub.Feas = append(sub.Feas, in.Feas[v])
+			}
+			m, vars := sub.BuildILP()
+			if m.NumVars() > 24 {
+				continue
+			}
+			checked++
+			want := dvi.RefSolveExhaustive(sub)
+			s, err := sub.SolveILP(dvi.ILPOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.ObjectiveOf(vars.Assignment(s)); got != want || s.LimitHit {
+				t.Errorf("%s, component %v: objective %d (limit hit %v), exhaustive optimum %d", name, comp, got, s.LimitHit, want)
+			}
+		}
+	}
+	t.Logf("%d components checked", checked)
+}
+
+// TestILPModelVerifiesOwnSolution encodes each exact solution into
+// BuildILP's variables and requires the model to accept it and to
+// score it as the solution's stats do, on the routed suites at the
+// goldens' node cap and on FuzzExact's seed instances uncapped.
+func TestILPModelVerifiesOwnSolution(t *testing.T) {
+	check := func(name string, in *dvi.Instance, limit int64) {
+		s, err := in.SolveILP(dvi.ILPOptions{NodeLimit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, vars := in.BuildILP()
+		x := vars.Assignment(s)
+		if err := m.Verify(x); err != nil {
+			t.Errorf("%s: the model rejects the solution: %v", name, err)
+		}
+		if got, want := m.ObjectiveOf(x), int64(s.InsertedCount)-(1<<20)*int64(s.Uncolorable); got != want {
+			t.Errorf("%s: model objective %d, stats say %d", name, got, want)
+		}
+	}
+	for name, in := range instances(t) { //sadplint:ordered each instance is checked on its own
+		check(name, in, bench.DeterministicILPNodeLimit)
+	}
+	for i, seed := range dvi.ExactFuzzSeeds {
+		check(fmt.Sprintf("seed %d", i), dvi.DecodeInstance(seed), 0)
+	}
 }

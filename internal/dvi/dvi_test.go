@@ -415,19 +415,6 @@ func TestInstanceOnNilRoutes(t *testing.T) {
 	}
 }
 
-func TestILPModelVerifiesOwnSolution(t *testing.T) {
-	in := parallelInstance(t, 3)
-	m, _ := in.BuildILP()
-	if m.NumVars() == 0 {
-		t.Fatal("empty model")
-	}
-	s, err := in.SolveILP(ILPOptions{TimeLimit: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = s
-}
-
 func BenchmarkHeuristic(b *testing.B) {
 	g := grid.New(64, 64, 2, coloring.Scheme{Type: coloring.SIM})
 	var routes []*grid.Route

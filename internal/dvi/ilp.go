@@ -1,47 +1,41 @@
 package dvi
 
 import (
-	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/ilp"
 	"repro/internal/tpl"
 )
 
-// The exact ILP formulation of the TPL-aware DVI problem (§III-E,
-// constraints C1–C8), lowered onto the internal/ilp solver in place of
-// Gurobi. Variables per via i: color indicators oV, gV, bV, an
-// uncolorable indicator uV, and per feasible DVIC j: the insertion
-// indicator D_ij plus its color indicators oD, gD, bD. The objective
-// maximizes insertions minus a large penalty for uncolorable vias.
+// The ILP formulation of the TPL-aware DVI problem (§III-E,
+// constraints C1–C8): the model of record, which the exact search
+// (exact.go) solves without building it. Variables per via i: color
+// indicators oV, gV, bV, an uncolorable indicator uV, and per feasible
+// DVIC j: the insertion indicator D_ij plus its color indicators oD,
+// gD, bD. The objective maximizes insertions minus a large penalty for
+// uncolorable vias.
 
-// ILPOptions bound the exact solve.
-type ILPOptions struct {
-	TimeLimit time.Duration
-	NodeLimit int64
-}
+// bigBPrime is the big-M of the conditional color constraints (sums
+// ≤ 4).
+const bigBPrime = 8
 
-const (
-	bigB      = 1 << 20 // objective penalty per uncolorable via
-	bigBPrime = 8       // big-M for conditional color constraints (sums ≤ 4)
-)
-
-// ilpVars records the variable layout for decoding.
-type ilpVars struct {
+// ILPVars records BuildILP's variable layout.
+type ILPVars struct {
 	colV [][3]int // per via: oV, gV, bV
 	uV   []int
 	d    [][]int    // per via, per candidate: D_ij
 	colD [][][3]int // per via, per candidate: oD, gD, bD
+	n    int        // number of model variables
 }
 
-// BuildILP constructs the paper's ILP for the instance. Exposed for
-// tests and the benchmark harness (model size reporting).
-func (in *Instance) BuildILP() (*ilp.Model, *ilpVars) {
+// BuildILP constructs the paper's ILP for the instance. Tests check
+// the exact search's solutions against it, and the benchmark harness
+// reports its size.
+func (in *Instance) BuildILP() (*ilp.Model, *ILPVars) {
 	m := ilp.NewModel()
 	n := len(in.Vias)
-	v := &ilpVars{
+	v := &ILPVars{
 		colV: make([][3]int, n),
 		uV:   make([]int, n),
 		d:    make([][]int, n),
@@ -216,75 +210,27 @@ func (in *Instance) BuildILP() (*ilp.Model, *ilpVars) {
 			}
 		}
 	}
+	v.n = m.NumVars()
 	return m, v
 }
 
-// warmStart encodes a heuristic solution as an ILP assignment, seeding
-// the branch and bound with a feasible incumbent.
-func (in *Instance) warmStart(m *ilp.Model, vars *ilpVars, h *Solution) []int8 {
-	x := make([]int8, m.NumVars())
-	for i := range in.Vias {
-		if c := h.Colors[i]; c >= 0 {
-			x[vars.colV[i][c]] = 1
+// Assignment encodes a solution of the instance as a 0/1 assignment of
+// BuildILP's variables, which the model's Verify checks and its
+// ObjectiveOf scores.
+func (v *ILPVars) Assignment(s *Solution) []int8 {
+	x := make([]int8, v.n)
+	for i := range v.uV {
+		if c := s.Colors[i]; c >= 0 {
+			x[v.colV[i][c]] = 1
 		} else {
-			x[vars.uV[i]] = 1
+			x[v.uV[i]] = 1
 		}
-		if j := h.Inserted[i]; j >= 0 {
-			x[vars.d[i][j]] = 1
-			if rc := h.RedColors[i]; rc >= 0 {
-				x[vars.colD[i][j][rc]] = 1
+		if j := s.Inserted[i]; j >= 0 {
+			x[v.d[i][j]] = 1
+			if rc := s.RedColors[i]; rc >= 0 {
+				x[v.colD[i][j][rc]] = 1
 			}
 		}
 	}
 	return x
-}
-
-// SolveILP solves the TPL-aware DVI ILP exactly (or to the limits) and
-// decodes the result. The search starts from the Algorithm 3 heuristic
-// solution as incumbent, so the result is never worse than the
-// heuristic even under tight limits.
-func (in *Instance) SolveILP(opts ILPOptions) (*Solution, error) {
-	m, vars := in.BuildILP()
-	warm := in.warmStart(m, vars, in.SolveHeuristic(DefaultHeurParams()))
-	res := ilp.Solve(m, ilp.Options{TimeLimit: opts.TimeLimit, NodeLimit: opts.NodeLimit, WarmStart: warm})
-	switch res.Status {
-	case ilp.Optimal, ilp.Feasible:
-	default:
-		return nil, fmt.Errorf("dvi: ILP solve failed with status %v", res.Status)
-	}
-	n := len(in.Vias)
-	s := &Solution{
-		Inserted:  make([]int, n),
-		Colors:    make([]int8, n),
-		RedColors: make([]int8, n),
-		LimitHit:  res.Status == ilp.Feasible,
-		TimedOut:  res.TimedOut,
-	}
-	for i := 0; i < n; i++ {
-		s.Inserted[i] = -1
-		s.Colors[i] = tpl.Uncolored
-		s.RedColors[i] = tpl.Uncolored
-		for c := int8(0); c < 3; c++ {
-			if res.X[vars.colV[i][c]] == 1 {
-				s.Colors[i] = c
-			}
-		}
-		if res.X[vars.uV[i]] == 1 {
-			s.Uncolorable++
-			s.Colors[i] = tpl.Uncolored
-		}
-		for j := range in.Feas[i] {
-			if res.X[vars.d[i][j]] == 1 {
-				s.Inserted[i] = j
-				s.InsertedCount++
-				for c := int8(0); c < 3; c++ {
-					if res.X[vars.colD[i][j][c]] == 1 {
-						s.RedColors[i] = c
-					}
-				}
-			}
-		}
-	}
-	s.DeadVias = n - s.InsertedCount
-	return s, nil
 }

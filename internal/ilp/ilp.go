@@ -1,25 +1,15 @@
-// Package ilp is a self-contained 0-1 integer linear program solver.
-//
-// It substitutes for the Gurobi 6.5 solver the paper calls to solve the
-// TPL-aware double via insertion ILP (§III-E). The solver maximizes a
-// linear objective over binary variables subject to linear constraints,
-// by branch and bound with constraint propagation. Independent
-// subproblems are found by connected-component decomposition of the
-// variable/constraint incidence graph and solved separately — the DVI
-// instances decompose into many small clusters of mutually-interacting
-// vias, which is what makes exact solving tractable without an LP
-// relaxation.
-//
-// The bound combines the trivial objective bound with packing
-// constraints (sum of binaries ≤ k), which the DVI formulation is full
-// of (C1, C2, C5–C7 after big-M substitution).
+// Package ilp holds 0-1 integer linear programs: a linear objective to
+// maximize over binary variables, linear constraints, and the check
+// that an assignment satisfies them. dvi.BuildILP states the paper's
+// TPL-aware double via insertion ILP (§III-E) in it, the model the
+// paper hands to Gurobi 6.5; internal/dvi solves that problem with its
+// own exact search, and the tests hold each solution to this model.
 package ilp
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"time"
 )
 
 // Sense is the comparison sense of a constraint.
@@ -119,71 +109,6 @@ func (m *Model) AddConstraint(terms []Term, sense Sense, rhs int64) {
 	default:
 		panic(fmt.Sprintf("ilp: bad sense %v", sense))
 	}
-}
-
-// Status reports the outcome of Solve.
-type Status uint8
-
-const (
-	// Optimal: the returned assignment is proven optimal.
-	Optimal Status = iota
-	// Feasible: a feasible assignment was found but optimality was not
-	// proven within the limits.
-	Feasible
-	// Infeasible: the model has no feasible assignment.
-	Infeasible
-	// Unknown: limits were hit before any feasible assignment was
-	// found.
-	Unknown
-)
-
-func (s Status) String() string {
-	switch s {
-	case Optimal:
-		return "optimal"
-	case Feasible:
-		return "feasible"
-	case Infeasible:
-		return "infeasible"
-	case Unknown:
-		return "unknown"
-	}
-	return fmt.Sprintf("Status(%d)", uint8(s))
-}
-
-// Options bound the solve effort.
-type Options struct {
-	// TimeLimit caps wall-clock time; zero means no limit. The clock
-	// is read every 1 024 nodes of a component, and a stop it causes
-	// sets Result.TimedOut.
-	TimeLimit time.Duration
-	// NodeLimit caps branch-and-bound nodes per component; zero means
-	// no limit. Unlike TimeLimit it is deterministic.
-	NodeLimit int64
-	// WarmStart optionally seeds the search with a known feasible
-	// assignment (e.g. from a heuristic): it becomes the initial
-	// incumbent of every component, guaranteeing a Feasible result at
-	// worst and pruning the search. An infeasible warm start is
-	// ignored.
-	WarmStart []int8
-}
-
-// Result is the outcome of Solve.
-type Result struct {
-	Status    Status
-	Objective int64
-	// X is the variable assignment (0/1); valid when Status is Optimal
-	// or Feasible.
-	X []int8
-	// Nodes is the total number of branch-and-bound nodes explored.
-	Nodes int64
-	// Components is the number of independent subproblems solved.
-	Components int
-	// TimedOut is set when Options.TimeLimit, rather than the node
-	// limit, stopped the search of some component. Such a result
-	// depends on the machine's speed; without it, the same model and
-	// node limit always give the same Result.
-	TimedOut bool
 }
 
 // Verify checks that x satisfies every constraint of the model.

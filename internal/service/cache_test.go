@@ -58,7 +58,7 @@ func TestCacheKeyNormalization(t *testing.T) {
 		t.Fatal(err)
 	}
 	pinned := bench.RunSpec{Scheme: coloring.SIM, ConsiderDVI: true, ConsiderTPL: true, Method: bench.HeurDVI}
-	if got, want := mustKey(t, string(tiny), pinned), "ea7ef59b003aa1ae157421fd760562e79bc93de7f435e9ad584ce5632b0e94f2"; got != want {
+	if got, want := mustKey(t, string(tiny), pinned), "49a61bc654819e26618acf9bd5b08b9045d477b608c3e1a3edde7ccdc7985a9a"; got != want {
 		t.Fatalf("tiny.net content address %s, want %s", got, want)
 	}
 

@@ -16,6 +16,7 @@ var goldenDigests = map[int]string{
 	1: "4c5eb7530b67bfaffa599e083e1de1f4a8cde7ae8e8808b10962ed6bad9d0579",
 	2: "5063d4ea6e75b43f81d355da7029e286097877070756abd8362b61d09b7a4139",
 	3: "737708e25118aa4d5e552ec9328fb381a2538a24eb4bf3364e380c6c49b5a0ee",
+	4: "a7e3efb04b7b96783247c4b3a11a18a124c83a66f1a4a8b3d67fd66a39373e8f",
 }
 
 // goldenDigest hashes every golden file, in name order, as its name, a

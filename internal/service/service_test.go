@@ -162,12 +162,15 @@ func TestEndToEndCacheHit(t *testing.T) {
 // so it lists dvi-ilp-timeout and never enters the cache, with or
 // without Degrade: its resubmission routes again. The same job under a
 // node limit, the deterministic budget, is an ordinary result whose
-// resubmission is a cache hit. efc-t under SIM holds a component that
-// 400 000 nodes do not prove, so 50 ms always stops it and 100 nodes
-// always cap it first.
+// resubmission is a cache hit. efc-mp generated from seed 887130 and
+// routed under SID holds a component that 5 000 000 nodes of the exact
+// search do not prove, so 50 ms always stops it and 100 nodes always
+// cap it first.
 func TestILPTimeoutNeverCached(t *testing.T) {
+	hard := bench.TinyMultiPinSuite()[1]
+	hard.Seed = 887130
 	var buf bytes.Buffer
-	if err := bench.Generate(bench.TinySuite()[1]).Write(&buf); err != nil {
+	if err := bench.Generate(hard).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	s := mustNew(t, Config{Workers: 1, QueueSize: 4})
@@ -190,7 +193,7 @@ func TestILPTimeoutNeverCached(t *testing.T) {
 		return res
 	}
 	spec := bench.RunSpec{
-		Scheme: coloring.SIM, ConsiderDVI: true, ConsiderTPL: true,
+		Scheme: coloring.SID, ConsiderDVI: true, ConsiderTPL: true,
 		Method: bench.ILPDVI, ILPTimeLimit: 50 * time.Millisecond,
 	}
 	for i := 0; i < 2; i++ {

@@ -194,11 +194,21 @@ func checkPipeline(nl *netlist.Netlist, mode coloring.SADPType) *Failure {
 	if rep := verify.Solution(nl, routes, in, ilp, opt); !rep.Ok() {
 		return fail("verify-ilp", rep, rep.Err())
 	}
-	if ilp.InsertedCount < heur.InsertedCount {
+	if worseObjective(ilp, heur) {
 		return fail("heur-vs-ilp", nil, fmt.Errorf(
-			"ILP inserted %d < heuristic %d on the same instance", ilp.InsertedCount, heur.InsertedCount))
+			"ILP uncolorable %d, inserted %d; heuristic uncolorable %d, inserted %d on the same instance",
+			ilp.Uncolorable, ilp.InsertedCount, heur.Uncolorable, heur.InsertedCount))
 	}
 	return nil
+}
+
+// worseObjective reports whether DVI solution a scores below b under
+// the exact solve's objective: fewer uncolorable vias first, then more
+// insertions. The exact solve starts from the heuristic's solution, so
+// it may trade insertions only for uncolorable vias.
+func worseObjective(a, b *dvi.Solution) bool {
+	return a.Uncolorable > b.Uncolorable ||
+		a.Uncolorable == b.Uncolorable && a.InsertedCount < b.InsertedCount
 }
 
 // WriteFiles dumps the reproducer into dir: the netlist in text format

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/coloring"
+	"repro/internal/dvi"
 	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/verify"
@@ -232,5 +233,28 @@ func TestWriteFiles(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(corpus), "go test fuzz v1\nstring(") {
 		t.Fatalf("corpus entry not in go-fuzz v1 format: %q", corpus)
+	}
+}
+
+// The heur-vs-ilp check compares objectives: an exact solution that
+// inserts fewer redundant vias but leaves fewer vias uncolorable is
+// better, not a failure.
+func TestWorseObjective(t *testing.T) {
+	for _, tc := range []struct {
+		ilpUV, ilpIns, heurUV, heurIns int
+		worse                          bool
+	}{
+		{0, 10, 0, 10, false},
+		{0, 11, 0, 10, false},
+		{0, 9, 0, 10, true},
+		{0, 8, 1, 10, false},
+		{1, 12, 0, 10, true},
+	} {
+		ilp := &dvi.Solution{Uncolorable: tc.ilpUV, InsertedCount: tc.ilpIns}
+		heur := &dvi.Solution{Uncolorable: tc.heurUV, InsertedCount: tc.heurIns}
+		if got := worseObjective(ilp, heur); got != tc.worse {
+			t.Errorf("ILP UV %d ins %d vs heuristic UV %d ins %d: worse %v, want %v",
+				tc.ilpUV, tc.ilpIns, tc.heurUV, tc.heurIns, got, tc.worse)
+		}
 	}
 }
