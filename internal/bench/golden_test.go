@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ type goldenEntry struct {
 	DV             int    `json:"dv"`
 	UV             int    `json:"uv"`
 	Inserted       int    `json:"inserted"`
-	Proven         proof  `json:"proven,omitempty"`
+	Proven         *bool  `json:"proven,omitempty"`
 	SolutionSHA256 string `json:"solution_sha256"`
 }
 
@@ -52,36 +53,10 @@ func newGoldenEntry(c Circuit, scheme coloring.SADPType, method DVIMethod, row R
 		SolutionSHA256: hex.EncodeToString(sum[:]),
 	}
 	if method == ILPDVI {
-		e.Proven = unproven
-		if !art.Solution.LimitHit {
-			e.Proven = proven
-		}
+		proven := !art.Solution.LimitHit
+		e.Proven = &proven
 	}
 	return e, nil
-}
-
-// proof is an ILP row's proof status, written as a JSON bool; a
-// heuristic row has none and omits the field.
-type proof int8
-
-const (
-	noProof proof = iota
-	unproven
-	proven
-)
-
-func (p proof) MarshalJSON() ([]byte, error) { return json.Marshal(p == proven) }
-
-func (p *proof) UnmarshalJSON(b []byte) error {
-	var ok bool
-	if err := json.Unmarshal(b, &ok); err != nil {
-		return err
-	}
-	*p = unproven
-	if ok {
-		*p = proven
-	}
-	return nil
 }
 
 // counterEntry pins the router's exact work counters (router.Stats)
@@ -208,7 +183,7 @@ func TestGolden(t *testing.T) {
 
 // compareGolden matches the computed entries against the named file in
 // testdata, or rewrites the file under -update.
-func compareGolden[E comparable](t *testing.T, file string, got []E) {
+func compareGolden[E any](t *testing.T, file string, got []E) {
 	t.Helper()
 	path := filepath.Join("testdata", file)
 	if *updateGolden {
@@ -238,8 +213,10 @@ func compareGolden[E comparable](t *testing.T, file string, got []E) {
 		t.Fatalf("%s has %d entries, current run %d (rerun with -update after reviewing)", file, len(want), len(got))
 	}
 	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("%s drifted at entry %d:\n  want: %+v\n  got:  %+v", file, i, want[i], got[i])
+		if !reflect.DeepEqual(got[i], want[i]) {
+			w, _ := json.Marshal(want[i])
+			g, _ := json.Marshal(got[i])
+			t.Errorf("%s drifted at entry %d:\n  want: %s\n  got:  %s", file, i, w, g)
 		}
 	}
 }

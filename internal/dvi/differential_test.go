@@ -12,8 +12,10 @@ import (
 )
 
 // instances routes TinySuite, TinyMultiPinSuite and ScaledSuite(4) in
-// both SADP modes and returns each routing's DVI instance, keyed by
-// circuit and mode. The first call routes; later ones share its map.
+// both SADP modes, TPL-aware and not, and returns each routing's DVI
+// instance, keyed by circuit, mode and "/noTPL" for the TPL-unaware
+// ones, whose forbidden via patterns leave some vias uncolorable. The
+// first call routes; later ones share its map.
 func instances(t *testing.T) map[string]*dvi.Instance {
 	t.Helper()
 	routed.once.Do(func() { routed.m, routed.err = route() })
@@ -38,12 +40,18 @@ func route() (map[string]*dvi.Instance, error) {
 	for _, ckt := range circuits {
 		nl := bench.Generate(ckt)
 		for _, mode := range []coloring.SADPType{coloring.SIM, coloring.SID} {
-			spec := bench.RunSpec{Scheme: mode, ConsiderDVI: true, ConsiderTPL: true, Method: bench.HeurDVI}
-			_, art, err := bench.Run(nl, spec)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%v: %w", ckt.Name, mode, err)
+			for _, tplAware := range []bool{true, false} {
+				name := fmt.Sprintf("%s/%v", ckt.Name, mode)
+				if !tplAware {
+					name += "/noTPL"
+				}
+				spec := bench.RunSpec{Scheme: mode, ConsiderDVI: true, ConsiderTPL: tplAware, Method: bench.HeurDVI}
+				_, art, err := bench.Run(nl, spec)
+				if err != nil {
+					return nil, fmt.Errorf("%s: %w", name, err)
+				}
+				out[name] = art.Instance
 			}
-			out[fmt.Sprintf("%s/%v", ckt.Name, mode)] = art.Instance
 		}
 	}
 	return out, nil

@@ -25,7 +25,7 @@ import (
 //     no color left, minus one for each pair of a matching of clashing
 //     vias (two that can never both insert); a walled candidate (one
 //     no color is left for once the originals are colored) counts for
-//     nothing;
+//     nothing while every original that could wall it stays colored;
 //   - once a branch leaves the undecided vias in several groups that no
 //     conflict joins, each group is searched on its own and the best
 //     values add up, so independent parts of a component never
@@ -414,11 +414,15 @@ func (x *exactSearch) search(set []int32, floor int64) (int64, bool) {
 		x.maxColor = mc
 		x.undoTo(mark)
 	}
-	// The bound counted v's original as colored if a color is left,
-	// and its insertion perhaps not.
-	if !limited && (x.ban[o] == 7 || bound-bigB+1 > best) {
+	// Leaving v's original uncolored costs B and lifts every wall
+	// through it, so that branch is bounded with walls off: one for v's
+	// own redundant via, plus the bounds of the groups the rest of the
+	// set falls into.
+	if !limited {
 		x.uncolored++
-		best, limited = x.branchRedundant(nd, v, tpl.Uncolored, -bigB, best)
+		if 1-bigB+x.groupsBound(nd) > best {
+			best, limited = x.branchRedundant(nd, v, tpl.Uncolored, -bigB, best)
+		}
 		x.uncolored--
 	}
 
@@ -478,12 +482,7 @@ func (x *exactSearch) descend(nd node, ch choice, val int64, best int64) (int64,
 	// rest bounds the groups not yet searched.
 	rest := int64(0)
 	if len(ends) > 1 {
-		from := int32(nd.g0)
-		for _, to := range ends {
-			_, b := x.pick(x.groups[from:to])
-			rest += b
-			from = to
-		}
+		rest = x.groupsBound(nd)
 		if val+rest <= best {
 			x.best = x.best[:mark]
 			return best, false
@@ -511,6 +510,19 @@ func (x *exactSearch) descend(nd node, ch choice, val int64, best int64) (int64,
 	}
 	x.best = x.best[:mark]
 	return best, false
+}
+
+// groupsBound sums the bounds of the groups node nd's set, less its
+// via, falls into.
+func (x *exactSearch) groupsBound(nd node) int64 {
+	var bound int64
+	from := int32(nd.g0)
+	for _, to := range x.groupEnd[nd.ge:] {
+		_, b := x.pick(x.groups[from:to])
+		bound += b
+		from = to
+	}
+	return bound
 }
 
 // split divides set, less via v, into the groups that no conflict
@@ -547,6 +559,18 @@ func (x *exactSearch) split(set []int32, v int32) {
 // the set can add. The via is the one whose original has the fewest
 // colors left, then the one with the most conflicts, then the first.
 func (x *exactSearch) pick(set []int32) (int32, int64) {
+	// A walled candidate counts for nothing only while every original
+	// that walls it will be colored: none is decided uncolored, and
+	// none in the set has no color left. A solution that leaves an
+	// original with a color left uncolored scores below the bound by
+	// the B it costs.
+	walls := x.uncolored == 0
+	for _, v := range set {
+		if x.ban[x.slot0[v]] == 7 {
+			walls = false
+			break
+		}
+	}
 	best, bestLeft := int32(-1), 4
 	var bound int64
 	open := x.nextStamp()
@@ -557,7 +581,7 @@ func (x *exactSearch) pick(set []int32) (int32, int64) {
 			bound -= bigB
 		}
 		for s := o + 1; s < x.slot0[v+1]; s++ {
-			if x.blocked[s] > 0 || x.walled[s] && free != 0 && x.uncolored == 0 {
+			if x.blocked[s] > 0 || walls && x.walled[s] {
 				continue
 			}
 			// The redundant via needs a color of its own; beside a

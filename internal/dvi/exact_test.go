@@ -58,7 +58,7 @@ func exhaustiveSpace(in *Instance) int {
 // an 8×8 grid: vias on distinct sites of its inner 6×6 patch on one of
 // two via layers, each with some of its four DVIC sites as candidates,
 // none on a via's site, as NewInstance's feasibility check guarantees.
-// Vias join while the exhaustive solver's space stays within 1<<13
+// Vias join while the exhaustive solver's space stays within 1<<14
 // assignments.
 func decodeInstance(data []byte) *Instance {
 	next := func() int {
@@ -96,7 +96,7 @@ func decodeInstance(data []byte) *Instance {
 				feas = append(feas, c)
 			}
 		}
-		if space*4*(1+3*len(feas)) > 1<<13 {
+		if space*4*(1+3*len(feas)) > 1<<14 {
 			break
 		}
 		space *= 4 * (1 + 3*len(feas))
@@ -166,6 +166,63 @@ func FuzzExact(f *testing.F) {
 		in := decodeInstance(data)
 		checkExact(t, "fuzz", in, refSolveExhaustive(in))
 	})
+}
+
+// TestExactUncoloredOriginalLiftsWalls holds the search to the
+// exhaustive optimum on two instances where an original that must stay
+// uncolored frees candidates that two originals wall in. Both are past
+// decodeInstance's size, so they are built here.
+//
+// In "uncolored branch", the originals hold two four-cliques, {V, C,
+// D, E2} and {V, C, E1, E2}. E1's only candidate is walled by V and C,
+// E2's by V and D. Leaving C or E2 uncolored frees one candidate;
+// leaving V uncolored frees both, so the optimum leaves V uncolored and
+// inserts twice. A search that bounds V's uncolored branch with the
+// walls through V kept claims one insertion optimal.
+//
+// In "no color left", the originals A, B, C and D are pairwise within
+// pitch, and E is beside A and D. A's candidate is walled by B and D,
+// C's by B and D, and B's is free. Once A, B and C take the three
+// masks, D has none left; leaving it uncolored frees both walled
+// candidates, and the optimum inserts three times. A bound that keeps
+// walls through an original with no color left claims two insertions
+// optimal.
+func TestExactUncoloredOriginalLiftsWalls(t *testing.T) {
+	type via struct {
+		at   geom.Pt
+		feas []geom.Pt
+	}
+	for _, tc := range []struct {
+		name   string
+		vias   []via
+		insert int64
+	}{
+		{"uncolored branch", []via{
+			{geom.XY(2, 2), nil},                     // V
+			{geom.XY(3, 2), nil},                     // C
+			{geom.XY(3, 4), nil},                     // D
+			{geom.XY(2, 1), []geom.Pt{{X: 2, Y: 0}}}, // E1
+			{geom.XY(1, 3), []geom.Pt{{X: 1, Y: 4}}}, // E2
+		}, 2},
+		{"no color left", []via{
+			{geom.XY(6, 4), []geom.Pt{{X: 7, Y: 4}}}, // A
+			{geom.XY(6, 2), []geom.Pt{{X: 6, Y: 1}}}, // B
+			{geom.XY(4, 3), []geom.Pt{{X: 4, Y: 2}}}, // C
+			{geom.XY(5, 4), nil},                     // D
+			{geom.XY(6, 5), nil},                     // E
+		}, 3},
+	} {
+		in := &Instance{G: grid.New(9, 9, 3, coloring.Scheme{Type: coloring.SIM})}
+		for i, v := range tc.vias {
+			in.Vias = append(in.Vias, Via{Net: int32(i), Base: geom.XYL(v.at.X, v.at.Y, 0)})
+			in.Feas = append(in.Feas, v.feas)
+		}
+		want := refSolveExhaustive(in)
+		if want != tc.insert-bigB {
+			t.Fatalf("%s: exhaustive optimum %d, want %d", tc.name, want, tc.insert-bigB)
+		}
+		checkExact(t, tc.name, in, want)
+	}
 }
 
 // TestExactMatchesExhaustiveRandom runs FuzzExact's check on random

@@ -3,6 +3,7 @@ package router
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/coloring"
 	"repro/internal/geom"
@@ -296,16 +297,124 @@ func (s *searcher) findPathMode(r routeView, connected []geom.Pt3, target geom.P
 		box = box.AddPt(src.p.Pt2())
 	}
 	clip := s.rt.g.Bounds()
+	s.pinned = s.pinned[:0]
 	for margin := searchMargin; ; margin *= 2 {
 		win := box.Expand(margin, clip)
 		s.read = s.read.Union(win)
-		if path, _, ok := s.dijkstra(r, sources, target, net, win); ok {
-			return path, nil
+		for {
+			path, _, ok := s.dijkstra(r, sources, target, net, win)
+			if !ok {
+				break
+			}
+			p, ban := s.revisitTurn(path)
+			if ban == 0 {
+				return path, nil
+			}
+			s.pin(p, ban)
 		}
 		if win == clip {
 			return nil, fmt.Errorf("no path to %v (grid exhausted)", target)
 		}
 	}
+}
+
+// A pinned point bans, for the rest of a connection's search, the
+// visits that switch between wire and via there: banOnto a visit that
+// gets onto the wire (from a via landing or as the path's start),
+// banOff one that gets off it by via.
+const (
+	banOnto uint8 = 1 << iota
+	banOff
+)
+
+// pinnedPt is a point and the switches banned there.
+type pinnedPt struct {
+	p   geom.Pt3
+	ban uint8
+}
+
+// revisitTurn checks the points that path visits more than once. The
+// search checks a point's shape as it leaves the point, from that
+// visit's arms and the route's alone, so a path that gets off the wire
+// at a point and back onto it later can join two arms, each legal on
+// its own, into a forbidden L. For the first such point it returns the
+// point and the ban of the first of its visits that switched; it
+// returns a zero ban when there is none. It reads the scratch of the
+// search that returned path.
+func (s *searcher) revisitTurn(path []geom.Pt3) (geom.Pt3, uint8) {
+	// A visit adds one arm only by switching at its point, through a
+	// via step in the point's column, or by starting the path there on
+	// the wire (a path never reaches its end point twice). Two such
+	// visits to a point therefore need a column with two via steps, or
+	// with one and the path's start, and most paths have neither.
+	cols := s.colBuf[:0]
+	if len(path) > 1 && path[1].Layer == path[0].Layer {
+		cols = append(cols, path[0].Pt2())
+	}
+	again := false
+	for j := 1; j < len(path) && !again; j++ {
+		if c := path[j].Pt2(); path[j].Layer != path[j-1].Layer {
+			again = slices.Contains(cols, c)
+			cols = append(cols, c)
+		}
+	}
+	s.colBuf = cols
+	if !again {
+		return geom.Pt3{}, 0
+	}
+	sc := &s.search
+	for _, p := range path {
+		arms, visits, ban := sc.armsAt(p), 0, uint8(0)
+		for j, q := range path {
+			if q != p {
+				continue
+			}
+			visits++
+			in := j > 0 && path[j-1].Layer == p.Layer
+			out := j+1 < len(path) && path[j+1].Layer == p.Layer
+			if in {
+				arms |= armBit(p.DirTo(path[j-1]))
+			}
+			if out {
+				arms |= armBit(p.DirTo(path[j+1]))
+			}
+			if ban == 0 && in != out {
+				ban = banOff
+				if out {
+					ban = banOnto
+				}
+			}
+		}
+		if visits > 1 && s.rt.turnTab[p.X&1|(p.Y&1)<<1][arms] == forbiddenTurn {
+			return p, ban
+		}
+	}
+	return geom.Pt3{}, 0
+}
+
+// pin adds ban to p's pinned switches. The search that follows keeps
+// every path off the visit that began the forbidden L; a path that
+// fails at p again does so by the other switch and bans both, and then
+// each visit to p adds no arm, or two the search checked, or one as
+// the path's end, so no point fails a third time and the retries end.
+func (s *searcher) pin(p geom.Pt3, ban uint8) {
+	for i := range s.pinned {
+		if s.pinned[i].p == p {
+			s.pinned[i].ban |= ban
+			return
+		}
+	}
+	s.pinned = append(s.pinned, pinnedPt{p, ban})
+}
+
+// banAt returns the switches pinned at p.
+func (s *searcher) banAt(p geom.Pt3) uint8 {
+	for _, q := range s.pinned {
+		if q.p == p {
+			return q.ban
+		}
+	}
+	return 0
 }
 
 // forbiddenTurn is the turn-table sentinel for an illegal L.
@@ -491,6 +600,13 @@ func (sr *searcher) dijkstra(r routeView, sources []source, target geom.Pt3, net
 			return s.rebuildPath(it.id), g, true
 		}
 		din := stateDirs[ds]
+		// A pinned point may ban getting onto the wire or off it.
+		wireOut, viaOut := true, true
+		if len(sr.pinned) > 0 {
+			ban := sr.banAt(p)
+			wireOut = din.Planar() || ban&banOnto == 0
+			viaOut = !din.Planar() || ban&banOff == 0
+		}
 		// The metal shape any exit step joins: the net's existing arms
 		// at p plus the moving wire's incoming arm.
 		baseArms := s.armsAt(p)
@@ -506,6 +622,9 @@ func (sr *searcher) dijkstra(r routeView, sources []source, target geom.Pt3, net
 		gp := p.Y*rt.g.W + p.X
 		// Planar moves.
 		for di, d := range geom.PlanarDirs {
+			if !wireOut {
+				break
+			}
 			if din.Planar() && d == din.Opposite() {
 				continue // no U-turns
 			}
@@ -542,6 +661,9 @@ func (sr *searcher) dijkstra(r routeView, sources []source, target geom.Pt3, net
 		}
 		// Via moves.
 		for vi, d := range [2]geom.Dir{geom.Up, geom.Down} {
+			if !viaOut {
+				break
+			}
 			if din.Via() && d == din.Opposite() {
 				continue // no via pumps
 			}

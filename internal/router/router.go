@@ -441,6 +441,12 @@ type searcher struct {
 	// layer column (set by findPathColumn for Steiner junctions, which
 	// are wire meeting points, not layer-0 terminals).
 	colTarget bool
+	// pinned lists the points where the current connection may not
+	// switch between wire and via one way or both: points where an
+	// earlier search of it returned a path whose visits there formed a
+	// forbidden L (revisitTurn).
+	pinned []pinnedPt
+	colBuf []geom.Pt // revisitTurn's via columns
 	// The current net's read rect and work counters.
 	read     geom.Rect
 	searches int

@@ -36,7 +36,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 
 	"repro/internal/dvi"
@@ -168,13 +167,11 @@ func appendDVI(b []byte, routes []*grid.Route, in *dvi.Instance, sol *dvi.Soluti
 	}
 	b = append(b, '|')
 	k := 0
-	var bases []geom.Pt3
 	for _, r := range routes {
 		if r == nil {
 			continue
 		}
-		bases = appendVias(bases[:0], r)
-		for _, base := range bases {
+		for _, base := range r.ViaList() {
 			if k >= n || in.Vias[k] != (dvi.Via{Net: r.Net, Base: base}) {
 				return nil, fmt.Errorf("solution: DVI instance via %d is not net %d's via at %v", k, r.Net, base)
 			}
@@ -382,94 +379,55 @@ func (d *decoder) routes() ([]*grid.Route, error) {
 
 // dvi parses the DVI section against the vias of the decoded routes.
 func (d *decoder) dvi(p *Payload) error {
-	in := &dvi.Instance{Routes: p.Routes}
-	var bases []geom.Pt3
+	n := 0
 	for _, r := range p.Routes {
 		if r != nil {
-			bases = appendVias(bases[:0], r)
-			for _, base := range bases {
-				in.Vias = append(in.Vias, dvi.Via{Net: r.Net, Base: base})
-			}
+			n += len(r.ViaList())
 		}
 	}
-	n := len(in.Vias)
-	in.Feas = make([][]geom.Pt, n)
+	in := &dvi.Instance{Routes: p.Routes, Vias: make([]dvi.Via, 0, n), Feas: make([][]geom.Pt, n)}
 	sol := &dvi.Solution{Inserted: make([]int, n), Colors: make([]int8, n), RedColors: make([]int8, n)}
 	cands := make([]geom.Pt, 0, n)
-	for k, v := range in.Vias {
-		sol.Inserted[k], sol.RedColors[k] = -1, tpl.Uncolored
-		c := d.peek()
-		if c == '"' {
-			return d.errorf("DVI section ends at via %d of %d", k, n)
-		}
-		dir := stepDir[c]
-		if c != '-' && !dir.Planar() {
-			return d.errorf("want a candidate direction or '-' for via %d", k)
-		}
-		d.pos++
-		col, err := d.color(true)
-		if err != nil {
-			return err
-		}
-		sol.Colors[k] = col
-		if col == tpl.Uncolored {
-			sol.Uncolorable++
-		}
-		if c == '-' {
-			sol.DeadVias++
+	for _, r := range p.Routes {
+		if r == nil {
 			continue
 		}
-		if sol.RedColors[k], err = d.color(false); err != nil {
-			return err
+		for _, base := range r.ViaList() {
+			k := len(in.Vias)
+			in.Vias = append(in.Vias, dvi.Via{Net: r.Net, Base: base})
+			sol.Inserted[k], sol.RedColors[k] = -1, tpl.Uncolored
+			c := d.peek()
+			if c == '"' {
+				return d.errorf("DVI section ends at via %d of %d", k, n)
+			}
+			dir := stepDir[c]
+			if c != '-' && !dir.Planar() {
+				return d.errorf("want a candidate direction or '-' for via %d", k)
+			}
+			d.pos++
+			col, err := d.color(true)
+			if err != nil {
+				return err
+			}
+			sol.Colors[k] = col
+			if col == tpl.Uncolored {
+				sol.Uncolorable++
+			}
+			if c == '-' {
+				sol.DeadVias++
+				continue
+			}
+			if sol.RedColors[k], err = d.color(false); err != nil {
+				return err
+			}
+			cands = append(cands, base.Pt2().Step(dir))
+			in.Feas[k] = cands[len(cands)-1 : len(cands) : len(cands)]
+			sol.Inserted[k] = 0
+			sol.InsertedCount++
 		}
-		cands = append(cands, v.Base.Pt2().Step(dir))
-		in.Feas[k] = cands[len(cands)-1 : len(cands) : len(cands)]
-		sol.Inserted[k] = 0
-		sol.InsertedCount++
 	}
 	p.Instance, p.DVI = in, sol
 	return nil
-}
-
-// appendVias appends the distinct vias of r, each at its lower metal
-// point, in the order its paths first cross them: grid.Route.ViaList's
-// list, read off the up and down steps without building the route's
-// derived state.
-func appendVias(dst []geom.Pt3, r *grid.Route) []geom.Pt3 {
-	from := len(dst)
-	for _, path := range r.Paths {
-		for i := 1; i < len(path); i++ {
-			a, b := path[i-1], path[i]
-			if a.Layer == b.Layer {
-				continue
-			}
-			if b.Layer < a.Layer {
-				a = b
-			}
-			dst = append(dst, a)
-		}
-	}
-	// A via crossed again keeps its first place. Few routes cross more
-	// than a handful of vias; past that, a set keeps the pass linear.
-	vias := dst[from:]
-	if len(vias) <= 32 {
-		out := vias[:0]
-		for _, v := range vias {
-			if !slices.Contains(out, v) {
-				out = append(out, v)
-			}
-		}
-		return dst[:from+len(out)]
-	}
-	seen := make(map[geom.Pt3]bool, len(vias))
-	out := vias[:0]
-	for _, v := range vias {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return dst[:from+len(out)]
 }
 
 // color parses one color byte: a digit in range, or "-" for uncolored

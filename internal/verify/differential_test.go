@@ -453,26 +453,3 @@ func TestSolutionAllocsFlat(t *testing.T) {
 		t.Errorf("%s: %.0f allocations per run, more than twice the %.0f of %s", div.Name, large, small, bench.TinySuite()[0].Name)
 	}
 }
-
-// TestMetricsKeysMatchReference recounts routes that take each of
-// Metrics' two paths: unit steps on points that pack into integer
-// keys, and routes with a negative coordinate, a point past the key's
-// range or a non-unit step, which fall back to comparing points. Each
-// revisits a segment and a via, which count once; the wide point's via
-// would share a key with the via at (0,1), and the two jumps from
-// (4,4) would share one too.
-func TestMetricsKeysMatchReference(t *testing.T) {
-	route := func(paths ...[]geom.Pt3) *grid.Route { return &grid.Route{Paths: paths} }
-	unit := []geom.Pt3{geom.XYL(1, 1, 0), geom.XYL(2, 1, 0), geom.XYL(2, 1, 1), geom.XYL(2, 2, 1), geom.XYL(2, 1, 1), geom.XYL(2, 1, 0), geom.XYL(1, 1, 0)}
-	for name, r := range map[string]*grid.Route{ //sadplint:ordered each case is checked on its own
-		"packed":   route(unit, unit[2:5]),
-		"negative": route(unit, []geom.Pt3{geom.XYL(-1, 1, 0), geom.XYL(0, 1, 0), geom.XYL(0, 1, 1)}),
-		"wide":     route(unit, []geom.Pt3{geom.XYL(0, 1, 0), geom.XYL(0, 1, 1)}, []geom.Pt3{geom.XYL(1<<21, 0, 0), geom.XYL(1<<21, 0, 1)}),
-		"jump":     route(unit, []geom.Pt3{geom.XYL(6, 5, 0), geom.XYL(4, 4, 0), geom.XYL(4, 7, 0)}),
-	} {
-		wl, vias := verify.Metrics([]*grid.Route{r, nil})
-		if rwl, rvias := verify.RefMetrics([]*grid.Route{r, nil}); wl != rwl || vias != rvias {
-			t.Errorf("%s: Metrics = %d/%d, reference %d/%d", name, wl, vias, rwl, rvias)
-		}
-	}
-}

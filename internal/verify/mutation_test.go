@@ -543,3 +543,34 @@ func TestMutationPinObstruction(t *testing.T) {
 	}
 	t.Fatal("no foreign pin adjacent to routed metal found in fixture")
 }
+
+// TestColorabilityDecidesRoutedComponent holds the exact colorability
+// fallback to a decision on the 43 vias a TPL-aware SID routing left
+// in one conflict component of via layer 0 (stress -seed 7 -maxpins 6,
+// trial 4136). The router colored them; the checker's greedy pass
+// does not, and backtracking in discovery order spent its 2 000 000
+// steps without a decision, which the checker reports as a verifier
+// limit. Each via here is a net of its own.
+func TestColorabilityDecidesRoutedComponent(t *testing.T) {
+	sites := []int{
+		22, 0, 24, 0, 23, 1, 23, 3, 24, 4, 22, 4, 21, 6, 20, 8, 21, 9, 23, 8, 24, 9,
+		23, 11, 21, 12, 22, 14, 24, 15, 24, 16, 23, 15, 21, 15, 21, 17, 21, 19, 23, 20,
+		19, 18, 17, 17, 18, 15, 15, 18, 15, 20, 13, 20, 12, 19, 10, 18, 14, 17, 13, 15,
+		15, 14, 16, 12, 15, 11, 13, 10, 13, 13, 11, 15, 15, 17, 21, 13, 19, 11, 18, 9,
+		20, 5, 22, 2,
+	}
+	nl := &netlist.Netlist{Name: "component", W: 25, H: 24, NumLayers: 2}
+	var routes []*grid.Route
+	for i := 0; i < len(sites); i += 2 {
+		x, y := sites[i], sites[i+1]
+		id := len(routes)
+		nl.Nets = append(nl.Nets, &netlist.Net{ID: id, Name: "v", Pins: []geom.Pt{geom.XY(x, y)}})
+		r := grid.NewRoute(int32(id))
+		r.AddPath([]geom.Pt3{geom.XYL(x, y, 0), geom.XYL(x, y, 1)})
+		routes = append(routes, r)
+	}
+	rep := verify.Routing(nl, routes, verify.Options{SADP: coloring.SID, CheckTPL: true})
+	if rep.Has(verify.VerifierLimit) || rep.Has(verify.NotThreeColorable) || rep.Has(verify.FVP) {
+		t.Fatalf("the routed component is 3-colorable and FVP-free; report: %v", rep.Err())
+	}
+}

@@ -517,19 +517,20 @@ func refComponents(adj [][]int) refComponentSet {
 }
 
 func refColorableExact(adj [][]int, comp []int, k, budget int) (ok, exact bool) {
+	order := refOrder(adj, comp)
 	colors := map[int]int{}
 	steps := 0
-	var solve func(i int) (bool, bool)
-	solve = func(i int) (bool, bool) {
-		if i == len(comp) {
+	var solve func(i, used int) (bool, bool)
+	solve = func(i, used int) (bool, bool) {
+		if i == len(order) {
 			return true, true
 		}
 		steps++
 		if steps > budget {
 			return false, false
 		}
-		v := comp[i]
-		for col := 1; col <= k; col++ {
+		v := order[i]
+		for col := 1; col <= min(used+1, k); col++ {
 			good := true
 			for _, u := range adj[v] {
 				if colors[u] == col {
@@ -539,7 +540,7 @@ func refColorableExact(adj [][]int, comp []int, k, budget int) (ok, exact bool) 
 			}
 			if good {
 				colors[v] = col
-				done, ex := solve(i + 1)
+				done, ex := solve(i+1, max(used, col))
 				if done {
 					return true, true
 				}
@@ -551,7 +552,40 @@ func refColorableExact(adj [][]int, comp []int, k, budget int) (ok, exact bool) 
 		}
 		return false, true
 	}
-	return solve(0)
+	return solve(0, 0)
+}
+
+// refOrder lists comp in maximum cardinality order by scanning: at each
+// step the unlisted vertex with the most listed neighbours, of those
+// the one whose count rose last, comp's first at the start.
+func refOrder(adj [][]int, comp []int) []int {
+	count, stamp, listed := map[int]int{}, map[int]int{}, map[int]bool{}
+	for i, v := range comp {
+		stamp[v] = -i
+	}
+	clock := 0
+	var order []int
+	for len(order) < len(comp) {
+		best := -1
+		for _, v := range comp {
+			if listed[v] {
+				continue
+			}
+			if best < 0 || count[v] > count[best] || count[v] == count[best] && stamp[v] > stamp[best] {
+				best = v
+			}
+		}
+		listed[best] = true
+		order = append(order, best)
+		for _, u := range adj[best] {
+			if !listed[u] {
+				count[u]++
+				clock++
+				stamp[u] = clock
+			}
+		}
+	}
+	return order
 }
 
 func (c *refChecker) checkDVI(in *dvi.Instance, sol *dvi.Solution) {

@@ -248,13 +248,14 @@ func (c *checker) checkLayerColorable(vl int, s *layerScratch) {
 	comp := components(s.start, s.adj)
 	reported := make([]bool, len(comp.members))
 	colors := make([]int8, n)
+	placed := make([]int8, n)
 	for _, v := range failed {
 		cid := comp.id[v]
 		if reported[cid] {
 			continue
 		}
 		reported[cid] = true
-		ok, exact := colorableExact(s.start, s.adj, comp.members[cid], colors, 3, c.opt.ColorBudget)
+		ok, exact := colorableExact(s.start, s.adj, comp.members[cid], colors, placed, 3, c.opt.ColorBudget)
 		site := int(s.sites[v])
 		at := geom.XYL(site%c.w, site/c.w, vl)
 		switch {
@@ -319,21 +320,27 @@ func components(start, adj []int32) componentSet {
 
 // colorableExact decides k-colorability of one component by
 // backtracking with a step budget. exact=false means the budget ran
-// out before a decision. colors holds 0 for every vertex of comp on
-// entry and is restored to that unless the component colors.
-func colorableExact(start, adj, comp []int32, colors []int8, k, budget int) (ok, exact bool) {
+// out before a decision. The vertices take colors in maximum
+// cardinality order (orderComponent), so each choice meets as many
+// earlier ones as it can, and a vertex may take at most one color
+// beyond those in use, so no two branches differ by a renaming of the
+// colors. colors and placed hold 0 for every vertex of comp on entry;
+// placed is restored to that, and colors too unless the component
+// colors.
+func colorableExact(start, adj, comp []int32, colors, placed []int8, k, budget int) (ok, exact bool) {
+	order := orderComponent(start, adj, comp, placed)
 	steps := 0
-	var solve func(i int) (bool, bool)
-	solve = func(i int) (bool, bool) {
-		if i == len(comp) {
+	var solve func(i int, used int8) (bool, bool)
+	solve = func(i int, used int8) (bool, bool) {
+		if i == len(order) {
 			return true, true
 		}
 		steps++
 		if steps > budget {
 			return false, false
 		}
-		v := comp[i]
-		for col := int8(1); int(col) <= k; col++ {
+		v := order[i]
+		for col := int8(1); col <= min(used+1, int8(k)); col++ {
 			good := true
 			for _, u := range adj[start[v]:start[v+1]] {
 				if colors[u] == col {
@@ -343,7 +350,7 @@ func colorableExact(start, adj, comp []int32, colors []int8, k, budget int) (ok,
 			}
 			if good {
 				colors[v] = col
-				done, ex := solve(i + 1)
+				done, ex := solve(i+1, max(used, col))
 				if done {
 					return true, true
 				}
@@ -355,5 +362,44 @@ func colorableExact(start, adj, comp []int32, colors []int8, k, budget int) (ok,
 		}
 		return false, true
 	}
-	return solve(0)
+	return solve(0, 0)
+}
+
+// orderComponent lists comp in maximum cardinality order: each next
+// vertex is one with the most neighbours listed before it, the last
+// one whose count rose on a tie, comp's first on a tie at the start.
+// Buckets by count keep it linear. placed holds 0 for every vertex of
+// comp on entry and on return; in between it holds -1 for a listed
+// vertex and the count for the others.
+func orderComponent(start, adj, comp []int32, placed []int8) []int32 {
+	buckets := make([][]int32, len(conflictOffsets)+1)
+	for i := len(comp) - 1; i >= 0; i-- {
+		buckets[0] = append(buckets[0], comp[i])
+	}
+	order := make([]int32, 0, len(comp))
+	for top := 0; len(order) < len(comp); {
+		b := buckets[top]
+		if len(b) == 0 {
+			top--
+			continue
+		}
+		v := b[len(b)-1]
+		buckets[top] = b[:len(b)-1]
+		if placed[v] != int8(top) {
+			continue // listed already, or its count rose since
+		}
+		placed[v] = -1
+		order = append(order, v)
+		for _, u := range adj[start[v]:start[v+1]] {
+			if placed[u] >= 0 {
+				placed[u]++
+				buckets[placed[u]] = append(buckets[placed[u]], u)
+				top = max(top, int(placed[u]))
+			}
+		}
+	}
+	for _, v := range comp {
+		placed[v] = 0
+	}
+	return order
 }

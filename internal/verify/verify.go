@@ -261,49 +261,12 @@ func Solution(nl *netlist.Netlist, routes []*grid.Route, in *dvi.Instance, sol *
 // solution: total wirelength (distinct planar unit segments per net)
 // and total via count (distinct via sites per net). It walks the raw
 // path polylines, sharing no code with router.Stats. It knows no grid
-// bounds, so it counts distinct entries by sorting, not by indexing:
-// integer keys while a route's points pack into them and its planar
-// steps are unit steps, points compared field by field otherwise.
+// bounds, so it counts distinct entries by sorting, not by indexing.
 func Metrics(routes []*grid.Route) (wl, vias int) {
-	var segKeys, viaKeys []uint64
 	var segs []segment
 	var bases []geom.Pt3
 	for _, r := range routes {
 		if r == nil || len(r.Paths) == 0 {
-			continue
-		}
-		segKeys, viaKeys = segKeys[:0], viaKeys[:0]
-		packed := true
-		for _, path := range r.Paths {
-			for i := 1; i < len(path) && packed; i++ {
-				a, b := path[i-1], path[i]
-				if a.Layer != b.Layer {
-					if b.Layer < a.Layer {
-						a = b
-					}
-					packed = packable(a)
-					viaKeys = append(viaKeys, metricKey(a, 0))
-					continue
-				}
-				if b.X < a.X || b.Y < a.Y {
-					a, b = b, a
-				}
-				switch {
-				case b.X == a.X+1 && b.Y == a.Y:
-					segKeys = append(segKeys, metricKey(a, 1))
-				case b.X == a.X && b.Y == a.Y+1:
-					segKeys = append(segKeys, metricKey(a, 2))
-				default:
-					packed = false
-				}
-				packed = packed && packable(a)
-			}
-		}
-		if packed {
-			slices.Sort(segKeys)
-			slices.Sort(viaKeys)
-			wl += len(slices.Compact(segKeys))
-			vias += len(slices.Compact(viaKeys))
 			continue
 		}
 		segs, bases = segs[:0], bases[:0]
@@ -332,18 +295,6 @@ func Metrics(routes []*grid.Route) (wl, vias int) {
 		vias += len(slices.Compact(bases))
 	}
 	return wl, vias
-}
-
-// packable reports whether metricKey can hold point p.
-func packable(p geom.Pt3) bool {
-	return uint(p.X) < 1<<21 && uint(p.Y) < 1<<21 && uint(p.Layer) < 1<<8
-}
-
-// metricKey packs a packable point and a two-bit tag (a via, or a unit
-// segment running east or north from the point) into one sortable
-// integer.
-func metricKey(p geom.Pt3, tag uint64) uint64 {
-	return uint64(p.Layer)<<44 | uint64(p.Y)<<23 | uint64(p.X)<<2 | tag
 }
 
 type segment struct{ a, b geom.Pt3 }
